@@ -13,9 +13,9 @@
 // token), median of three trials. The page pool is deliberately smaller
 // than the registry's working set so cold prefix pages spill to encrypted
 // REE memory and come back through the restore path mid-sweep. Every
-// request's tokens are checked bit-identical against a flat (unpaged)
-// reference engine. Emits BENCH_caching.json for the CI guard
-// (scripts/check_bench_regression.py --caching).
+// request's tokens are checked bit-identical against a single-session
+// reference engine with no prefix sharing. Emits BENCH_caching.json for the
+// CI guard (scripts/check_bench_regression.py --caching).
 
 #include <algorithm>
 #include <chrono>
@@ -103,9 +103,10 @@ double Median(std::vector<double> values) {
 
 // One request through the paged engine: TTFT measured over admission +
 // chunked prefill (prefix adoption happens inside AdmitSession), then
-// decode to completion and a bit-identity check against the flat
+// decode to completion and a bit-identity check against the unshared
 // reference.
-TrialResult RunTrial(LlmTa* paged, LlmTa* flat, const std::string& prompt) {
+TrialResult RunTrial(LlmTa* paged, LlmTa* reference_ta,
+                     const std::string& prompt) {
   const KvArena* arena = paged->kv_arena();
   const uint64_t adopted_before = arena->prefix_stats().adopted_positions;
 
@@ -147,9 +148,9 @@ TrialResult RunTrial(LlmTa* paged, LlmTa* flat, const std::string& prompt) {
   }
   out.prompt_tokens = static_cast<int>(generation->prompt_tokens.size());
 
-  auto reference = flat->Generate(prompt, kDecodeBudget);
+  auto reference = reference_ta->Generate(prompt, kDecodeBudget);
   if (!reference.ok()) {
-    fprintf(stderr, "flat reference failed: %s\n",
+    fprintf(stderr, "reference failed: %s\n",
             reference.status().ToString().c_str());
     abort();
   }
@@ -175,7 +176,6 @@ int main() {
   paged_config.materialize_model = true;
   paged_config.engine.prefill_batch = kPrefillBatch;
   paged_config.engine.max_sessions = 2;
-  paged_config.engine.paged_kv = true;
   paged_config.engine.kv_page_positions = kPagePositions;
   paged_config.engine.kv_pool_bytes = pool_bytes;
   SocPlatform paged_plat;
@@ -191,20 +191,22 @@ int main() {
     return 1;
   }
 
-  RuntimeConfig flat_config = paged_config;
-  flat_config.engine.max_sessions = 1;
-  flat_config.engine.paged_kv = false;
-  flat_config.engine.kv_pool_bytes = 0;
-  SocPlatform flat_plat;
-  SystemRuntime flat_runtime(&flat_plat, flat_config);
-  if (!flat_runtime.Setup().ok()) {
-    fprintf(stderr, "flat setup failed\n");
+  // Reference: one session, the pool at its default budget (its whole
+  // context resident) and no prefix sharing.
+  RuntimeConfig ref_config = paged_config;
+  ref_config.engine.max_sessions = 1;
+  ref_config.engine.kv_pool_bytes = 0;
+  ref_config.engine.kv_prefix_entries = 0;
+  SocPlatform ref_plat;
+  SystemRuntime ref_runtime(&ref_plat, ref_config);
+  if (!ref_runtime.Setup().ok()) {
+    fprintf(stderr, "reference setup failed\n");
     return 1;
   }
-  auto flat = flat_runtime.CreateFunctionalTa();
-  if (!flat.ok() ||
-      !(*flat)->LoadModel(flat_runtime.spec().config().name).ok()) {
-    fprintf(stderr, "flat model load failed\n");
+  auto ref = ref_runtime.CreateFunctionalTa();
+  if (!ref.ok() ||
+      !(*ref)->LoadModel(ref_runtime.spec().config().name).ok()) {
+    fprintf(stderr, "reference model load failed\n");
     return 1;
   }
 
@@ -217,12 +219,12 @@ int main() {
   const std::string base = BasePrompt();
   // Warm request: registers the base prompt's pages in the prefix registry
   // (and streams the weights once, so trial TTFTs measure prefill, not
-  // first-touch effects). The flat engine gets the same warmup.
+  // first-touch effects). The reference engine gets the same warmup.
   int base_tokens = 0;
   {
     auto warm = (*paged)->Generate(base, 4);
-    auto flat_warm = (*flat)->Generate(base, 4);
-    if (!warm.ok() || !flat_warm.ok()) {
+    auto ref_warm = (*ref)->Generate(base, 4);
+    if (!warm.ok() || !ref_warm.ok()) {
       fprintf(stderr, "warmup failed\n");
       return 1;
     }
@@ -242,7 +244,7 @@ int main() {
     std::vector<double> ttft_ms;
     uint64_t adopted_total = 0;
     for (int trial = 0; trial < kTrials; ++trial) {
-      const TrialResult r = RunTrial(paged->get(), flat->get(),
+      const TrialResult r = RunTrial(paged->get(), ref->get(),
                                      TrialPrompt(base, proportion, trial));
       ttft_ms.push_back(r.ttft_ms);
       adopted_total += r.adopted_positions;
@@ -293,7 +295,7 @@ int main() {
          static_cast<unsigned long long>(pool_stats.spills),
          static_cast<unsigned long long>(pool_stats.restores),
          static_cast<unsigned long long>(pool_stats.cow_copies));
-  printf("tokens vs flat reference: %s\n",
+  printf("tokens vs unshared reference: %s\n",
          all_identical ? "identical (PASS)" : "DIVERGED (FAIL)");
   printf("\npaper (C3): TTFT falls roughly linearly with the shared "
          "proportion — the adopted pages' prefill is skipped outright, so "

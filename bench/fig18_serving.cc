@@ -254,14 +254,15 @@ PreemptionResult RunPreemptionScenario() {
 
 // --- 16-session over-subscription: page spill vs whole-session eviction. --
 //
-// Both runs get the SAME secure KV budget (3 flat slots' worth) and the
-// same staggered arrival schedule of 16 requests, with three urgent
-// latecomers. The flat baseline's only pressure valves are queueing for a
-// slot and whole-session checkpoint eviction (kPriority); the paged engine
-// instead admits everyone — a slot is just a page table — and spills cold
-// PAGES to encrypted REE memory. Tail TTFT is the comparison: a queued
-// request's TTFT includes its predecessors' entire generations, a paged
-// request's only its own (interleaved) prefill.
+// Both runs get the SAME secure KV budget (3 sessions' full contexts) and
+// the same staggered arrival schedule of 16 requests, with three urgent
+// latecomers. The eviction baseline holds 3 fully resident sessions, so its
+// only pressure valves are queueing for a slot and whole-session checkpoint
+// eviction (kPriority); the paged engine instead admits everyone — a slot
+// is just a page table — and spills cold PAGES to encrypted REE memory.
+// Tail TTFT is the comparison: a queued request's TTFT includes its
+// predecessors' entire generations, a paged request's only its own
+// (interleaved) prefill.
 
 // A long decode budget relative to prefill is the regime that separates the
 // two pressure valves: a queued request's TTFT under whole-session eviction
@@ -272,7 +273,7 @@ constexpr int kOversubSessions = 16;
 constexpr int kOversubBudget = 64;
 constexpr int kOversubMaxCtx = 128;
 constexpr int kOversubPagePositions = 8;
-constexpr int kOversubFlatSlots = 3;
+constexpr int kOversubResidentSlots = 3;
 constexpr int kOversubPrefillBatch = 32;
 
 struct OversubPoint {
@@ -335,7 +336,7 @@ OversubPoint RunOversubPoint(const RuntimeConfig& config,
     req.prompt = prompts[i];
     req.max_new_tokens = kOversubBudget;
     // Mostly-relaxed FIFO traffic with three urgent latecomers: the
-    // latecomers force the flat baseline through checkpoint eviction, the
+    // latecomers force the eviction baseline through checkpoint eviction, the
     // relaxed tail measures queueing.
     req.priority = i < kOversubSessions - 3 ? 50.0 + i : 1.0 + i;
     auto id = serve.Enqueue(req);
@@ -393,8 +394,10 @@ OversubPoint RunOversubPoint(const RuntimeConfig& config,
 }
 
 // The three engine configurations the over-subscription and chaos sections
-// share: a flat single-session reference, the paged 16-session point and
-// the flat 3-slot checkpoint-eviction point.
+// share: a single-session reference, the paged 16-session point and the
+// 3-slot checkpoint-eviction point. The reference and the eviction point
+// keep the pool at its default budget (every session fully resident) and
+// the prefix registry off.
 struct OversubConfigs {
   RuntimeConfig solo;
   RuntimeConfig paged;
@@ -403,30 +406,28 @@ struct OversubConfigs {
 
 OversubConfigs BuildOversubConfigs() {
   OversubConfigs out;
-  // Solo references on a plain flat single-session engine.
+  // Solo references on a plain single-session engine.
   out.solo.model = OversubModel();
   out.solo.system = SystemKind::kTzLlm;
   out.solo.materialize_model = true;
   out.solo.engine.prefill_batch = kOversubPrefillBatch;
   out.solo.engine.max_sessions = 1;
-  out.solo.engine.paged_kv = false;
+  out.solo.engine.kv_prefix_entries = 0;
 
   const ModelSpec spec = ModelSpec::Create(OversubModel());
-  const uint64_t flat_budget =
-      kOversubFlatSlots * spec.KvCacheBytes(kOversubMaxCtx);
+  const uint64_t resident_budget =
+      kOversubResidentSlots * spec.KvCacheBytes(kOversubMaxCtx);
 
   // Paged: every session admitted, cold pages spill under the SAME budget.
   out.paged = out.solo;
   out.paged.engine.max_sessions = kOversubSessions;
-  out.paged.engine.paged_kv = true;
   out.paged.engine.kv_page_positions = kOversubPagePositions;
-  out.paged.engine.kv_pool_bytes = flat_budget;
-  out.paged.engine.kv_prefix_entries = 0;  // Isolate paging from reuse.
+  out.paged.engine.kv_pool_bytes = resident_budget;
 
-  // Flat: three resident slots; extra demand queues or checkpoint-evicts.
+  // Evict: three fully resident slots; extra demand queues or
+  // checkpoint-evicts.
   out.evict = out.solo;
-  out.evict.engine.max_sessions = kOversubFlatSlots;
-  out.evict.engine.paged_kv = false;
+  out.evict.engine.max_sessions = kOversubResidentSlots;
   out.evict.engine.serve_eviction = ServeEvictPolicy::kPriority;
   return out;
 }
@@ -470,12 +471,12 @@ std::vector<std::vector<TokenId>> OversubSoloRuns(
 //   ckpt_drop — every sealed session checkpoint is deleted right after
 //     sealing; evicted sessions restart from their prompts on readmission
 //     (deterministic generation keeps the tokens identical). Runs on the
-//     flat eviction point, where checkpoints are the pressure valve.
+//     eviction point, where checkpoints are the pressure valve.
 struct ChaosRun {
   std::string plan;
   // Which clean over-subscription point this degraded run is compared
   // against ("paged" or "evict") — the spill plans run paged traffic, the
-  // checkpoint plan runs the flat eviction traffic.
+  // checkpoint plan runs the eviction traffic.
   std::string baseline;
   OversubPoint point;
 };
@@ -718,19 +719,14 @@ int main() {
   // adopt those pages and prefill only the final position — the TTFT win
   // paging buys on top of batching.
   const KvArena* sweep_arena = (*ta)->kv_arena();
-  const bool sweep_paged = sweep_arena != nullptr && sweep_arena->paged();
-  if (sweep_paged) {
-    printf("paged kv: %llu spills, %llu restores, %llu cow copies, "
-           "%llu/%llu prefix hits\n",
-           static_cast<unsigned long long>(sweep_arena->pool()->stats().spills),
-           static_cast<unsigned long long>(
-               sweep_arena->pool()->stats().restores),
-           static_cast<unsigned long long>(
-               sweep_arena->pool()->stats().cow_copies),
-           static_cast<unsigned long long>(sweep_arena->prefix_stats().hits),
-           static_cast<unsigned long long>(
-               sweep_arena->prefix_stats().lookups));
-  }
+  printf("paged kv: %llu spills, %llu restores, %llu cow copies, "
+         "%llu/%llu prefix hits\n",
+         static_cast<unsigned long long>(sweep_arena->pool()->stats().spills),
+         static_cast<unsigned long long>(sweep_arena->pool()->stats().restores),
+         static_cast<unsigned long long>(
+             sweep_arena->pool()->stats().cow_copies),
+         static_cast<unsigned long long>(sweep_arena->prefix_stats().hits),
+         static_cast<unsigned long long>(sweep_arena->prefix_stats().lookups));
 
   const PreemptionResult preemption = RunPreemptionScenario();
   printf("eviction under pressure: %d preemption(s), evictee tokens %s\n",
@@ -745,7 +741,7 @@ int main() {
   const OversubPoint oversub_evict =
       RunOversubPoint(oversub_cfg.evict, oversub_solo);
   printf("\nOver-subscription (%d sessions, %d-slot KV budget):\n",
-         kOversubSessions, kOversubFlatSlots);
+         kOversubSessions, kOversubResidentSlots);
   PrintRow({"mode", "ttft p50 ms", "ttft p99 ms", "wall s", "preempt",
             "spills", "restores"},
            13);
@@ -836,29 +832,26 @@ int main() {
     fprintf(json, "  \"speedup_4_vs_1\": %.3f,\n", speedup4);
     fprintf(json, "  \"tokens_identical\": %s,\n",
             tokens_identical ? "true" : "false");
-    if (sweep_paged) {
-      fprintf(json,
-              "  \"paged_kv\": {\"page_spills\": %llu, \"page_restores\": "
-              "%llu, \"cow_copies\": %llu, \"prefix_lookups\": %llu, "
-              "\"prefix_hits\": %llu},\n",
-              static_cast<unsigned long long>(
-                  sweep_arena->pool()->stats().spills),
-              static_cast<unsigned long long>(
-                  sweep_arena->pool()->stats().restores),
-              static_cast<unsigned long long>(
-                  sweep_arena->pool()->stats().cow_copies),
-              static_cast<unsigned long long>(
-                  sweep_arena->prefix_stats().lookups),
-              static_cast<unsigned long long>(
-                  sweep_arena->prefix_stats().hits));
-    }
+    fprintf(json,
+            "  \"kv_pages\": {\"page_spills\": %llu, \"page_restores\": "
+            "%llu, \"cow_copies\": %llu, \"prefix_lookups\": %llu, "
+            "\"prefix_hits\": %llu},\n",
+            static_cast<unsigned long long>(
+                sweep_arena->pool()->stats().spills),
+            static_cast<unsigned long long>(
+                sweep_arena->pool()->stats().restores),
+            static_cast<unsigned long long>(
+                sweep_arena->pool()->stats().cow_copies),
+            static_cast<unsigned long long>(
+                sweep_arena->prefix_stats().lookups),
+            static_cast<unsigned long long>(sweep_arena->prefix_stats().hits));
     fprintf(json, "  \"preemption\": {\"preemptions\": %d, "
                   "\"tokens_identical\": %s},\n",
             preemption.preemptions,
             preemption.tokens_identical ? "true" : "false");
     fprintf(json, "  \"oversubscription\": {\n");
     fprintf(json, "    \"sessions\": %d,\n", kOversubSessions);
-    fprintf(json, "    \"kv_budget_slots\": %d,\n", kOversubFlatSlots);
+    fprintf(json, "    \"kv_budget_slots\": %d,\n", kOversubResidentSlots);
     fprintf(json,
             "    \"paged\": {\"ttft_ms_p50\": %.2f, \"ttft_ms_p99\": %.2f, "
             "\"wall_s\": %.4f, \"preemptions\": %d, \"page_spills\": %llu, "

@@ -50,7 +50,7 @@ ckpt_drop) from the same run.
 shared-prefix point at >= 50% must land a warm TTFT strictly below the
 cold (0%) point, the spill/restore path must have actually run (restore
 count > 0), the prefix registry must have hit, and every request's tokens
-must be bit-identical to the flat (unpaged) reference engine. All
+must be bit-identical to the unshared reference engine. All
 ratio/flag based — no committed-snapshot compare.
 
 Usage:
@@ -279,7 +279,7 @@ def check_chaos(fresh):
                 "checkpoint restart path went unexercised"
             )
         # Each degraded run is bounded against ITS OWN clean scenario: the
-        # spill plans run the paged point, ckpt_drop the flat evict point.
+        # spill plans run the paged point, ckpt_drop the evict point.
         baseline = point.get("baseline", "paged")
         clean = clean_p99.get(baseline, 0.0)
         if clean <= 0:
@@ -335,7 +335,7 @@ def check_caching(fresh):
             )
         if point.get("tokens_identical") is not True:
             fail(
-                f"tokens at {proportion}% shared diverged from the flat "
+                f"tokens at {proportion}% shared diverged from the unshared "
                 "reference engine: the bit-identity contract broke"
             )
         if int(proportion) >= 50 and point.get("prefix_hits", 0) <= 0:

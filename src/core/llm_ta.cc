@@ -5,6 +5,7 @@
 #include <cstring>
 #include <set>
 
+#include "src/common/bytes.h"
 #include "src/common/log.h"
 #include "src/crypto/sha256.h"
 #include "src/llm/cost_model.h"
@@ -94,10 +95,9 @@ Status LlmTa::LoadModel(const std::string& model_id, SchedulePolicy policy) {
 
   // 3. Scratch region for the KV arena / activations (also hosts NPU job
   //    execution contexts). Budgeted at the width the caches will actually
-  //    store: KvArena::BudgetBytes accounts the flat per-session slots or
-  //    the shared KV page pool (whichever this configuration builds), plus
-  //    a vocab-size logits row per admissible session — so accounted ==
-  //    resident in every mode.
+  //    store: KvArena::BudgetBytes accounts the shared KV page pool, plus a
+  //    vocab-size logits row per admissible session — so accounted ==
+  //    resident.
   //    NPU prefill adds the job execution-context window (double-buffered
   //    cmd/iopt/in/out slots) at the region tail, so CreateJob's TZASC
   //    validation passes exactly because the budget covered it.
@@ -129,15 +129,13 @@ Status LlmTa::LoadModel(const std::string& model_id, SchedulePolicy policy) {
     }
   }
   // The KV share of the budget comes from the SAME static the arena itself
-  // is sized by (KvArena::BudgetBytes) — flat slots and the paged pool alike
-  // — so accounted == ArenaBytes() in every mode and the two can never
-  // drift. With paged_kv and kv_pool_bytes == 0 the pool inherits the flat
-  // slots x per-session product: paging never grows the scratch region.
+  // is sized by (KvArena::BudgetBytes), so accounted == ArenaBytes() and the
+  // two can never drift. With kv_pool_bytes == 0 the pool holds every
+  // session's full context in whole pages.
   KvArenaOptions arena_options;
   arena_options.slots = engine_options_.max_sessions;
   arena_options.storage = KvStorageFor(engine_options_);
   arena_options.kernels = KernelsFor(engine_options_);
-  arena_options.paged = engine_options_.paged_kv;
   arena_options.pool.page_positions = engine_options_.kv_page_positions;
   arena_options.pool.pool_bytes = engine_options_.kv_pool_bytes;
   arena_options.pool.spill = engine_options_.kv_spill;
@@ -168,30 +166,27 @@ Status LlmTa::LoadModel(const std::string& model_id, SchedulePolicy policy) {
   tokenizer_ = std::make_unique<Tokenizer>(spec_->config().vocab_size);
   weights_ = std::make_unique<SecureWeightSource>(this);
   kv_arena_ = std::make_unique<KvArena>(*spec_, arena_options);
-  if (kv_arena_->paged()) {
-    // The pool may be smaller than slots x full-context (over-subscription
-    // is the point), but it must at least hold ONE session's full context
-    // resident: a decode step pins every page of its session, so a pool
-    // below that floor could wedge with every frame pinned.
-    const KvPagePool* pool = kv_arena_->pool();
-    if (static_cast<uint64_t>(pool->frames()) * pool->page_positions() <
-        static_cast<uint64_t>(spec_->config().max_ctx)) {
-      return InvalidArgument(
-          "EngineOptions::kv_pool_bytes too small: the KV page pool cannot "
-          "hold one session's full context resident");
-    }
-    // Spill-class fault plans arm the pool itself: every Nth spill blob is
-    // tampered with (or truncated) on its way into REE memory, modeling a
-    // hostile normal world — detected at restore, recovered by recompute.
-    if (serve_fault_plan_.active() &&
-        (serve_fault_plan_.fault == ServeFaultClass::kSpillTamper ||
-         serve_fault_plan_.fault == ServeFaultClass::kSpillDrop)) {
-      kv_arena_->pool()->ArmSpillFault(
-          serve_fault_plan_.fault == ServeFaultClass::kSpillDrop,
-          serve_fault_plan_.first, serve_fault_plan_.count);
-      TZLLM_LOG_INFO("llm-ta", "armed serve fault plan %s on the KV pool",
-                     serve_fault_plan_.ToString().c_str());
-    }
+  // The pool may be smaller than slots x full-context (over-subscription is
+  // the point), but it must at least hold ONE session's full context
+  // resident: a decode step pins every page of its session, so a pool below
+  // that floor could wedge with every frame pinned.
+  KvPagePool* pool = kv_arena_->pool();
+  if (static_cast<uint64_t>(pool->frames()) * pool->page_positions() <
+      static_cast<uint64_t>(spec_->config().max_ctx)) {
+    return InvalidArgument(
+        "EngineOptions::kv_pool_bytes too small: the KV page pool cannot "
+        "hold one session's full context resident");
+  }
+  // Spill-class fault plans arm the pool itself: every Nth spill blob is
+  // tampered with (or truncated) on its way into REE memory, modeling a
+  // hostile normal world — detected at restore, recovered by recompute.
+  if (serve_fault_plan_.active() &&
+      (serve_fault_plan_.fault == ServeFaultClass::kSpillTamper ||
+       serve_fault_plan_.fault == ServeFaultClass::kSpillDrop)) {
+    pool->ArmSpillFault(serve_fault_plan_.fault == ServeFaultClass::kSpillDrop,
+                        serve_fault_plan_.first, serve_fault_plan_.count);
+    TZLLM_LOG_INFO("llm-ta", "armed serve fault plan %s on the KV pool",
+                   serve_fault_plan_.ToString().c_str());
   }
   if (engine_options_.npu_prefill_active()) {
     NpuBackendConfig backend_config;
@@ -342,18 +337,6 @@ const LlmTa::Session* LlmTa::FindSession(SessionId sid) const {
   return it == sessions_.end() ? nullptr : &it->second;
 }
 
-Result<LlmTa::Session*> LlmTa::SoleSession() {
-  if (sessions_.empty()) {
-    return Status(ErrorCode::kFailedPrecondition, "no active session");
-  }
-  if (sessions_.size() > 1) {
-    return Status(ErrorCode::kFailedPrecondition,
-                  "legacy single-session call with several sessions open "
-                  "(pass a SessionId)");
-  }
-  return &sessions_.begin()->second;
-}
-
 bool LlmTa::SessionStopped(const Session& s) const {
   if (s.done) {
     return true;
@@ -383,7 +366,7 @@ void LlmTa::CloseSession(Session* s) {
 Status LlmTa::RecoverLostKv(const std::vector<Session*>& sessions,
                             bool* recovered) {
   *recovered = false;
-  if (!kv_arena_->paged() || engine_options_.kv_recompute_max <= 0) {
+  if (engine_options_.kv_recompute_max <= 0) {
     return OkStatus();
   }
   for (Session* s : sessions) {
@@ -685,16 +668,7 @@ Status LlmTa::DecodeSessions(const std::vector<SessionId>& sids) {
     }
     return OkStatus();
   };
-  if (!kv_arena_->paged()) {
-    for (size_t off = 0; off < batch.size();
-         off += static_cast<size_t>(group)) {
-      const int n = static_cast<int>(
-          std::min(static_cast<size_t>(group), batch.size() - off));
-      TZLLM_RETURN_IF_ERROR(run_group(off, n));
-    }
-    return OkStatus();
-  }
-  // Paged: a decode step pins every page of every session in its group, so
+  // A decode step pins every page of every session in its group, so
   // greedily cap each group to what the pool can hold resident at once
   // (PageCount + 2 per session: the step's append may open a page, and a
   // shared tail page may privatize). An over-subscribed pool then decodes
@@ -820,74 +794,20 @@ int LlmTa::free_session_slots() const {
   return kv_arena_ != nullptr ? kv_arena_->free_slots() : 0;
 }
 
-bool LlmTa::session_done() const {
-  // The pre-redesign semantics: with no session open there is nothing left
-  // to step (the default-constructed session's budget was 0).
-  return sessions_.size() == 1
-             ? SessionStopped(sessions_.begin()->second)
-             : true;
-}
-
-const std::vector<TokenId>& LlmTa::session_tokens() const {
-  return sessions_.size() == 1 ? sessions_.begin()->second.output_tokens
-                               : no_tokens_;
-}
-
 // --- Session checkpoint / restore. -----------------------------------------
 
 namespace {
 
-// Session-blob primitives (little-endian, explicit widths — the same idiom
-// as the TZGUF metadata and KvCache snapshots). TZSESS02 extends the
-// original TZSESS01 layout with the session id (right after the magic) and
-// the prefill progress (after `done`), so a session preempted mid-prefill
-// under the serving scheduler round-trips too.
+// Session-blob layout (little-endian, explicit widths — the common
+// ByteWriter/ByteReader codec). TZSESS02 extends the original TZSESS01
+// layout with the session id (right after the magic) and the prefill
+// progress (after `done`), so a session preempted mid-prefill under the
+// serving scheduler round-trips too.
 constexpr char kSessionMagic[8] = {'T', 'Z', 'S', 'E', 'S', 'S', '0', '2'};
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-bool GetU32(const std::vector<uint8_t>& in, size_t* off, uint32_t* v) {
-  if (*off + 4 > in.size()) {
-    return false;
-  }
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<uint32_t>(in[*off + i]) << (8 * i);
-  }
-  *off += 4;
-  return true;
-}
-
-bool GetU64(const std::vector<uint8_t>& in, size_t* off, uint64_t* v) {
-  if (*off + 8 > in.size()) {
-    return false;
-  }
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= static_cast<uint64_t>(in[*off + i]) << (8 * i);
-  }
-  *off += 8;
-  return true;
-}
-
 // Session checkpoints live beside the framework checkpoint but in their own
-// flash files: the handle API seals to "<model_id>.sess.<sid>.ckpt" (one
-// file per session, so N evicted sessions coexist); the legacy no-argument
-// shims keep the original un-suffixed "<model_id>.sess.ckpt".
-std::string SessionCheckpointId(const std::string& model_id) {
-  return model_id + ".sess";
-}
-
+// flash files, "<model_id>.sess.<sid>.ckpt" (one file per session, so N
+// evicted sessions coexist).
 std::string SessionCheckpointId(const std::string& model_id, SessionId sid) {
   return model_id + ".sess." + std::to_string(sid);
 }
@@ -905,33 +825,33 @@ Status LlmTa::BuildSessionBlob(Session* s, std::vector<uint8_t>* blob) {
   // misanalyzes the char* range insert as a 1-byte-destination memcpy
   // overflow.
   blob->assign(kSessionMagic, kSessionMagic + sizeof(kSessionMagic));
-  PutU64(blob, s->sid);
-  PutU32(blob, static_cast<uint32_t>(s->prompt_tokens.size()));
-  for (TokenId t : s->prompt_tokens) {
-    PutU32(blob, static_cast<uint32_t>(t));
+  ByteWriter w(blob);
+  w.U64(s->sid);
+  for (const std::vector<TokenId>* tokens :
+       {&s->prompt_tokens, &s->output_tokens}) {
+    w.U32(static_cast<uint32_t>(tokens->size()));
+    for (TokenId t : *tokens) {
+      w.U32(static_cast<uint32_t>(t));
+    }
   }
-  PutU32(blob, static_cast<uint32_t>(s->output_tokens.size()));
-  for (TokenId t : s->output_tokens) {
-    PutU32(blob, static_cast<uint32_t>(t));
-  }
-  PutU32(blob, static_cast<uint32_t>(s->next_token));
-  PutU32(blob, static_cast<uint32_t>(s->remaining));
-  PutU32(blob, s->done ? 1 : 0);
-  PutU32(blob, s->prefilled ? 1 : 0);
-  PutU32(blob, static_cast<uint32_t>(s->prefill_pos));
+  w.U32(static_cast<uint32_t>(s->next_token));
+  w.U32(static_cast<uint32_t>(s->remaining));
+  w.U32(s->done ? 1 : 0);
+  w.U32(s->prefilled ? 1 : 0);
+  w.U32(static_cast<uint32_t>(s->prefill_pos));
   // Sampler options + RNG words: a restored non-greedy sampler must draw the
   // exact remaining sequence.
-  PutU32(blob, s->sampling.greedy ? 1 : 0);
-  PutU32(blob, static_cast<uint32_t>(s->sampling.top_k));
+  w.U32(s->sampling.greedy ? 1 : 0);
+  w.U32(static_cast<uint32_t>(s->sampling.top_k));
   uint64_t temp_bits = 0;
   static_assert(sizeof(temp_bits) == sizeof(s->sampling.temperature));
   std::memcpy(&temp_bits, &s->sampling.temperature, sizeof(temp_bits));
-  PutU64(blob, temp_bits);
-  PutU64(blob, s->sampling.seed);
+  w.U64(temp_bits);
+  w.U64(s->sampling.seed);
   uint64_t rng_state[4];
   s->sampler->SaveRngState(rng_state);
   for (uint64_t word : rng_state) {
-    PutU64(blob, word);
+    w.U64(word);
   }
   // Paged caches restore any spilled page first; a lost page (tampered or
   // dropped REE blob) is recomputed from token history and the
@@ -962,20 +882,6 @@ Result<uint64_t> LlmTa::SaveSessionBlob(const std::string& ckpt_id,
   return saved;
 }
 
-Status LlmTa::SealSession(Session* s, const std::string& ckpt_id) {
-  std::vector<uint8_t> blob;
-  TZLLM_RETURN_IF_ERROR(BuildSessionBlob(s, &blob));
-  TZLLM_ASSIGN_OR_RETURN(saved, SaveSessionBlob(ckpt_id, blob));
-  const SessionId sid = s->sid;
-  // Eviction: the sealed blob is now the only copy of the session — scrub
-  // the KV plaintext, free the slot and drop the live state.
-  CloseSession(s);
-  TZLLM_LOG_INFO("llm-ta", "session %llu checkpoint sealed (%llu bytes)",
-                 static_cast<unsigned long long>(sid),
-                 static_cast<unsigned long long>(saved));
-  return OkStatus();
-}
-
 Status LlmTa::SnapshotSession(SessionId sid) {
   Session* s = FindSession(sid);
   if (s == nullptr) {
@@ -994,38 +900,44 @@ Status LlmTa::CheckpointSession(SessionId sid) {
   if (s == nullptr) {
     return FailedPrecondition("no active session to checkpoint");
   }
-  return SealSession(s, SessionCheckpointId(model_id_, sid));
+  std::vector<uint8_t> blob;
+  TZLLM_RETURN_IF_ERROR(BuildSessionBlob(s, &blob));
+  TZLLM_ASSIGN_OR_RETURN(
+      saved, SaveSessionBlob(SessionCheckpointId(model_id_, sid), blob));
+  // Eviction: the sealed blob is now the only copy of the session — scrub
+  // the KV plaintext, free the slot and drop the live state.
+  CloseSession(s);
+  TZLLM_LOG_INFO("llm-ta", "session %llu checkpoint sealed (%llu bytes)",
+                 static_cast<unsigned long long>(sid),
+                 static_cast<unsigned long long>(saved));
+  return OkStatus();
 }
 
-Status LlmTa::CheckpointSession() {
-  auto sole = SoleSession();
-  if (!sole.ok()) {
-    return sole.status();
+Result<SessionId> LlmTa::RestoreSession(SessionId sid) {
+  if (!loaded_) {
+    return Status(ErrorCode::kFailedPrecondition, "no model loaded");
   }
-  return SealSession(*sole, SessionCheckpointId(model_id_));
-}
-
-Result<SessionId> LlmTa::RestoreSessionBlob(const std::string& ckpt_id) {
   CheckpointService checkpoints(&platform_->flash());
-  auto blob = checkpoints.Restore(ckpt_id, model_key_);
+  auto blob = checkpoints.Restore(SessionCheckpointId(model_id_, sid),
+                                  model_key_);
   if (!blob.ok()) {
     return blob.status();
   }
-  size_t off = 0;
-  if (blob->size() < sizeof(kSessionMagic) ||
-      std::memcmp(blob->data(), kSessionMagic, sizeof(kSessionMagic)) != 0) {
+  ByteReader r(*blob);
+  uint8_t magic[sizeof(kSessionMagic)];
+  if (!r.Bytes(magic, sizeof(magic)) ||
+      std::memcmp(magic, kSessionMagic, sizeof(kSessionMagic)) != 0) {
     return Status(ErrorCode::kDataCorruption, "session checkpoint bad magic");
   }
-  off = sizeof(kSessionMagic);
   auto read_tokens = [&](std::vector<TokenId>* out) -> bool {
     uint32_t n = 0;
-    if (!GetU32(*blob, &off, &n) || n > (1u << 24)) {
+    if (!r.U32(&n) || n > (1u << 24)) {
       return false;
     }
     out->resize(n);
     for (uint32_t i = 0; i < n; ++i) {
       uint32_t t = 0;
-      if (!GetU32(*blob, &off, &t)) {
+      if (!r.U32(&t)) {
         return false;
       }
       (*out)[i] = static_cast<TokenId>(t);
@@ -1033,20 +945,17 @@ Result<SessionId> LlmTa::RestoreSessionBlob(const std::string& ckpt_id) {
     return true;
   };
   Session s;
-  uint64_t sid = 0;
+  uint64_t blob_sid = 0;
   uint32_t next_token = 0, remaining = 0, done = 0, prefilled = 0,
            prefill_pos = 0, greedy = 0, top_k = 0;
   uint64_t temp_bits = 0, seed = 0, rng_state[4] = {};
-  bool ok = GetU64(*blob, &off, &sid) && read_tokens(&s.prompt_tokens) &&
-            read_tokens(&s.output_tokens) &&
-            GetU32(*blob, &off, &next_token) &&
-            GetU32(*blob, &off, &remaining) && GetU32(*blob, &off, &done) &&
-            GetU32(*blob, &off, &prefilled) &&
-            GetU32(*blob, &off, &prefill_pos) &&
-            GetU32(*blob, &off, &greedy) && GetU32(*blob, &off, &top_k) &&
-            GetU64(*blob, &off, &temp_bits) && GetU64(*blob, &off, &seed);
+  bool ok = r.U64(&blob_sid) && read_tokens(&s.prompt_tokens) &&
+            read_tokens(&s.output_tokens) && r.U32(&next_token) &&
+            r.U32(&remaining) && r.U32(&done) && r.U32(&prefilled) &&
+            r.U32(&prefill_pos) && r.U32(&greedy) && r.U32(&top_k) &&
+            r.U64(&temp_bits) && r.U64(&seed);
   for (uint64_t& word : rng_state) {
-    ok = ok && GetU64(*blob, &off, &word);
+    ok = ok && r.U64(&word);
   }
   if (!ok) {
     return Status(ErrorCode::kDataCorruption, "session checkpoint truncated");
@@ -1055,6 +964,12 @@ Result<SessionId> LlmTa::RestoreSessionBlob(const std::string& ckpt_id) {
       (prefilled != 0 && prefill_pos != s.prompt_tokens.size())) {
     return Status(ErrorCode::kDataCorruption,
                   "session checkpoint prefill marks are inconsistent");
+  }
+  if (blob_sid != sid) {
+    // The blob under this sid's file names another session: flash-level
+    // tampering or file mixup either way.
+    return Status(ErrorCode::kDataCorruption,
+                  "session checkpoint names a different session");
   }
   if (sid == 0 || FindSession(sid) != nullptr) {
     return FailedPrecondition(
@@ -1080,7 +995,7 @@ Result<SessionId> LlmTa::RestoreSessionBlob(const std::string& ckpt_id) {
   TZLLM_ASSIGN_OR_RETURN(slot, kv_arena_->Acquire());
   s.slot = slot;
   Status restored = kv_arena_->cache(slot)->RestoreState(
-      blob->data() + off, blob->size() - off);
+      blob->data() + r.pos(), r.remaining());
   if (!restored.ok()) {
     const Status released = kv_arena_->Release(slot);
     if (!released.ok()) {
@@ -1094,47 +1009,10 @@ Result<SessionId> LlmTa::RestoreSessionBlob(const std::string& ckpt_id) {
   return sid;
 }
 
-Result<SessionId> LlmTa::RestoreSession(SessionId sid) {
-  if (!loaded_) {
-    return Status(ErrorCode::kFailedPrecondition, "no model loaded");
-  }
-  TZLLM_ASSIGN_OR_RETURN(
-      restored, RestoreSessionBlob(SessionCheckpointId(model_id_, sid)));
-  if (restored != sid) {
-    // The blob under this sid's file names another session: flash-level
-    // tampering or file mixup either way.
-    TZLLM_RETURN_IF_ERROR(AbandonSession(restored));
-    return Status(ErrorCode::kDataCorruption,
-                  "session checkpoint names a different session");
-  }
-  return sid;
-}
-
-Status LlmTa::RestoreSession() {
-  if (!loaded_) {
-    return FailedPrecondition("no model loaded");
-  }
-  if (!sessions_.empty()) {
-    return FailedPrecondition(
-        "a generation session is already active (Finish it first)");
-  }
-  auto sid = RestoreSessionBlob(SessionCheckpointId(model_id_));
-  if (!sid.ok()) {
-    return sid.status();
-  }
-  return OkStatus();
-}
-
 bool LlmTa::HasSessionCheckpoint(SessionId sid) const {
   CheckpointService checkpoints(&platform_->flash());
   return !model_id_.empty() &&
          checkpoints.Exists(SessionCheckpointId(model_id_, sid));
-}
-
-bool LlmTa::HasSessionCheckpoint() const {
-  CheckpointService checkpoints(&platform_->flash());
-  return !model_id_.empty() &&
-         checkpoints.Exists(SessionCheckpointId(model_id_));
 }
 
 // --- Serving-fleet manifest (whole-TA crash recovery). ----------------------
@@ -1172,24 +1050,6 @@ Status LlmTa::DropServeManifest() {
   }
   CheckpointService checkpoints(&platform_->flash());
   return checkpoints.Delete(ServeManifestId(model_id_));
-}
-
-// --- Legacy single-session shims. ------------------------------------------
-
-Result<int> LlmTa::StepSession(int max_steps) {
-  auto sole = SoleSession();
-  if (!sole.ok()) {
-    return sole.status();
-  }
-  return StepSession((*sole)->sid, max_steps);
-}
-
-Result<GenerationResult> LlmTa::FinishSession() {
-  auto sole = SoleSession();
-  if (!sole.ok()) {
-    return sole.status();
-  }
-  return FinishSession((*sole)->sid);
 }
 
 Status LlmTa::Unload() {

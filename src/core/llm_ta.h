@@ -12,8 +12,7 @@
 //
 // Generation is handle-based: one TA admits up to EngineOptions::max_sessions
 // concurrent sessions, each identified by a SessionId and owning a private
-// KV-arena slot. The serving runtime (src/serve/) schedules across handles;
-// the legacy no-argument methods remain as documented single-session shims.
+// KV-arena slot. The serving runtime (src/serve/) schedules across handles.
 
 #ifndef SRC_CORE_LLM_TA_H_
 #define SRC_CORE_LLM_TA_H_
@@ -203,28 +202,7 @@ class LlmTa {
   // Free KV-arena slots = sessions that can still be admitted or restored.
   int free_session_slots() const;
 
-  // --- Legacy single-session surface (shims). ---------------------------
-  //
-  // The pre-serving API: no handles, one implicit session. Each shim
-  // requires EXACTLY one open session (FailedPrecondition otherwise) and
-  // forwards to it; the no-argument checkpoint methods use the original
-  // un-suffixed flash id "<model_id>.sess.ckpt" so pre-redesign checkpoints
-  // stay restorable. New code should pass SessionIds.
-
-  Result<int> StepSession(int max_steps);
-  Result<GenerationResult> FinishSession();
-  Status CheckpointSession();
-  Status RestoreSession();
-  bool HasSessionCheckpoint() const;
-  // True while any session is open.
-  bool session_active() const { return !sessions_.empty(); }
-  // The sole open session's done state; true with none open (nothing to
-  // step — the pre-redesign idle behavior).
-  bool session_done() const;
-  // The sole open session's emitted tokens; empty with none open.
-  const std::vector<TokenId>& session_tokens() const;
-
-  // Releases all secure memory (scrubbed by the TEE OS); open sessions are
+    // Releases all secure memory (scrubbed by the TEE OS); open sessions are
   // dropped with it.
   Status Unload();
 
@@ -276,19 +254,13 @@ class LlmTa {
 
   Session* FindSession(SessionId sid);
   const Session* FindSession(SessionId sid) const;
-  // The sole open session, for the legacy shims; FailedPrecondition with
-  // zero or several open.
-  Result<Session*> SoleSession();
   bool SessionStopped(const Session& s) const;
   // Releases the session's KV slot (scrubbed) and erases it.
   void CloseSession(Session* s);
-  // CheckpointSession body against an explicit flash id (the legacy shim
-  // passes the un-suffixed id; the handle API the per-sid one).
-  Status SealSession(Session* s, const std::string& ckpt_id);
-  // SealSession's two halves, split so SnapshotSession can seal without
-  // evicting: serialize the session (KV rows included, recovering lost
-  // pages first), then store the blob (counting checkpoint saves for the
-  // ckpt_drop injection ordinal).
+  // CheckpointSession's two halves, shared with SnapshotSession (which
+  // seals without evicting): serialize the session (KV rows included,
+  // recovering lost pages first), then store the blob (counting checkpoint
+  // saves for the ckpt_drop injection ordinal).
   Status BuildSessionBlob(Session* s, std::vector<uint8_t>* blob);
   Result<uint64_t> SaveSessionBlob(const std::string& ckpt_id,
                                    const std::vector<uint8_t>& blob);
@@ -303,9 +275,6 @@ class LlmTa {
   // exists when `step` reruns.
   Status RetryWithKvRecovery(const std::vector<Session*>& sessions,
                              const std::function<Status()>& step);
-  // RestoreSession body: unseal, parse, claim a slot, reactivate under the
-  // blob's own sid.
-  Result<SessionId> RestoreSessionBlob(const std::string& ckpt_id);
 
   SocPlatform* platform_;
   TeeOs* tee_os_;

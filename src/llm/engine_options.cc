@@ -42,22 +42,20 @@ Status EngineOptions::Validate() const {
 
   // Paged KV group: the pool is carved out of the secure scratch region at
   // load, so bad geometry must fail here, not as a mis-sized budget.
-  if (paged_kv) {
-    if (kv_page_positions < 1) {
-      return InvalidArgument(
-          "EngineOptions::kv_page_positions must be >= 1 (a KV page holds at "
-          "least one sequence position)");
-    }
-    if (kv_prefix_entries < 0) {
-      return InvalidArgument(
-          "EngineOptions::kv_prefix_entries must be >= 0 (0 disables prefix "
-          "sharing)");
-    }
-    if (kv_recompute_max < 0) {
-      return InvalidArgument(
-          "EngineOptions::kv_recompute_max must be >= 0 (0 disables "
-          "recompute-on-loss)");
-    }
+  if (kv_page_positions < 1) {
+    return InvalidArgument(
+        "EngineOptions::kv_page_positions must be >= 1 (a KV page holds at "
+        "least one sequence position)");
+  }
+  if (kv_prefix_entries < 0) {
+    return InvalidArgument(
+        "EngineOptions::kv_prefix_entries must be >= 0 (0 disables prefix "
+        "sharing)");
+  }
+  if (kv_recompute_max < 0) {
+    return InvalidArgument(
+        "EngineOptions::kv_recompute_max must be >= 0 (0 disables "
+        "recompute-on-loss)");
   }
 
   // NPU / fault groups apply only when the configuration actually routes

@@ -161,20 +161,18 @@ struct EngineOptions {
   std::string serve_fault_plan;
 
   // --- Paged KV group: page pool, REE spill and prefix sharing. ---------
+  // The session KV slots are page tables over one shared page pool (fixed
+  // pages of kv_page_positions positions x all layers, refcounted,
+  // LRU-spilled to encrypted REE memory under pressure).
 
-  // Backs the session KV slots with a shared page pool (fixed pages of
-  // kv_page_positions positions x all layers, refcounted, LRU-spilled to
-  // encrypted REE memory under pressure) instead of fully-resident flat
-  // arenas. Logits are bit-identical either way; false keeps the flat
-  // arenas as the paging ablation baseline.
-  bool paged_kv = true;
   // Sequence positions per KV page. Smaller pages spill and share at finer
   // grain but add page hops to the attention walk.
   int kv_page_positions = 16;
-  // Secure-resident budget of the page pool in bytes; 0 = the flat budget
-  // (max_sessions x per-session arena bytes), so enabling paging never
-  // grows the scratch region. Values below one session's full-context
-  // footprint over-subscribe physical residency and lean on spill.
+  // Secure-resident budget of the page pool in bytes; 0 = every session's
+  // full context in whole pages (max_sessions x ceil(max_ctx /
+  // kv_page_positions) pages), so every admitted session can be fully
+  // resident. Smaller values over-subscribe physical residency and lean on
+  // spill; the pool must still hold one session's full context.
   uint64_t kv_pool_bytes = 0;
   // Allow evicting cold pages to AES-CTR + SHA-256 protected REE blobs
   // (restored and integrity-checked on demand; tamper => kDataCorruption).

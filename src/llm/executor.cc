@@ -158,9 +158,9 @@ void TransformerExecutor::Attend(int layer, int start, int m, const float* q,
       const float* qh = q + static_cast<size_t>(i) * d + h * head_dim;
       const size_t head_off = static_cast<size_t>(kv_head) * head_dim;
       // Cache rows are contiguous in runs of RunLen(p) positions per plane
-      // (one max_ctx run in flat mode, one page in paged mode); the walk
-      // hops bases between runs but visits positions — and accumulates
-      // floats — in exactly the flat order, so paging never moves a float.
+      // (one page); the walk hops bases between runs but visits positions —
+      // and accumulates floats — in position order, so the page size never
+      // moves a float.
       // The caller holds a step pin, so every page base stays valid across
       // this parallel region.
       if (f16) {

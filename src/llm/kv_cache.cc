@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
+#include "src/common/bytes.h"
 #include "src/llm/simd/kernels.h"
 #include "src/llm/tensor.h"
 
@@ -10,14 +12,38 @@ namespace tzllm {
 
 namespace {
 
-// Full-context flat footprint of one session at `storage` width — the
-// pre-paging per-slot arena size, and the per-slot share of the default
-// paged pool budget (paging never grows the scratch region).
-uint64_t FlatSlotBytes(const ModelSpec& spec, KvStorage storage) {
-  const LlmConfig& c = spec.config();
-  const uint64_t elem = storage == KvStorage::kF16 ? 2 : 4;
-  return static_cast<uint64_t>(c.n_layers) * c.max_ctx * c.kv_dim() *
-         kKvVectorsPerPosition * elem;
+// Pages one session needs to hold its full context resident.
+uint64_t PagesPerContext(const ModelSpec& spec, int page_positions) {
+  const uint64_t pp = static_cast<uint64_t>(std::max(1, page_positions));
+  return (static_cast<uint64_t>(spec.config().max_ctx) + pp - 1) / pp;
+}
+
+// The pool an arena built with `options` carves — the one helper both
+// KvArena's constructor and KvArena::BudgetBytes resolve the default budget
+// through, so the two can never drift. pool_bytes == 0 becomes every
+// slot's full context in whole pages.
+KvPagePoolOptions ArenaPoolOptions(const ModelSpec& spec,
+                                   const KvArenaOptions& options) {
+  KvPagePoolOptions pool = options.pool;
+  if (pool.pool_bytes == 0) {
+    pool.pool_bytes =
+        static_cast<uint64_t>(std::max(1, options.slots)) *
+        PagesPerContext(spec, pool.page_positions) *
+        KvPagePool::PageBytes(spec, options.storage, pool.page_positions);
+  }
+  return pool;
+}
+
+// A standalone cache's private pool: one frame whose one page holds the
+// whole context, spill off. At this page size KOffset/VOffset index one
+// contiguous [layer][pos][kv_dim] plane each.
+std::unique_ptr<KvPagePool> OnePagePool(const ModelSpec& spec,
+                                        KvStorage storage) {
+  KvPagePoolOptions opts;
+  opts.page_positions = spec.config().max_ctx;
+  opts.pool_bytes = KvPagePool::PageBytes(spec, storage, opts.page_positions);
+  opts.spill = false;
+  return std::make_unique<KvPagePool>(spec, storage, opts);
 }
 
 // FNV-1a over the token ids' little-endian bytes: the prefix registry key.
@@ -55,18 +81,12 @@ KvCachePin::~KvCachePin() {
 
 KvCache::KvCache(const ModelSpec& spec, KvStorage storage,
                  const KernelDispatch* kernels)
-    : n_layers_(spec.config().n_layers),
-      kv_dim_(spec.config().kv_dim()),
-      max_ctx_(spec.config().max_ctx),
-      storage_(storage),
-      kernels_(kernels != nullptr ? kernels : ActiveKernels()),
-      filled_(n_layers_, 0) {
-  v_plane_ = static_cast<size_t>(n_layers_) * max_ctx_ * kv_dim_;
-  if (storage_ == KvStorage::kF16) {
-    arena16_.resize(v_plane_ * kKvVectorsPerPosition);
-  } else {
-    arena32_.resize(v_plane_ * kKvVectorsPerPosition);
-  }
+    : KvCache(spec, OnePagePool(spec, storage), storage, kernels) {}
+
+KvCache::KvCache(const ModelSpec& spec, std::unique_ptr<KvPagePool> own_pool,
+                 KvStorage storage, const KernelDispatch* kernels)
+    : KvCache(spec, own_pool.get(), storage, kernels) {
+  own_pool_ = std::move(own_pool);
 }
 
 KvCache::KvCache(const ModelSpec& spec, KvPagePool* pool, KvStorage storage,
@@ -80,11 +100,7 @@ KvCache::KvCache(const ModelSpec& spec, KvPagePool* pool, KvStorage storage,
       pool_(pool),
       page_positions_(pool->page_positions()) {}
 
-KvCache::~KvCache() {
-  if (pool_ != nullptr) {
-    ReleasePages();
-  }
-}
+KvCache::~KvCache() { ReleasePages(); }
 
 Status KvCache::Append(int layer, const float* k, const float* v) {
   return AppendBatch(layer, 1, k, v);
@@ -100,24 +116,11 @@ Status KvCache::AppendBatch(int layer, int m, const float* k, const float* v) {
   if (filled_[layer] + m > max_ctx_) {
     return ResourceExhausted("KV cache full (context length exceeded)");
   }
-  if (pool_ == nullptr) {
-    const size_t off = Offset(layer, filled_[layer]);
-    const size_t n = static_cast<size_t>(m) * kv_dim_;
-    if (storage_ == KvStorage::kF16) {
-      kernels_->f32_to_f16(k, arena16_.data() + off, n);
-      kernels_->f32_to_f16(v, arena16_.data() + v_plane_ + off, n);
-    } else {
-      std::memcpy(arena32_.data() + off, k, n * sizeof(float));
-      std::memcpy(arena32_.data() + v_plane_ + off, v, n * sizeof(float));
-    }
-    filled_[layer] += m;
-    return OkStatus();
-  }
-  // Paged: split the batch into per-page runs. Each destination page is made
+  // Split the batch into per-page runs. Each destination page is made
   // resident and exclusively owned (copy-on-write off a shared prefix)
   // before its rows are converted in — page hops change only WHERE rows
-  // land; the converter and the row order are exactly the flat path's, so
-  // the stored bytes are bit-identical.
+  // land; the converter and the row order are the same at every page size,
+  // so the stored bytes are bit-identical.
   TZLLM_RETURN_IF_ERROR(EnsurePagesFor(filled_[layer] + m));
   int done = 0;
   while (done < m) {
@@ -198,9 +201,6 @@ Status KvCache::MakeWritable(size_t page_idx) {
 }
 
 Result<KvCachePin> KvCache::PinForStep() {
-  if (pool_ == nullptr) {
-    return KvCachePin();  // Flat caches never move; a no-op handle.
-  }
   for (size_t i = 0; i < pages_.size(); ++i) {
     const Status st = pool_->Pin(pages_[i]);
     if (!st.ok()) {
@@ -225,9 +225,6 @@ void KvCache::UnpinStep() {
 }
 
 Status KvCache::EnsureResident() {
-  if (pool_ == nullptr) {
-    return OkStatus();
-  }
   for (KvPageId id : pages_) {
     TZLLM_RETURN_IF_ERROR(pool_->EnsureResident(id));
   }
@@ -236,9 +233,6 @@ Status KvCache::EnsureResident() {
 
 Status KvCache::AdoptPrefix(const KvPageId* page_ids, size_t n_pages,
                             int positions) {
-  if (pool_ == nullptr) {
-    return InvalidArgument("AdoptPrefix on a flat (unpaged) KV cache");
-  }
   if (seq_len_ != 0 || !pages_.empty()) {
     return InvalidArgument("AdoptPrefix into a non-empty cache");
   }
@@ -262,9 +256,6 @@ Status KvCache::AdoptPrefix(const KvPageId* page_ids, size_t n_pages,
 
 Status KvCache::ProbeLostPages(std::vector<int>* lost_pages) {
   lost_pages->clear();
-  if (pool_ == nullptr) {
-    return OkStatus();
-  }
   for (size_t i = 0; i < pages_.size(); ++i) {
     const KvPageId id = pages_[i];
     if (pool_->lost(id)) {
@@ -288,7 +279,7 @@ Status KvCache::ProbeLostPages(std::vector<int>* lost_pages) {
 }
 
 Status KvCache::PrepareRecompute(int page_idx) {
-  if (pool_ == nullptr || page_idx < 0 ||
+  if (page_idx < 0 ||
       page_idx >= static_cast<int>(pages_.size())) {
     return InvalidArgument("PrepareRecompute on a bad page index");
   }
@@ -334,9 +325,7 @@ void KvCache::ReleasePages() {
 }
 
 void KvCache::Reset() {
-  if (pool_ != nullptr) {
-    ReleasePages();
-  }
+  ReleasePages();
   seq_len_ = 0;
   std::fill(filled_.begin(), filled_.end(), 0);
 }
@@ -344,13 +333,6 @@ void KvCache::Reset() {
 uint64_t KvCache::CurrentBytes() const {
   const uint64_t row = static_cast<uint64_t>(kv_dim_) *
                        kKvVectorsPerPosition * bytes_per_elem();
-  if (pool_ == nullptr) {
-    uint64_t positions = 0;
-    for (int l = 0; l < n_layers_; ++l) {
-      positions += filled_[l];
-    }
-    return positions * row;
-  }
   // Resident secure bytes only: appended rows whose page currently occupies
   // a pool frame. Spilled rows are SpilledBytes() — the split the serving
   // admission math relies on.
@@ -368,9 +350,6 @@ uint64_t KvCache::CurrentBytes() const {
 }
 
 uint64_t KvCache::SpilledBytes() const {
-  if (pool_ == nullptr) {
-    return 0;
-  }
   uint64_t positions = 0;
   for (size_t i = 0; i < pages_.size(); ++i) {
     if (pool_->resident(pages_[i])) {
@@ -385,69 +364,27 @@ uint64_t KvCache::SpilledBytes() const {
 }
 
 uint64_t KvCache::ArenaBytes() const {
-  if (pool_ == nullptr) {
-    return storage_ == KvStorage::kF16 ? arena16_.size() * sizeof(uint16_t)
-                                       : arena32_.size() * sizeof(float);
-  }
   const uint64_t full_pages = (max_ctx_ + page_positions_ - 1) / page_positions_;
   return full_pages * pool_->page_bytes();
 }
-
-namespace {
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-bool GetU32(const uint8_t* data, size_t len, size_t* off, uint32_t* v) {
-  if (*off + 4 > len) {
-    return false;
-  }
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<uint32_t>(data[*off + i]) << (8 * i);
-  }
-  *off += 4;
-  return true;
-}
-
-}  // namespace
 
 Status KvCache::SerializeState(std::vector<uint8_t>* out) const {
   // Little-endian explicit layout (matches the checkpoint blob idiom):
   // geometry guard first so a restore into a differently-shaped cache is a
   // clean error, then seq_len + fills, then only the filled row prefixes —
-  // an early-generation session costs its resident bytes, not max_ctx. The
-  // format is storage-mode-only: paged caches gather rows across pages into
-  // the same flat row order, so checkpoints move freely between modes.
-  PutU32(out, static_cast<uint32_t>(n_layers_));
-  PutU32(out, static_cast<uint32_t>(kv_dim_));
-  PutU32(out, static_cast<uint32_t>(max_ctx_));
-  PutU32(out, static_cast<uint32_t>(storage_));
-  PutU32(out, static_cast<uint32_t>(seq_len_));
+  // an early-generation session costs its resident bytes, not max_ctx. Rows
+  // are gathered across pages in position order, so the format depends on
+  // the storage width only, never on the page size.
+  ByteWriter w(out);
+  w.U32(static_cast<uint32_t>(n_layers_));
+  w.U32(static_cast<uint32_t>(kv_dim_));
+  w.U32(static_cast<uint32_t>(max_ctx_));
+  w.U32(static_cast<uint32_t>(storage_));
+  w.U32(static_cast<uint32_t>(seq_len_));
   for (int l = 0; l < n_layers_; ++l) {
-    PutU32(out, static_cast<uint32_t>(filled_[l]));
+    w.U32(static_cast<uint32_t>(filled_[l]));
   }
   const size_t elem = bytes_per_elem();
-  if (pool_ == nullptr) {
-    auto append_rows = [&](int layer, bool v_plane) {
-      const size_t off = Offset(layer, 0) + (v_plane ? v_plane_ : 0);
-      const size_t bytes =
-          static_cast<size_t>(filled_[layer]) * kv_dim_ * elem;
-      const uint8_t* src =
-          storage_ == KvStorage::kF16
-              ? reinterpret_cast<const uint8_t*>(arena16_.data() + off)
-              : reinterpret_cast<const uint8_t*>(arena32_.data() + off);
-      out->insert(out->end(), src, src + bytes);
-    };
-    for (int l = 0; l < n_layers_; ++l) {
-      append_rows(l, /*v_plane=*/false);
-      append_rows(l, /*v_plane=*/true);
-    }
-    return OkStatus();
-  }
   for (int l = 0; l < n_layers_; ++l) {
     for (int plane = 0; plane < 2; ++plane) {
       int pos = 0;
@@ -463,8 +400,7 @@ Status KvCache::SerializeState(std::vector<uint8_t>* out) const {
                       plane == 0 ? KeyHalfAt(l, pos) : ValueHalfAt(l, pos))
                 : reinterpret_cast<const uint8_t*>(
                       plane == 0 ? KeyAt(l, pos) : ValueAt(l, pos));
-        out->insert(out->end(), src,
-                    src + static_cast<size_t>(run) * kv_dim_ * elem);
+        w.Bytes(src, static_cast<size_t>(run) * kv_dim_ * elem);
         pos += run;
       }
     }
@@ -473,10 +409,9 @@ Status KvCache::SerializeState(std::vector<uint8_t>* out) const {
 }
 
 Status KvCache::RestoreState(const uint8_t* data, size_t len) {
-  size_t off = 0;
+  ByteReader r(data, len);
   uint32_t layers = 0, dim = 0, ctx = 0, storage = 0, seq = 0;
-  if (!GetU32(data, len, &off, &layers) || !GetU32(data, len, &off, &dim) ||
-      !GetU32(data, len, &off, &ctx) || !GetU32(data, len, &off, &storage)) {
+  if (!r.U32(&layers) || !r.U32(&dim) || !r.U32(&ctx) || !r.U32(&storage)) {
     return Status(ErrorCode::kDataCorruption, "truncated KV snapshot header");
   }
   if (layers != static_cast<uint32_t>(n_layers_) ||
@@ -487,13 +422,12 @@ Status KvCache::RestoreState(const uint8_t* data, size_t len) {
         "KV snapshot geometry does not match this cache (different model or "
         "storage mode)");
   }
-  if (!GetU32(data, len, &off, &seq) || seq > static_cast<uint32_t>(max_ctx_)) {
+  if (!r.U32(&seq) || seq > static_cast<uint32_t>(max_ctx_)) {
     return Status(ErrorCode::kDataCorruption, "bad KV snapshot length");
   }
   std::vector<uint32_t> fills(n_layers_);
   for (int l = 0; l < n_layers_; ++l) {
-    if (!GetU32(data, len, &off, &fills[l]) ||
-        fills[l] > static_cast<uint32_t>(max_ctx_)) {
+    if (!r.U32(&fills[l]) || fills[l] > static_cast<uint32_t>(max_ctx_)) {
       return Status(ErrorCode::kDataCorruption, "bad KV snapshot fill mark");
     }
   }
@@ -503,32 +437,13 @@ Status KvCache::RestoreState(const uint8_t* data, size_t len) {
     body += static_cast<size_t>(fills[l]) * kv_dim_ * elem *
             kKvVectorsPerPosition;
   }
-  if (len - off != body) {
+  if (r.remaining() != body) {
     return Status(ErrorCode::kDataCorruption,
                   "KV snapshot body does not match its fill marks");
   }
-  Scrub();
-  if (pool_ == nullptr) {
-    auto restore_rows = [&](int layer, bool v_plane) {
-      const size_t dst = Offset(layer, 0) + (v_plane ? v_plane_ : 0);
-      const size_t bytes = static_cast<size_t>(fills[layer]) * kv_dim_ * elem;
-      uint8_t* arena =
-          storage_ == KvStorage::kF16
-              ? reinterpret_cast<uint8_t*>(arena16_.data() + dst)
-              : reinterpret_cast<uint8_t*>(arena32_.data() + dst);
-      std::memcpy(arena, data + off, bytes);
-      off += bytes;
-    };
-    for (int l = 0; l < n_layers_; ++l) {
-      restore_rows(l, /*v_plane=*/false);
-      restore_rows(l, /*v_plane=*/true);
-      filled_[l] = static_cast<int>(fills[l]);
-    }
-    seq_len_ = static_cast<int>(seq);
-    return OkStatus();
-  }
-  // Paged scatter: pin for the duration so the pages written first cannot
-  // be spilled by the allocation of the pages written last.
+  Reset();
+  // Scatter across pages: pin for the duration so the pages written first
+  // cannot be spilled by the allocation of the pages written last.
   int cover = static_cast<int>(seq);
   for (int l = 0; l < n_layers_; ++l) {
     cover = std::max(cover, static_cast<int>(fills[l]));
@@ -551,9 +466,8 @@ Status KvCache::RestoreState(const uint8_t* data, size_t len) {
         uint8_t* dst = storage_ == KvStorage::kF16
                            ? reinterpret_cast<uint8_t*>(pool_->Data16(id) + at)
                            : reinterpret_cast<uint8_t*>(pool_->Data32(id) + at);
-        const size_t bytes = static_cast<size_t>(run) * kv_dim_ * elem;
-        std::memcpy(dst, data + off, bytes);
-        off += bytes;
+        // Cannot fail: the body length was checked against the fills.
+        (void)r.Bytes(dst, static_cast<size_t>(run) * kv_dim_ * elem);
         pos += run;
       }
     }
@@ -563,65 +477,25 @@ Status KvCache::RestoreState(const uint8_t* data, size_t len) {
   return OkStatus();
 }
 
-void KvCache::Scrub() {
-  if (storage_ == KvStorage::kF16) {
-    std::fill(arena16_.begin(), arena16_.end(), 0);
-  } else {
-    std::fill(arena32_.begin(), arena32_.end(), 0.0f);
-  }
-  // Paged: Reset drops the page references; the pool scrubs each frame when
-  // its LAST reference leaves, so shared prefix pages survive for their
-  // other holders and private plaintext never outlives the session.
-  Reset();
-}
-
-KvArena::KvArena(const ModelSpec& spec, const KvArenaOptions& options) {
+KvArena::KvArena(const ModelSpec& spec, const KvArenaOptions& options)
+    : pool_(std::make_unique<KvPagePool>(spec, options.storage,
+                                         ArenaPoolOptions(spec, options))),
+      prefix_cap_(std::max(0, options.prefix_entries)) {
   const int slots = std::max(1, options.slots);
-  if (options.paged) {
-    KvPagePoolOptions pool_opts = options.pool;
-    if (pool_opts.pool_bytes == 0) {
-      pool_opts.pool_bytes = slots * FlatSlotBytes(spec, options.storage);
-    }
-    pool_ = std::make_unique<KvPagePool>(spec, options.storage, pool_opts);
-    prefix_cap_ = std::max(0, options.prefix_entries);
-  }
   live_slots_.assign(slots, false);
   caches_.reserve(slots);
   for (int s = 0; s < slots; ++s) {
-    caches_.push_back(
-        pool_ != nullptr
-            ? std::make_unique<KvCache>(spec, pool_.get(), options.storage,
-                                        options.kernels)
-            : std::make_unique<KvCache>(spec, options.storage,
-                                        options.kernels));
+    caches_.push_back(std::make_unique<KvCache>(
+        spec, pool_.get(), options.storage, options.kernels));
   }
 }
 
-KvArena::KvArena(const ModelSpec& spec, int slots, KvStorage storage,
-                 const KernelDispatch* kernels)
-    : KvArena(spec, [&] {
-        KvArenaOptions options;
-        options.slots = slots;
-        options.storage = storage;
-        options.kernels = kernels;
-        return options;
-      }()) {}
-
 uint64_t KvArena::BudgetBytes(const ModelSpec& spec,
                               const KvArenaOptions& options) {
-  const int slots = std::max(1, options.slots);
-  const uint64_t flat = slots * FlatSlotBytes(spec, options.storage);
-  if (!options.paged) {
-    return flat;
-  }
-  KvPagePoolOptions pool_opts = options.pool;
-  if (pool_opts.pool_bytes == 0) {
-    pool_opts.pool_bytes = flat;
-  }
+  const KvPagePoolOptions pool = ArenaPoolOptions(spec, options);
   return static_cast<uint64_t>(
-             KvPagePool::FramesFor(spec, options.storage, pool_opts)) *
-         KvPagePool::PageBytes(spec, options.storage,
-                               pool_opts.page_positions);
+             KvPagePool::FramesFor(spec, options.storage, pool)) *
+         KvPagePool::PageBytes(spec, options.storage, pool.page_positions);
 }
 
 Result<int> KvArena::Acquire() {
@@ -642,7 +516,7 @@ Status KvArena::Release(int slot) {
   if (slot < 0 || slot >= slots() || !live_slots_[slot]) {
     return InvalidArgument("KV arena release of a free or invalid slot");
   }
-  caches_[slot]->Scrub();
+  caches_[slot]->Reset();
   live_slots_[slot] = false;
   --live_;
   return OkStatus();
@@ -678,12 +552,8 @@ uint64_t KvArena::SpilledBytes() const {
   return total;
 }
 
-uint64_t KvArena::ArenaBytes() const {
-  return pool_ != nullptr ? pool_->PoolBytes() : slots() * SlotBytes();
-}
-
 int KvArena::AdoptPrefix(int slot, const std::vector<TokenId>& prompt) {
-  if (pool_ == nullptr || prefix_cap_ == 0 || prompt.size() < 2) {
+  if (prefix_cap_ == 0 || prompt.size() < 2) {
     return 0;
   }
   KvCache* c = cache(slot);
@@ -730,7 +600,7 @@ int KvArena::AdoptPrefix(int slot, const std::vector<TokenId>& prompt) {
 }
 
 Status KvArena::RegisterPrefix(int slot, const std::vector<TokenId>& tokens) {
-  if (pool_ == nullptr || prefix_cap_ == 0) {
+  if (prefix_cap_ == 0) {
     return OkStatus();
   }
   const int page_positions = pool_->page_positions();
@@ -777,9 +647,6 @@ Status KvArena::RegisterPrefix(int slot, const std::vector<TokenId>& tokens) {
 }
 
 int KvArena::DropLostPrefixEntries() {
-  if (pool_ == nullptr) {
-    return 0;
-  }
   int dropped = 0;
   for (size_t e = prefix_.size(); e-- > 0;) {
     bool has_lost = false;

@@ -3,29 +3,27 @@
 // initialized to the prompt size in prefill, grows during decode, and is
 // fully released after inference).
 //
-// Two storage modes share one interface:
+// One storage mode: the cache is a page table of refcounted KvPagePool
+// pages, each covering page_positions() positions of every layer's K/V
+// planes (K plane then V plane, [layer][pos_in_page][kv_dim]). Pages are
+// allocated as positions are appended, shareable across sessions (prefix
+// sharing) with copy-on-write on append, and cold pages spill to encrypted
+// REE memory under pool pressure — restored on demand when a step pins the
+// cache. Attention walks contiguous runs WITHIN a page and hops between
+// pages (KvCache::RunLen), always in position order: the page size changes
+// where the bytes live, never their values or the attend order, so logits
+// are bit-identical at every page size.
 //
-//  * Flat (the default constructor): one contiguous arena — a K plane then
-//    a V plane, each [layer][pos][kv_dim] — so per-layer appends are a
-//    single contiguous run and attention walks sequential memory. This is
-//    the single-engine mode and the paging ablation baseline.
-//  * Paged (constructed over a KvPagePool): the cache holds a page table of
-//    refcounted pool pages, each covering kv_page_positions positions of
-//    every layer's K/V planes. Pages are shareable across sessions (prefix
-//    sharing) with copy-on-write on append, and cold pages spill to
-//    encrypted REE memory under pool pressure — restored on demand when a
-//    step pins the cache. Attention walks contiguous runs WITHIN a page and
-//    hops between pages (KvCache::RunLen), visiting positions in exactly
-//    the flat order: paging changes where the bytes live, never their
-//    values or the attend order, so logits stay bit-identical to the flat
-//    path.
+// A standalone cache (no pool argument) owns a private one-frame pool whose
+// one page holds max_ctx positions, with spill off: one contiguous
+// [layer][pos][kv_dim] run per plane, the single-engine layout and the
+// reference the paged bit-identity tests compare against.
 //
 // Entries are stored at f16 by default (convert on Append, expand in the
 // attention dot), which halves the cache footprint and makes CurrentBytes()
-// equal the bytes actually resident — in paged mode that means resident
-// SECURE bytes only (spilled pages are accounted separately by
-// SpilledBytes()). KvStorage::kF32 keeps a full-width mode as the numerics
-// baseline for the f16 parity suite.
+// equal the RESIDENT secure bytes actually holding appended rows (spilled
+// rows are accounted separately by SpilledBytes()). KvStorage::kF32 keeps a
+// full-width mode as the numerics baseline for the f16 parity suite.
 
 #ifndef SRC_LLM_KV_CACHE_H_
 #define SRC_LLM_KV_CACHE_H_
@@ -67,31 +65,29 @@ class KvCachePin {
 
 class KvCache {
  public:
-  // Flat mode. `kernels` supplies the f32->f16 append converter (nullptr =
-  // the process-wide ActiveKernels() table); engines pass KernelsFor(options)
-  // so a force_scalar/reference engine fills the arena with the scalar
+  // Standalone cache over a private one-page pool (max_ctx positions, spill
+  // off). `kernels` supplies the f32->f16 append converter (nullptr = the
+  // process-wide ActiveKernels() table); engines pass KernelsFor(options) so
+  // a force_scalar/reference engine fills the cache with the scalar
   // converter. The converters are bit-identical across backends
   // (simd/kernels.h), so this choice never changes the cached bytes — it
   // only decides which code path produces them.
   explicit KvCache(const ModelSpec& spec, KvStorage storage = KvStorage::kF16,
                    const KernelDispatch* kernels = nullptr);
-  // Paged mode over a shared pool (must match `storage` and outlive the
-  // cache). Pages are allocated lazily as positions are appended.
+  // A cache over a shared pool (must match `storage` and outlive the cache).
   KvCache(const ModelSpec& spec, KvPagePool* pool, KvStorage storage,
           const KernelDispatch* kernels);
   ~KvCache();
 
   KvStorage storage() const { return storage_; }
-  bool paged() const { return pool_ != nullptr; }
   uint64_t bytes_per_elem() const {
     return storage_ == KvStorage::kF16 ? 2 : 4;
   }
 
   // Appends one position's K and V vectors (kv_dim floats each) for `layer`;
-  // converted to the storage width on the way in. In paged mode a write to
-  // a page shared with other sessions (refcount > 1) privatizes it first
-  // (copy-on-write), so divergence past a shared prefix never alters the
-  // shared rows.
+  // converted to the storage width on the way in. A write to a page shared
+  // with other sessions (refcount > 1) privatizes it first (copy-on-write),
+  // so divergence past a shared prefix never alters the shared rows.
   Status Append(int layer, const float* k, const float* v);
 
   // Appends `m` consecutive positions for `layer` in one call; `k` and `v`
@@ -103,6 +99,10 @@ class KvCache {
   int seq_len() const { return seq_len_; }
   void FinishPosition() { ++seq_len_; }
   void FinishPositions(int m) { seq_len_ += m; }
+  // Empties the cache: releases every page reference (the pool scrubs each
+  // frame when its last reference drops, so shared prefix pages survive for
+  // their other holders) and resets the fill marks. A checkpointed-then-
+  // evicted session leaves no private KV plaintext behind.
   void Reset();
 
   int max_ctx() const { return max_ctx_; }
@@ -110,60 +110,46 @@ class KvCache {
 
   // f16-mode accessors (valid only when storage() == kF16). Positions are
   // contiguous in runs of RunLen(pos) rows: within a run,
-  // KeyHalfAt(l, p + 1) == KeyHalfAt(l, p) + kv_dim(). Flat mode is one
-  // max_ctx-long run; paged rows are valid only while the page is resident
-  // (the executor pins the cache for the step).
+  // KeyHalfAt(l, p + 1) == KeyHalfAt(l, p) + kv_dim(). Rows are valid only
+  // while their page is resident (the executor pins the cache for the
+  // step).
   const uint16_t* KeyHalfAt(int layer, int pos) const {
-    if (pool_ == nullptr) {
-      return arena16_.data() + Offset(layer, pos);
-    }
     return pool_->Data16(pages_[pos / page_positions_]) +
            pool_->KOffset(layer, pos % page_positions_);
   }
   const uint16_t* ValueHalfAt(int layer, int pos) const {
-    if (pool_ == nullptr) {
-      return arena16_.data() + v_plane_ + Offset(layer, pos);
-    }
     return pool_->Data16(pages_[pos / page_positions_]) +
            pool_->VOffset(layer, pos % page_positions_);
   }
 
   // f32-mode accessors (valid only when storage() == kF32).
   const float* KeyAt(int layer, int pos) const {
-    if (pool_ == nullptr) {
-      return arena32_.data() + Offset(layer, pos);
-    }
     return pool_->Data32(pages_[pos / page_positions_]) +
            pool_->KOffset(layer, pos % page_positions_);
   }
   const float* ValueAt(int layer, int pos) const {
-    if (pool_ == nullptr) {
-      return arena32_.data() + v_plane_ + Offset(layer, pos);
-    }
     return pool_->Data32(pages_[pos / page_positions_]) +
            pool_->VOffset(layer, pos % page_positions_);
   }
 
   // Positions at-and-after `pos` guaranteed adjacent in memory — the
-  // attention walk's hop size. Flat: everything to max_ctx; paged: the rest
-  // of the page.
+  // attention walk's hop size: the rest of the page (everything to max_ctx
+  // for a standalone cache).
   int RunLen(int pos) const {
-    return pool_ == nullptr ? max_ctx_ - pos
-                            : page_positions_ - pos % page_positions_;
+    return page_positions_ - pos % page_positions_;
   }
 
-  // --- Paged-mode residency. ---------------------------------------------
+  // --- Residency. --------------------------------------------------------
 
   // Pins every page of the cache resident for the duration of a forward
   // step (restoring spilled ones — kDataCorruption if a spilled page was
   // tampered with in REE memory). Pages appended or privatized while pinned
-  // are pinned too. Nests; a no-op handle in flat mode.
+  // are pinned too. Nests.
   Result<KvCachePin> PinForStep();
   // Restores every spilled page without pinning (serialization and
   // inspection paths).
   Status EnsureResident();
-  // The cache's page table (paged mode; empty in flat mode). Exposed for
-  // the arena's prefix registry.
+  // The cache's page table. Exposed for the arena's prefix registry.
   const std::vector<KvPageId>& pages() const { return pages_; }
   int PageCount() const { return static_cast<int>(pages_.size()); }
   // Maps `positions` prompt positions of an existing shared prefix into
@@ -183,7 +169,7 @@ class KvCache {
   // Walks the page table, quarantining every spilled page whose restore
   // fails with kDataCorruption, and records the table indices of all lost
   // pages into `lost_pages` (ascending). Non-corruption restore failures
-  // propagate. Flat mode: trivially empty.
+  // propagate.
   Status ProbeLostPages(std::vector<int>* lost_pages);
   // Makes pages_[page_idx] safe to recompute into: sole holder -> clear the
   // lost flag in place; still shared (another session or the registry holds
@@ -199,26 +185,26 @@ class KvCache {
   // fill marks (mid-forward-pass, layers already appended this position
   // count too). In kF16 mode this is exactly what the scratch budget
   // accounts (kKvAccountedBytesPerElem) — no silent 2x divergence from the
-  // arena's real element width. Paged mode counts RESIDENT secure bytes
-  // only; rows currently spilled to REE memory are in SpilledBytes().
+  // cache's real element width. Counts RESIDENT secure bytes only; rows
+  // currently spilled to REE memory are in SpilledBytes().
   uint64_t CurrentBytes() const;
-  // Appended bytes whose page is currently spilled (plaintext-equivalent;
-  // zero in flat mode). CurrentBytes() + SpilledBytes() is the full
-  // appended footprint.
+  // Appended bytes whose page is currently spilled (plaintext-equivalent).
+  // CurrentBytes() + SpilledBytes() is the full appended footprint.
   uint64_t SpilledBytes() const;
 
-  // Total bytes of the preallocated arena (the full max_ctx footprint).
-  // Flat: CurrentBytes() == ArenaBytes() once every layer is filled to
-  // max_ctx. Paged: the full-context page footprint of this one session.
+  // The full-context footprint of this one session in whole pages. A
+  // standalone cache's CurrentBytes() == ArenaBytes() once every layer is
+  // filled to max_ctx.
   uint64_t ArenaBytes() const;
 
   // --- Session checkpointing (crash-consistent eviction/restore). ---
   // Appends a self-describing snapshot of the cache — geometry header,
   // sequence length, per-layer fill marks, then only the *filled* prefix of
-  // every layer's K and V rows at the storage width — to `out`. The format
-  // is identical in flat and paged mode (rows are gathered across pages),
-  // so checkpoints move freely between the two. Paged mode restores spilled
-  // pages first and can fail (kDataCorruption on a tampered spill).
+  // every layer's K and V rows at the storage width — to `out`. Rows are
+  // gathered across pages, so the format is independent of the page size
+  // and checkpoints move freely between caches of any page geometry.
+  // Spilled pages are restored first, which can fail (kDataCorruption on a
+  // tampered spill).
   Status SerializeState(std::vector<uint8_t>* out) const;
   // Restores a SerializeState snapshot into this cache. The snapshot's
   // geometry (layers, kv_dim, max_ctx, storage width) must match this
@@ -226,19 +212,14 @@ class KvCache {
   // truncated/inconsistent blob. On success the cache is bit-identical to
   // the serialized one (decode resumes producing identical logits).
   Status RestoreState(const uint8_t* data, size_t len);
-  // Eviction scrub: zeroes the arena (flat) or releases every page
-  // reference (paged — the pool scrubs frames when the last reference
-  // drops, so shared prefix pages survive for their other holders) and
-  // resets the fill marks. A checkpointed-then-evicted session leaves no
-  // private KV plaintext behind.
-  void Scrub();
 
  private:
   friend class KvCachePin;
 
-  size_t Offset(int layer, int pos) const {
-    return (static_cast<size_t>(layer) * max_ctx_ + pos) * kv_dim_;
-  }
+  // Standalone construction: the cache owns `own_pool`.
+  KvCache(const ModelSpec& spec, std::unique_ptr<KvPagePool> own_pool,
+          KvStorage storage, const KernelDispatch* kernels);
+
   // Grows the page table to cover positions [0, pos_end).
   Status EnsurePagesFor(int pos_end);
   // Residency + copy-on-write: after this, pages_[page_idx] is resident,
@@ -256,49 +237,38 @@ class KvCache {
   const KernelDispatch* kernels_;
   int seq_len_ = 0;
   std::vector<int> filled_;  // Per-layer appended positions.
-  // Flat mode: exactly one of the arenas is sized, per storage_. Each is K
-  // plane then V plane, [layer][pos][kv_dim].
-  std::vector<uint16_t> arena16_;
-  std::vector<float> arena32_;
-  size_t v_plane_ = 0;  // Offset of the V plane within the arena.
-  // Paged mode.
-  KvPagePool* pool_ = nullptr;
-  int page_positions_ = 0;
+  std::unique_ptr<KvPagePool> own_pool_;  // Standalone caches only.
+  KvPagePool* pool_;
+  int page_positions_;
   std::vector<KvPageId> pages_;  // Page table: pages_[pos / page_positions_].
   int pin_depth_ = 0;
 };
 
-// Options for the serving KV arena. Flat keeps `slots` fully-private
-// preallocated caches (the pre-paging behavior); paged backs the slots with
-// one shared KvPagePool plus a prefix registry for cross-session sharing.
+// Options for the serving KV arena: `slots` page tables over one shared
+// KvPagePool plus a prefix registry for cross-session sharing.
 struct KvArenaOptions {
   int slots = 1;
   KvStorage storage = KvStorage::kF16;
   const KernelDispatch* kernels = nullptr;
-  bool paged = false;
-  // Pool geometry/budget/spill; pool.pool_bytes == 0 means "the old flat
-  // budget" (slots x per-session arena bytes), so turning paging on never
-  // grows the scratch region.
+  // Pool geometry/budget/spill; pool.pool_bytes == 0 means every slot's
+  // full context in whole pages (slots x ceil(max_ctx / page_positions)
+  // frames), so every session can be fully resident at once.
   KvPagePoolOptions pool;
   // Capacity of the shared-prefix registry (LRU-evicted); 0 disables
-  // sharing. Paged mode only.
+  // sharing.
   int prefix_entries = 16;
 };
 
 // Per-session KV slots for the serving runtime: `slots` independent KvCache
-// page tables (or flat arenas) over one geometry, acquired by AdmitSession
-// and released on Finish/Checkpoint. Sessions never share MUTABLE state:
-// shared prefix pages are read-only by construction (copy-on-write on the
-// first divergent append), so per-session CurrentBytes() stays truthful and
-// a slot's Scrub() on release leaves no other session's plaintext behind.
-// The pool (paged) or slots x ArenaBytes (flat) is what the TA's secure
-// scratch budget accounts.
+// page tables over one pool, acquired by AdmitSession and released on
+// Finish/Checkpoint. Sessions never share MUTABLE state: shared prefix
+// pages are read-only by construction (copy-on-write on the first divergent
+// append), so per-session CurrentBytes() stays truthful and a slot's
+// Reset() on release leaves no other session's plaintext behind. The pool
+// is what the TA's secure scratch budget accounts.
 class KvArena {
  public:
   KvArena(const ModelSpec& spec, const KvArenaOptions& options);
-  // Legacy flat constructor.
-  KvArena(const ModelSpec& spec, int slots, KvStorage storage = KvStorage::kF16,
-          const KernelDispatch* kernels = nullptr);
 
   // The secure bytes an arena built with `options` will occupy — EXACTLY
   // ArenaBytes() of the constructed arena, so LlmTa's scratch budget and
@@ -324,7 +294,9 @@ class KvArena {
   int live() const { return live_; }
   int free_slots() const { return slots() - live_; }
 
-  bool paged() const { return pool_ != nullptr; }
+  // Always true: every arena is paged. Kept for perfbench/tzbench.cc, which
+  // predates the one KV mode.
+  bool paged() const { return true; }
   KvPagePool* pool() { return pool_.get(); }
   const KvPagePool* pool() const { return pool_.get(); }
 
@@ -337,11 +309,11 @@ class KvArena {
   uint64_t CurrentBytes() const;
   // Appended bytes currently spilled to REE memory across live slots.
   uint64_t SpilledBytes() const;
-  // Full preallocated secure footprint: the pool (paged) or
-  // slots() x SlotBytes() (flat). Equals BudgetBytes() by construction.
-  uint64_t ArenaBytes() const;
+  // Full preallocated secure footprint: the pool. Equals BudgetBytes() by
+  // construction.
+  uint64_t ArenaBytes() const { return pool_->PoolBytes(); }
 
-  // --- Cross-session prefix sharing (paged mode). ------------------------
+  // --- Cross-session prefix sharing. -------------------------------------
 
   struct PrefixStats {
     uint64_t lookups = 0;
@@ -355,9 +327,8 @@ class KvArena {
   // empty cache (hash-keyed exact-token match, whole positions, capped at
   // prompt.size() - 1 so the final prompt position still runs and produces
   // the first-token logits). Returns the number of positions adopted; 0 on
-  // a miss, in flat mode, or when sharing is disabled. Prefixes shorter
-  // than one page are not adopted (the COW copy would cost more than the
-  // skipped positions).
+  // a miss or when sharing is disabled. Prefixes shorter than one page are
+  // not adopted (the COW copy would cost more than the skipped positions).
   int AdoptPrefix(int slot, const std::vector<TokenId>& prompt);
   // Registers `slot`'s first `tokens.size()` cached positions as a
   // shareable prefix (called once its prompt is fully prefilled). The
@@ -381,11 +352,10 @@ class KvArena {
 
   void DropPrefixEntry(size_t index);
 
-  std::unique_ptr<KvPagePool> pool_;  // Paged mode only.
+  std::unique_ptr<KvPagePool> pool_;
   std::vector<std::unique_ptr<KvCache>> caches_;
   std::vector<bool> live_slots_;
   int live_ = 0;
-  uint64_t flat_slot_bytes_ = 0;
   std::vector<PrefixEntry> prefix_;
   int prefix_cap_ = 0;
   uint64_t prefix_clock_ = 0;  // Monotonic recency counter — never wall time.

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <string>
 
+#include "src/common/bytes.h"
 #include "src/crypto/key_hierarchy.h"
 #include "src/crypto/sha256.h"
 
@@ -115,17 +116,14 @@ Status KvPagePool::SpillPage(KvPageId id) {
   std::vector<uint8_t> blob;
   blob.reserve(kSpillHeader + page_bytes_);
   blob.insert(blob.end(), kSpillMagic, kSpillMagic + sizeof(kSpillMagic));
-  for (int i = 0; i < 4; ++i) {
-    blob.push_back(static_cast<uint8_t>(id >> (8 * i)));
-  }
-  for (int i = 0; i < 8; ++i) {
-    blob.push_back(static_cast<uint8_t>(p.spill_seq >> (8 * i)));
-  }
+  ByteWriter w(&blob);
+  w.U32(id);
+  w.U64(p.spill_seq);
   const uint8_t* plain = FrameBytes(p.frame);
   const Sha256Digest digest = Sha256::Hash(plain, page_bytes_);
-  blob.insert(blob.end(), digest.begin(), digest.end());
+  w.Bytes(digest.data(), digest.size());
   const size_t ct_off = blob.size();
-  blob.insert(blob.end(), plain, plain + page_bytes_);
+  w.Bytes(plain, page_bytes_);
   AesCtr ctr(spill_key_, SpillIv(id, p.spill_seq));
   ctr.CryptAll(blob.data() + ct_off, page_bytes_);
   if (spill_fault_armed_) {
@@ -161,22 +159,19 @@ Status KvPagePool::RestorePage(KvPageId id) {
     return Internal("restore of a non-spilled KV page");
   }
   const std::vector<uint8_t>& blob = p.ree_blob;
+  ByteReader r(blob);
+  uint8_t magic[sizeof(kSpillMagic)];
+  uint32_t blob_id = 0;
+  uint64_t seq = 0;
+  Sha256Digest stored;
   if (blob.size() != kSpillHeader + page_bytes_ ||
-      std::memcmp(blob.data(), kSpillMagic, sizeof(kSpillMagic)) != 0) {
+      !r.Bytes(magic, sizeof(magic)) ||
+      std::memcmp(magic, kSpillMagic, sizeof(kSpillMagic)) != 0 ||
+      !r.U32(&blob_id) || !r.U64(&seq) ||
+      !r.Bytes(stored.data(), stored.size())) {
     return Status(ErrorCode::kDataCorruption,
                   "spilled KV page blob truncated or bad magic");
   }
-  size_t off = sizeof(kSpillMagic);
-  uint32_t blob_id = 0;
-  for (int i = 0; i < 4; ++i) {
-    blob_id |= static_cast<uint32_t>(blob[off + i]) << (8 * i);
-  }
-  off += 4;
-  uint64_t seq = 0;
-  for (int i = 0; i < 8; ++i) {
-    seq |= static_cast<uint64_t>(blob[off + i]) << (8 * i);
-  }
-  off += 8;
   if (blob_id != id || seq != p.spill_seq) {
     // A stale or foreign blob substituted in REE memory (replay of an older
     // spill generation included) decrypts under the wrong IV anyway; fail
@@ -184,13 +179,9 @@ Status KvPagePool::RestorePage(KvPageId id) {
     return Status(ErrorCode::kDataCorruption,
                   "spilled KV page blob labels do not match the page");
   }
-  Sha256Digest stored;
-  std::memcpy(stored.data(), blob.data() + off, 32);
-  off += 32;
-
   TZLLM_ASSIGN_OR_RETURN(frame, TakeFrame());
   uint8_t* dst = FrameBytes(frame);
-  std::memcpy(dst, blob.data() + off, page_bytes_);
+  std::memcpy(dst, blob.data() + r.pos(), page_bytes_);
   AesCtr ctr(spill_key_, SpillIv(id, p.spill_seq));
   ctr.CryptAll(dst, page_bytes_);
   if (Sha256::Hash(dst, page_bytes_) != stored) {

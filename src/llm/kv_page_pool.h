@@ -1,22 +1,23 @@
-// Global KV page pool: the paged backing store for the serving KV arena.
+// KV page pool: the backing store of every KvCache (the serving KV arena's
+// shared pool, or a standalone cache's private one-page pool).
 //
 // A page is a fixed block of kv_page_positions consecutive sequence
 // positions spanning ALL layers' K and V planes at the cache's storage
 // width — the unit of allocation, refcounting, sharing and eviction.
-// Within a page the layout mirrors the flat arena: a K plane then a V
-// plane, each [layer][pos_in_page][kv_dim], so positions of one layer stay
-// contiguous inside a page and attention walks runs of kv_page_positions
-// rows between page hops.
+// Within a page the layout is a K plane then a V plane, each
+// [layer][pos_in_page][kv_dim], so positions of one layer stay contiguous
+// inside a page and attention walks runs of kv_page_positions rows between
+// page hops.
 //
-// The pool owns a fixed number of resident frames in secure scratch (sized
-// to the old slots x ArenaBytes budget by the TA). When every frame is in
-// use, allocation and restore evict the least-recently-touched unpinned
-// page to REE memory, encrypted and integrity-tagged under the session
-// spill key (AES-128-CTR + SHA-256, the PR 6 checkpoint idiom): REE memory
-// is attacker-controlled, so a tampered spilled page fails restore with
-// kDataCorruption, never with silently wrong KV. Pinned pages (a decode
-// step in flight) are never evicted. Recency is a monotonic counter, not a
-// clock — eviction order is deterministic and replayable.
+// The pool owns a fixed number of resident frames in secure scratch (by
+// default every session's full context in whole pages). When every frame
+// is in use, allocation and restore evict the least-recently-touched
+// unpinned page to REE memory, encrypted and integrity-tagged under the
+// session spill key (AES-128-CTR + SHA-256, the session-checkpoint idiom):
+// REE memory is attacker-controlled, so a tampered spilled page fails
+// restore with kDataCorruption, never with silently wrong KV. Pinned pages
+// (a decode step in flight) are never evicted. Recency is a monotonic
+// counter, not a clock — eviction order is deterministic and replayable.
 //
 // Pages are refcounted so sessions admitted with a common token prefix can
 // map the same read-only pages (KvArena's prefix registry holds one ref per
@@ -60,9 +61,8 @@ struct KvPagePoolOptions {
   // run.
   int page_positions = 16;
   // Secure-resident budget the frame store is carved from; the frame count
-  // is pool_bytes / page_bytes (at least one). The TA passes the old
-  // slots x per-session ArenaBytes product so paging never grows the
-  // scratch region.
+  // is pool_bytes / page_bytes (at least one). KvArena resolves 0 to every
+  // slot's full context in whole pages.
   uint64_t pool_bytes = 0;
   // Allow evicting cold pages to encrypted REE memory. Off = the pool is a
   // hard budget: allocation beyond the frames fails with ResourceExhausted.

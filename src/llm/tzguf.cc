@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "src/common/bytes.h"
 #include "src/common/rng.h"
 
 namespace tzllm {
@@ -10,90 +11,9 @@ namespace {
 
 constexpr char kMetaMagic[8] = {'T', 'Z', 'G', 'U', 'F', '0', '1', 0};
 
-class ByteWriter {
- public:
-  void U8(uint8_t v) { out_.push_back(v); }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-  void Str(const std::string& s) {
-    U32(static_cast<uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
-  }
-  void Bytes(const uint8_t* data, size_t len) {
-    out_.insert(out_.end(), data, data + len);
-  }
-  std::vector<uint8_t> Take() { return std::move(out_); }
-
- private:
-  std::vector<uint8_t> out_;
-};
-
-class ByteReader {
- public:
-  explicit ByteReader(const std::vector<uint8_t>& data) : data_(data) {}
-
-  bool U8(uint8_t* v) {
-    if (pos_ + 1 > data_.size()) {
-      return false;
-    }
-    *v = data_[pos_++];
-    return true;
-  }
-  bool U32(uint32_t* v) {
-    if (pos_ + 4 > data_.size()) {
-      return false;
-    }
-    *v = 0;
-    for (int i = 3; i >= 0; --i) {
-      *v = (*v << 8) | data_[pos_ + i];
-    }
-    pos_ += 4;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (pos_ + 8 > data_.size()) {
-      return false;
-    }
-    *v = 0;
-    for (int i = 7; i >= 0; --i) {
-      *v = (*v << 8) | data_[pos_ + i];
-    }
-    pos_ += 8;
-    return true;
-  }
-  bool Str(std::string* s) {
-    uint32_t len = 0;
-    if (!U32(&len) || pos_ + len > data_.size()) {
-      return false;
-    }
-    s->assign(data_.begin() + pos_, data_.begin() + pos_ + len);
-    pos_ += len;
-    return true;
-  }
-  bool Bytes(uint8_t* out, size_t len) {
-    if (pos_ + len > data_.size()) {
-      return false;
-    }
-    std::memcpy(out, data_.data() + pos_, len);
-    pos_ += len;
-    return true;
-  }
-
- private:
-  const std::vector<uint8_t>& data_;
-  size_t pos_ = 0;
-};
-
 std::vector<uint8_t> SerializeMetaBody(const TzgufMeta& meta) {
-  ByteWriter w;
+  std::vector<uint8_t> body;
+  ByteWriter w(&body);
   w.Str(meta.model_id);
   const LlmConfig& c = meta.config;
   w.Str(c.name);
@@ -111,7 +31,7 @@ std::vector<uint8_t> SerializeMetaBody(const TzgufMeta& meta) {
   for (const Sha256Digest& tag : meta.tensor_tags) {
     w.Bytes(tag.data(), tag.size());
   }
-  return w.Take();
+  return body;
 }
 
 Result<TzgufMeta> DeserializeMetaBody(const std::vector<uint8_t>& body) {
@@ -215,21 +135,25 @@ Result<TzgufMeta> Tzguf::Provision(FlashDevice* flash,
   AesCtr meta_ctr(model_key, KeyHierarchy::ModelIv("meta/" + model_id));
   meta_ctr.CryptAll(body.data(), body.size());
 
-  ByteWriter w;
+  std::vector<uint8_t> meta_file;
+  ByteWriter w(&meta_file);
   w.Bytes(reinterpret_cast<const uint8_t*>(kMetaMagic), sizeof(kMetaMagic));
   w.Bytes(body_digest.data(), body_digest.size());
   w.Bytes(body.data(), body.size());
-  TZLLM_RETURN_IF_ERROR(flash->CreateFile(meta.MetaFile(), w.Take()));
+  TZLLM_RETURN_IF_ERROR(
+      flash->CreateFile(meta.MetaFile(), std::move(meta_file)));
 
   // --- Wrapped key file. ---
   const WrappedModelKey wrapped = keys.WrapModelKey(model_id, model_key);
-  ByteWriter kw;
+  std::vector<uint8_t> key_file;
+  ByteWriter kw(&key_file);
   kw.Str(wrapped.model_id);
   kw.U32(static_cast<uint32_t>(wrapped.ciphertext.size()));
   kw.Bytes(wrapped.ciphertext.data(), wrapped.ciphertext.size());
   kw.Bytes(wrapped.iv.data(), wrapped.iv.size());
   kw.Bytes(wrapped.integrity_tag.data(), wrapped.integrity_tag.size());
-  TZLLM_RETURN_IF_ERROR(flash->CreateFile(KeyFile(model_id), kw.Take()));
+  TZLLM_RETURN_IF_ERROR(
+      flash->CreateFile(KeyFile(model_id), std::move(key_file)));
 
   return meta;
 }

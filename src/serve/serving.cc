@@ -4,49 +4,12 @@
 #include <cstring>
 #include <utility>
 
+#include "src/common/bytes.h"
 #include "src/common/log.h"
 
 namespace tzllm {
 
 namespace {
-
-// Little-endian field helpers for the fleet manifest (same idiom as the
-// session blobs in llm_ta.cc).
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-bool GetU32(const std::vector<uint8_t>& in, size_t* off, uint32_t* v) {
-  if (*off + 4 > in.size()) {
-    return false;
-  }
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<uint32_t>(in[*off + i]) << (8 * i);
-  }
-  *off += 4;
-  return true;
-}
-
-bool GetU64(const std::vector<uint8_t>& in, size_t* off, uint64_t* v) {
-  if (*off + 8 > in.size()) {
-    return false;
-  }
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= static_cast<uint64_t>(in[*off + i]) << (8 * i);
-  }
-  *off += 8;
-  return true;
-}
 
 // Fleet-manifest magic. V1: u64 next_request, u32 count, then per request
 // id/sid/state/priority-bits/budget/deadline/sampling/prompt.
@@ -402,36 +365,36 @@ std::vector<uint8_t> ServingRuntime::SerializeManifest() const {
   // Range-construct off the magic (see the gcc 12 note in llm_ta.cc).
   std::vector<uint8_t> out(kManifestMagic,
                            kManifestMagic + sizeof(kManifestMagic));
-  PutU64(&out, next_request_);
+  ByteWriter w(&out);
+  w.U64(next_request_);
   uint32_t count = 0;
   for (const auto& [id, r] : requests_) {
     count += r.state != State::kDone;
   }
-  PutU32(&out, count);
+  w.U32(count);
   for (const auto& [id, r] : requests_) {
     if (r.state == State::kDone) {
       continue;
     }
-    PutU64(&out, r.id);
-    PutU64(&out, r.sid);
+    w.U64(r.id);
+    w.U64(r.sid);
     // kActive sessions were just snapshotted, so a recovering runtime
     // treats them exactly like evictees: restore the sealed blob.
-    PutU32(&out, r.state == State::kQueued ? 0u : 1u);
+    w.U32(r.state == State::kQueued ? 0u : 1u);
     uint64_t priority_bits = 0;
     static_assert(sizeof(priority_bits) == sizeof(r.priority));
     std::memcpy(&priority_bits, &r.priority, sizeof(priority_bits));
-    PutU64(&out, priority_bits);
-    PutU32(&out, static_cast<uint32_t>(r.max_new_tokens));
-    PutU64(&out, r.deadline_ticks);
-    PutU32(&out, r.sampling.greedy ? 1 : 0);
-    PutU32(&out, static_cast<uint32_t>(r.sampling.top_k));
+    w.U64(priority_bits);
+    w.U32(static_cast<uint32_t>(r.max_new_tokens));
+    w.U64(r.deadline_ticks);
+    w.U32(r.sampling.greedy ? 1 : 0);
+    w.U32(static_cast<uint32_t>(r.sampling.top_k));
     uint64_t temp_bits = 0;
     static_assert(sizeof(temp_bits) == sizeof(r.sampling.temperature));
     std::memcpy(&temp_bits, &r.sampling.temperature, sizeof(temp_bits));
-    PutU64(&out, temp_bits);
-    PutU64(&out, r.sampling.seed);
-    PutU32(&out, static_cast<uint32_t>(r.prompt.size()));
-    out.insert(out.end(), r.prompt.begin(), r.prompt.end());
+    w.U64(temp_bits);
+    w.U64(r.sampling.seed);
+    w.Str(r.prompt);
   }
   return out;
 }
@@ -445,40 +408,31 @@ Status ServingRuntime::Recover() {
   if (!manifest.ok()) {
     return manifest.status();
   }
-  size_t off = 0;
-  if (manifest->size() < sizeof(kManifestMagic) ||
-      std::memcmp(manifest->data(), kManifestMagic, sizeof(kManifestMagic)) !=
-          0) {
+  ByteReader reader(*manifest);
+  uint8_t magic[sizeof(kManifestMagic)];
+  if (!reader.Bytes(magic, sizeof(magic)) ||
+      std::memcmp(magic, kManifestMagic, sizeof(kManifestMagic)) != 0) {
     return Status(ErrorCode::kDataCorruption, "serving manifest bad magic");
   }
-  off = sizeof(kManifestMagic);
   uint64_t next_request = 0;
   uint32_t count = 0;
-  if (!GetU64(*manifest, &off, &next_request) ||
-      !GetU32(*manifest, &off, &count) || count > (1u << 20)) {
+  if (!reader.U64(&next_request) || !reader.U32(&count) ||
+      count > (1u << 20)) {
     return Status(ErrorCode::kDataCorruption, "serving manifest truncated");
   }
   for (uint32_t i = 0; i < count; ++i) {
     Request r;
     uint64_t sid = 0, priority_bits = 0, temp_bits = 0;
-    uint32_t state = 0, max_new = 0, greedy = 0, top_k = 0, prompt_len = 0;
-    const bool ok =
-        GetU64(*manifest, &off, &r.id) && GetU64(*manifest, &off, &sid) &&
-        GetU32(*manifest, &off, &state) &&
-        GetU64(*manifest, &off, &priority_bits) &&
-        GetU32(*manifest, &off, &max_new) &&
-        GetU64(*manifest, &off, &r.deadline_ticks) &&
-        GetU32(*manifest, &off, &greedy) && GetU32(*manifest, &off, &top_k) &&
-        GetU64(*manifest, &off, &temp_bits) &&
-        GetU64(*manifest, &off, &r.sampling.seed) &&
-        GetU32(*manifest, &off, &prompt_len) &&
-        off + prompt_len <= manifest->size();
+    uint32_t state = 0, max_new = 0, greedy = 0, top_k = 0;
+    const bool ok = reader.U64(&r.id) && reader.U64(&sid) &&
+                    reader.U32(&state) && reader.U64(&priority_bits) &&
+                    reader.U32(&max_new) && reader.U64(&r.deadline_ticks) &&
+                    reader.U32(&greedy) && reader.U32(&top_k) &&
+                    reader.U64(&temp_bits) && reader.U64(&r.sampling.seed) &&
+                    reader.Str(&r.prompt);
     if (!ok || state > 1) {
       return Status(ErrorCode::kDataCorruption, "serving manifest truncated");
     }
-    r.prompt.assign(reinterpret_cast<const char*>(manifest->data() + off),
-                    prompt_len);
-    off += prompt_len;
     r.sid = sid;
     r.max_new_tokens = static_cast<int>(max_new);
     std::memcpy(&r.priority, &priority_bits, sizeof(r.priority));
@@ -518,7 +472,7 @@ void ServingRuntime::SnapshotKvStats() {
   stats_.kv_recoveries = recovery.recoveries;
   stats_.recompute_ms = recovery.recompute_ms;
   const KvArena* arena = ta_->kv_arena();
-  if (arena == nullptr || !arena->paged()) {
+  if (arena == nullptr) {
     return;
   }
   const KvPageStats& pages = arena->pool()->stats();

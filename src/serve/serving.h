@@ -9,12 +9,12 @@
 //      under ServeEvictPolicy::kPriority a more urgent arrival preempts the
 //      least urgent running session via CheckpointSession (the PR 6 sealed
 //      blob), whose slot it takes; the victim re-queues at its own priority
-//      and is restored bit-identically when capacity frees up. With
-//      paged_kv, a slot is a page table, not a resident arena: admission is
-//      no longer bounded by what secure scratch can hold resident — the
-//      pool spills cold PAGES to encrypted REE memory under pressure, so
-//      the expensive whole-session checkpoint eviction above becomes the
-//      policy of last resort rather than the only pressure valve.
+//      and is restored bit-identically when capacity frees up. A slot is a
+//      page table, not a resident arena: admission is not bounded by what
+//      secure scratch can hold resident — the pool spills cold PAGES to
+//      encrypted REE memory under pressure, so the expensive whole-session
+//      checkpoint eviction above is the policy of last resort rather than
+//      the only pressure valve.
 //   2. One prefill quantum — ONE admitted prompt advances by one chunk of
 //      prefill_batch positions (LlmTa::PrefillSessionChunk), so a long
 //      incoming prompt interleaves with everyone else's decode instead of
@@ -106,9 +106,9 @@ struct ServeStats {
   double decode_time_s = 0.0;
   int preemptions = 0;
   // Paged-KV counters, snapshotted from the TA's page pool and prefix
-  // registry each tick (all zero when paged_kv is off). Under paging the
-  // cheap pressure valve is a page spill/restore — whole-session
-  // checkpoint preemptions above should stay rare by comparison.
+  // registry each tick. The cheap pressure valve is a page spill/restore —
+  // whole-session checkpoint preemptions above should stay rare by
+  // comparison.
   uint64_t page_spills = 0;
   uint64_t page_restores = 0;
   uint64_t cow_copies = 0;

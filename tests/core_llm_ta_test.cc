@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "src/core/runtime.h"
 #include "src/llm/engine.h"
@@ -216,6 +217,41 @@ TEST_F(LlmTaTest, AllSchedulingPoliciesProduceIdenticalWeights) {
   auto pre_out = ta2.Generate("abc def", 6);
   ASSERT_TRUE(pre_out.ok());
   EXPECT_EQ(fifo_out->output_tokens, pre_out->output_tokens);
+}
+
+// The default KV pool holds every session's full context in WHOLE pages: a
+// max_ctx that is not a multiple of kv_page_positions rounds each slot up
+// instead of leaving the pool a page short of one full context (which
+// LoadModel rejects). Generation then runs into the partial last page and
+// still matches the standalone-cache reference engine token for token.
+TEST(LlmTaKvPoolTest, DefaultPoolRoundsEachSlotUpToWholePages) {
+  for (const int sessions : {1, 3}) {
+    SCOPED_TRACE("max_sessions=" + std::to_string(sessions));
+    RuntimeConfig config;
+    config.model = TestSmallModel();
+    config.model.max_ctx = 100;  // 6.25 pages of the default 16 positions.
+    config.system = SystemKind::kTzLlm;
+    config.materialize_model = true;
+    config.engine.max_sessions = sessions;
+    SocPlatform plat;
+    SystemRuntime runtime(&plat, config);
+    ASSERT_TRUE(runtime.Setup().ok());
+    auto ta = runtime.CreateFunctionalTa();
+    ASSERT_TRUE(ta.ok());
+    const Status loaded = (*ta)->LoadModel(runtime.spec().config().name);
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+    EXPECT_EQ((*ta)->kv_arena()->pool()->frames(), sessions * 7);
+
+    // A budget past the context window: generation stops at max_ctx (or
+    // EOS), with its last positions in the partial seventh page.
+    constexpr char kPrompt[] = "whole pages for a partial context";
+    auto out = (*ta)->Generate(kPrompt, 128);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    auto reference = LlmEngine::CreateUnprotected(runtime.spec(), 0xC0FFEE)
+                         ->Generate(kPrompt, 128);
+    ASSERT_TRUE(reference.ok());
+    EXPECT_EQ(out->output_tokens, reference->output_tokens);
+  }
 }
 
 }  // namespace

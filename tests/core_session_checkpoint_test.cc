@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/core/runtime.h"
@@ -183,11 +184,8 @@ TEST(SessionCheckpointTest, NpuOffloadSessionSurvivesCheckpointRestore) {
   EXPECT_EQ(resumed->output_tokens, reference.output_tokens);
 }
 
-// Deliberately exercises the LEGACY no-argument shims (the pre-handle API):
-// one implicit session, the un-suffixed "<model>.sess.ckpt" flash id. The
-// tamper detection itself is blob-layout-independent (CheckpointService's
-// integrity tag fails the unseal), so this doubles as the shim-surface
-// regression test.
+// The tamper detection is blob-layout-independent: CheckpointService's
+// integrity tag fails the unseal before the session blob is parsed.
 TEST(SessionCheckpointTest, TamperedCheckpointDetectedOnRestore) {
   SocPlatform plat;
   SystemRuntime runtime(&plat, FunctionalConfig(false));
@@ -195,19 +193,21 @@ TEST(SessionCheckpointTest, TamperedCheckpointDetectedOnRestore) {
   auto ta = runtime.CreateFunctionalTa();
   ASSERT_TRUE(ta.ok());
   ASSERT_TRUE((*ta)->LoadModel(runtime.spec().config().name).ok());
-  ASSERT_TRUE((*ta)->BeginSession(kPrompt, kBudget).ok());
-  ASSERT_TRUE((*ta)->StepSession(kStepsBeforeCheckpoint).ok());
-  ASSERT_TRUE((*ta)->CheckpointSession().ok());
+  auto sid = (*ta)->BeginSession(kPrompt, kBudget);
+  ASSERT_TRUE(sid.ok());
+  ASSERT_TRUE((*ta)->StepSession(*sid, kStepsBeforeCheckpoint).ok());
+  ASSERT_TRUE((*ta)->CheckpointSession(*sid).ok());
 
   // Untrusted flash flips bytes inside the sealed blob: restore must fail
   // with kDataCorruption, never resume a corrupted session.
-  const std::string file =
-      runtime.spec().config().name + std::string(".sess.ckpt");
+  const std::string file = runtime.spec().config().name + ".sess." +
+                           std::to_string(*sid) + ".ckpt";
   ASSERT_TRUE(plat.flash().CorruptBytes(file, /*offset=*/64, /*len=*/8).ok());
-  const Status restore = (*ta)->RestoreSession();
+  const auto restore = (*ta)->RestoreSession(*sid);
   ASSERT_FALSE(restore.ok());
-  EXPECT_EQ(restore.code(), ErrorCode::kDataCorruption);
-  EXPECT_FALSE((*ta)->session_active());
+  EXPECT_EQ(restore.status().code(), ErrorCode::kDataCorruption);
+  EXPECT_FALSE((*ta)->session_active(*sid));
+  EXPECT_EQ((*ta)->open_sessions(), 0);
 }
 
 TEST(SessionCheckpointTest, SessionApiRejectsMisuse) {
@@ -222,23 +222,30 @@ TEST(SessionCheckpointTest, SessionApiRejectsMisuse) {
             ErrorCode::kFailedPrecondition);
   ASSERT_TRUE((*ta)->LoadModel(runtime.spec().config().name).ok());
 
-  // No session yet: stepping, finishing, checkpointing all fail closed —
-  // both the legacy shims and a stale handle.
-  EXPECT_EQ((*ta)->StepSession(1).status().code(),
+  // No session yet: a handle that names no open session fails closed for
+  // every call — prefilling, stepping, decoding, finishing, abandoning,
+  // snapshotting and checkpointing.
+  const SessionId stale{99};
+  EXPECT_EQ((*ta)->PrefillSessionChunk(stale).status().code(),
             ErrorCode::kFailedPrecondition);
-  EXPECT_EQ((*ta)->FinishSession().status().code(),
+  EXPECT_EQ((*ta)->StepSession(stale, 1).status().code(),
             ErrorCode::kFailedPrecondition);
-  EXPECT_EQ((*ta)->CheckpointSession().code(),
+  EXPECT_EQ((*ta)->DecodeSessions({stale}).code(),
             ErrorCode::kFailedPrecondition);
-  EXPECT_EQ((*ta)->StepSession(SessionId{99}, 1).status().code(),
+  EXPECT_EQ((*ta)->FinishSession(stale).status().code(),
             ErrorCode::kFailedPrecondition);
-  EXPECT_EQ((*ta)->AbandonSession(SessionId{99}).code(),
+  EXPECT_EQ((*ta)->AbandonSession(stale).code(),
             ErrorCode::kFailedPrecondition);
-  EXPECT_FALSE((*ta)->session_active(SessionId{99}));
-  EXPECT_TRUE((*ta)->session_done(SessionId{99}));
-  EXPECT_FALSE((*ta)->HasSessionCheckpoint());
+  EXPECT_EQ((*ta)->SnapshotSession(stale).code(),
+            ErrorCode::kFailedPrecondition);
+  EXPECT_EQ((*ta)->CheckpointSession(stale).code(),
+            ErrorCode::kFailedPrecondition);
+  EXPECT_FALSE((*ta)->session_active(stale));
+  EXPECT_TRUE((*ta)->session_done(stale));
+  EXPECT_FALSE((*ta)->HasSessionCheckpoint(stale));
   // Restoring with no checkpoint on flash is NotFound, not a crash.
-  EXPECT_FALSE((*ta)->RestoreSession().ok());
+  EXPECT_EQ((*ta)->RestoreSession(stale).status().code(),
+            ErrorCode::kNotFound);
 
   // With the default max_sessions == 1 a second Begin keeps the legacy
   // "already active" rejection while a session is open.
@@ -249,7 +256,8 @@ TEST(SessionCheckpointTest, SessionApiRejectsMisuse) {
   EXPECT_EQ((*ta)->open_sessions(), 1);
   EXPECT_EQ((*ta)->free_session_slots(), 0);
   ASSERT_TRUE((*ta)->FinishSession(*sid).ok());
-  EXPECT_FALSE((*ta)->session_active());
+  EXPECT_FALSE((*ta)->session_active(*sid));
+  EXPECT_EQ((*ta)->open_sessions(), 0);
   // The handle is dead after Finish: stepping it fails closed.
   EXPECT_EQ((*ta)->StepSession(*sid, 1).status().code(),
             ErrorCode::kFailedPrecondition);

@@ -102,9 +102,9 @@ TEST_F(KvCacheTest, AppendBatchMatchesSequentialAppends) {
   }
 }
 
-TEST_F(KvCacheTest, FlatArenaIsContiguousPerLayer) {
-  // The whole point of the arena layout: consecutive positions of a layer
-  // are adjacent in memory (attention walks sequential cache lines).
+TEST_F(KvCacheTest, StandaloneCacheIsContiguousPerLayer) {
+  // The whole point of the one-page layout: consecutive positions of a
+  // layer are adjacent in memory (attention walks sequential cache lines).
   std::vector<float> zeros(2 * kv_dim(), 0.0f);
   ASSERT_TRUE(kv_.AppendBatch(1, 2, zeros.data(), zeros.data()).ok());
   EXPECT_EQ(kv_.KeyHalfAt(1, 1), kv_.KeyHalfAt(1, 0) + kv_dim());

@@ -1,11 +1,12 @@
-// Paged KV cache (ISSUE 9): pool-backed page tables must change WHERE the
-// cache bytes live, never their values — logits and greedy tokens stay
-// bit-identical to the flat arena across page hops, encrypted REE spill +
-// restore, copy-on-write forks off a shared prefix, and over-subscribed
-// serving. Tampering with a spilled page in REE memory fails closed with
-// kDataCorruption (the PR 6 checkpoint contract), and the accounting
-// (CurrentBytes resident-only, BudgetBytes == ArenaBytes) stays truthful in
-// every storage x paging mode.
+// Paged KV cache: the page size must change WHERE the cache bytes live,
+// never their values — rows, logits and greedy tokens stay bit-identical to
+// the standalone one-page cache (max_ctx positions per page) across page
+// hops, partial last pages, encrypted REE spill + restore, copy-on-write
+// forks off a shared prefix, and over-subscribed serving. Tampering with a
+// spilled page in REE memory fails closed with kDataCorruption (the session
+// checkpoint contract), and the accounting (CurrentBytes resident-only,
+// BudgetBytes == ArenaBytes) stays truthful at every storage width and page
+// geometry.
 
 #include "src/llm/kv_cache.h"
 
@@ -42,24 +43,36 @@ class PagedKvTest : public ::testing::Test {
   int n_layers() const { return spec_.config().n_layers; }
   int max_ctx() const { return spec_.config().max_ctx; }
 
-  KvPagePoolOptions PoolOpts(int frames, bool spill = true) const {
+  KvPagePoolOptions PoolOpts(int frames, bool spill = true,
+                             int page_positions = kPagePositions) const {
     KvPagePoolOptions o;
-    o.page_positions = kPagePositions;
+    o.page_positions = page_positions;
     o.pool_bytes = frames * KvPagePool::PageBytes(spec_, KvStorage::kF16,
-                                                  kPagePositions);
+                                                  page_positions);
     o.spill = spill;
     o.spill_key = TestSpillKey();
     return o;
   }
 
-  // Deterministic small-integer rows: exactly representable at f16, so
-  // every comparison below is equality, not tolerance. `salt` distinguishes
-  // sessions.
+  // The page geometries every layout test sweeps: single-position pages, a
+  // size that does not divide max_ctx (so the last page is partial), the
+  // default test page, and one whole-context page (the standalone layout).
+  std::vector<int> PageSizes() const {
+    return {1, 3, kPagePositions, max_ctx()};
+  }
+  int PagesPerContext(int page_positions) const {
+    return (max_ctx() + page_positions - 1) / page_positions;
+  }
+
+  // Deterministic small-integer rows: every magnitude stays below 2048, so
+  // each value is exactly representable at f16 up to a full max_ctx fill
+  // and every comparison below is equality, not tolerance. K and V differ
+  // in sign; `salt` distinguishes sessions.
   float KVal(int layer, int pos, int i, float salt = 0.0f) const {
-    return 100.0f * layer + 10.0f * pos + i % 7 + salt;
+    return 1000.0f * layer + 7.0f * pos + i % 7 + salt;
   }
   float VVal(int layer, int pos, int i, float salt = 0.0f) const {
-    return 1000.0f + KVal(layer, pos, i, salt);
+    return -1.0f - KVal(layer, pos, i, salt);
   }
 
   void AppendPosition(KvCache* c, int pos, float salt = 0.0f) const {
@@ -98,7 +111,8 @@ class PagedKvTest : public ::testing::Test {
   // executor's pin does this in production).
   void ExpectRowResident(KvCache* c, KvPagePool* pool, int layer, int pos,
                          float salt = 0.0f) const {
-    ASSERT_TRUE(pool->EnsureResident(c->pages()[pos / kPagePositions]).ok());
+    ASSERT_TRUE(
+        pool->EnsureResident(c->pages()[pos / c->page_positions()]).ok());
     ExpectRow(*c, layer, pos, salt);
   }
 
@@ -249,40 +263,56 @@ TEST_F(PagedKvTest, LastUnrefScrubsAndRecyclesTheFrame) {
   }
 }
 
-// --- Paged cache vs flat cache. -------------------------------------------
+// --- Page geometry vs the one-page cache. ---------------------------------
 
-TEST_F(PagedKvTest, PagedRowsMatchFlatBitExactly) {
-  KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(16));
-  KvCache flat(spec_);
-  KvCache paged(spec_, &pool, KvStorage::kF16, nullptr);
-  EXPECT_FALSE(flat.paged());
-  EXPECT_TRUE(paged.paged());
+TEST_F(PagedKvTest, PagedRowsMatchOnePageCacheBitExactly) {
+  // The standalone cache is one max_ctx-position page: one contiguous run
+  // per plane, the flat [layer][pos][kv_dim] layout.
+  KvCache one_page(spec_);
+  EXPECT_EQ(one_page.page_positions(), max_ctx());
+  EXPECT_EQ(one_page.RunLen(0), max_ctx());
+  EXPECT_EQ(one_page.ArenaBytes(), spec_.KvCacheBytes(max_ctx()));
+  // The whole context, so the last page is partial wherever the page size
+  // does not divide max_ctx.
+  const int positions = max_ctx();
+  FillCache(&one_page, positions);
+  EXPECT_EQ(one_page.PageCount(), 1);
 
-  const int positions = 10;  // 2 full pages + a partial third.
-  FillCache(&flat, positions);
-  FillCache(&paged, positions);
-  EXPECT_EQ(paged.PageCount(), 3);
+  for (const int pp : PageSizes()) {
+    SCOPED_TRACE("page_positions=" + std::to_string(pp));
+    const int pages = PagesPerContext(pp);
+    KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(pages, true, pp));
+    KvCache paged(spec_, &pool, KvStorage::kF16, nullptr);
+    FillCache(&paged, positions);
+    EXPECT_EQ(paged.PageCount(), pages);
+    EXPECT_EQ(paged.ArenaBytes(), pages * pool.page_bytes());
+    EXPECT_EQ(pool.stats().spills, 0u);
 
-  for (int l = 0; l < n_layers(); ++l) {
+    for (int l = 0; l < n_layers(); ++l) {
+      for (int p = 0; p < positions; ++p) {
+        ASSERT_EQ(std::memcmp(paged.KeyHalfAt(l, p), one_page.KeyHalfAt(l, p),
+                              kv_dim() * sizeof(uint16_t)),
+                  0)
+            << "K layer " << l << " pos " << p;
+        ASSERT_EQ(std::memcmp(paged.ValueHalfAt(l, p),
+                              one_page.ValueHalfAt(l, p),
+                              kv_dim() * sizeof(uint16_t)),
+                  0)
+            << "V layer " << l << " pos " << p;
+      }
+    }
+
+    // The attend hop contract: runs end at page boundaries (the partial
+    // last page included), and rows inside a run are adjacent.
     for (int p = 0; p < positions; ++p) {
-      EXPECT_EQ(std::memcmp(paged.KeyHalfAt(l, p), flat.KeyHalfAt(l, p),
-                            kv_dim() * sizeof(uint16_t)),
-                0)
-          << "K layer " << l << " pos " << p;
-      EXPECT_EQ(std::memcmp(paged.ValueHalfAt(l, p), flat.ValueHalfAt(l, p),
-                            kv_dim() * sizeof(uint16_t)),
-                0)
-          << "V layer " << l << " pos " << p;
+      const int run = paged.RunLen(p);
+      ASSERT_EQ(run, pp - p % pp) << "pos " << p;
+      if (p + 1 < positions && run > 1) {
+        ASSERT_EQ(paged.KeyHalfAt(1, p + 1), paged.KeyHalfAt(1, p) + kv_dim())
+            << "pos " << p;
+      }
     }
   }
-
-  // The attend hop contract: flat is one max_ctx-long run; paged runs end
-  // at page boundaries, and rows inside a run are adjacent.
-  EXPECT_EQ(flat.RunLen(0), max_ctx());
-  EXPECT_EQ(paged.RunLen(0), kPagePositions);
-  EXPECT_EQ(paged.RunLen(kPagePositions - 1), 1);
-  EXPECT_EQ(paged.RunLen(kPagePositions), kPagePositions);
-  EXPECT_EQ(paged.KeyHalfAt(0, 1), paged.KeyHalfAt(0, 0) + kv_dim());
 }
 
 TEST_F(PagedKvTest, PagedF32ReferenceModeStoresExactFloats) {
@@ -418,80 +448,95 @@ TEST_F(PagedKvTest, CowPrivatizesTheForkPageAndIsolatesSessions) {
     ExpectRowResident(&b, &pool, l, 6, /*salt=*/5.0f);
   }
 
-  // Scrubbing A releases only its references: the still-shared page 0
+  // Resetting A releases only its references: the still-shared page 0
   // survives for B, A's private page 1 frame returns to the pool.
   const KvPageId shared = a.pages()[0];
   const int free_before = pool.free_frames();
-  a.Scrub();
+  a.Reset();
   EXPECT_EQ(pool.refcount(shared), 1);
   EXPECT_GT(pool.free_frames(), free_before);
   ExpectRowResident(&b, &pool, 1, 3);
 }
 
-// --- Checkpoints move between flat and paged caches. ----------------------
+// --- Checkpoints move between page geometries. ----------------------------
 
-TEST_F(PagedKvTest, CheckpointMovesBetweenFlatAndPagedModes) {
+TEST_F(PagedKvTest, CheckpointMovesBetweenPageGeometries) {
   // Serialize out of a spilling paged cache (the gather crosses restores),
-  // restore into a flat cache, then back into a roomier paged cache.
+  // restore into the one-page cache, then into a cache at every page size.
+  // The snapshot format is page-size independent: every cache re-serializes
+  // to the same bytes.
+  const int positions = max_ctx();
   KvPagePool tight(spec_, KvStorage::kF16, PoolOpts(2));
-  KvCache paged(spec_, &tight, KvStorage::kF16, nullptr);
-  const int positions = 3 * kPagePositions;
-  FillCache(&paged, positions);
+  KvCache spilling(spec_, &tight, KvStorage::kF16, nullptr);
+  FillCache(&spilling, positions);
+  EXPECT_GT(tight.stats().spills, 0u);
 
   std::vector<uint8_t> blob;
-  ASSERT_TRUE(paged.SerializeState(&blob).ok());
+  ASSERT_TRUE(spilling.SerializeState(&blob).ok());
 
-  KvCache flat(spec_);
-  ASSERT_TRUE(flat.RestoreState(blob.data(), blob.size()).ok());
-  EXPECT_EQ(flat.seq_len(), positions);
+  KvCache one_page(spec_);
+  ASSERT_TRUE(one_page.RestoreState(blob.data(), blob.size()).ok());
+  EXPECT_EQ(one_page.seq_len(), positions);
   for (int p = 0; p < positions; ++p) {
     for (int l = 0; l < n_layers(); ++l) {
-      ExpectRow(flat, l, p);
+      ExpectRow(one_page, l, p);
     }
   }
+  std::vector<uint8_t> one_page_blob;
+  ASSERT_TRUE(one_page.SerializeState(&one_page_blob).ok());
+  EXPECT_EQ(one_page_blob, blob);
 
-  std::vector<uint8_t> blob2;
-  ASSERT_TRUE(flat.SerializeState(&blob2).ok());
-  KvPagePool roomy(spec_, KvStorage::kF16, PoolOpts(4));
-  KvCache paged2(spec_, &roomy, KvStorage::kF16, nullptr);
-  ASSERT_TRUE(paged2.RestoreState(blob2.data(), blob2.size()).ok());
-  EXPECT_EQ(paged2.seq_len(), positions);
-  for (int p = 0; p < positions; ++p) {
-    for (int l = 0; l < n_layers(); ++l) {
-      ExpectRowResident(&paged2, &roomy, l, p);
+  for (const int pp : PageSizes()) {
+    SCOPED_TRACE("page_positions=" + std::to_string(pp));
+    KvPagePool roomy(spec_, KvStorage::kF16,
+                     PoolOpts(PagesPerContext(pp), true, pp));
+    KvCache restored(spec_, &roomy, KvStorage::kF16, nullptr);
+    ASSERT_TRUE(
+        restored.RestoreState(one_page_blob.data(), one_page_blob.size())
+            .ok());
+    EXPECT_EQ(restored.seq_len(), positions);
+    EXPECT_EQ(restored.PageCount(), PagesPerContext(pp));
+    for (int p = 0; p < positions; ++p) {
+      for (int l = 0; l < n_layers(); ++l) {
+        ExpectRowResident(&restored, &roomy, l, p);
+      }
     }
+    std::vector<uint8_t> again;
+    ASSERT_TRUE(restored.SerializeState(&again).ok());
+    EXPECT_EQ(again, blob);
   }
 }
 
 // --- Arena accounting agreement. ------------------------------------------
 
-TEST_F(PagedKvTest, ArenaBudgetBytesMatchesConstructionInEveryMode) {
+TEST_F(PagedKvTest, ArenaBudgetBytesMatchesConstructionAtEveryGeometry) {
   for (const KvStorage storage : {KvStorage::kF16, KvStorage::kF32}) {
-    for (const bool paged : {false, true}) {
+    for (const int pp : PageSizes()) {
       KvArenaOptions o;
       o.slots = 3;
       o.storage = storage;
-      o.paged = paged;
-      o.pool.page_positions = kPagePositions;
+      o.pool.page_positions = pp;
       o.pool.spill_key = TestSpillKey();
       KvArena arena(spec_, o);
       // The scratch budget the TA carves (BudgetBytes) is EXACTLY what the
-      // constructed arena reports — no drift in any storage x paging mode.
+      // constructed arena reports — no drift at any width or page size.
       EXPECT_EQ(KvArena::BudgetBytes(spec_, o), arena.ArenaBytes())
-          << "storage=" << static_cast<int>(storage) << " paged=" << paged;
-      EXPECT_EQ(arena.paged(), paged);
+          << "storage=" << static_cast<int>(storage) << " pp=" << pp;
+      // pool_bytes == 0 holds every slot's full context in whole pages,
+      // rounding a partial last page up.
+      EXPECT_EQ(arena.pool()->frames(), 3 * PagesPerContext(pp))
+          << "storage=" << static_cast<int>(storage) << " pp=" << pp;
+      EXPECT_EQ(arena.SlotBytes(), arena.cache(0)->ArenaBytes());
     }
   }
 
-  // pool_bytes == 0 means "the flat budget": turning paging on does not
-  // grow (or shrink) the secure scratch region.
-  KvArenaOptions flat_opts;
-  flat_opts.slots = 3;
-  KvArenaOptions paged_opts = flat_opts;
-  paged_opts.paged = true;
+  // Where the page size divides max_ctx the default budget is exactly
+  // slots x the standalone cache's full-context bytes.
+  KvArenaOptions paged_opts;
+  paged_opts.slots = 3;
   paged_opts.pool.page_positions = kPagePositions;
   EXPECT_EQ(KvArena::BudgetBytes(spec_, paged_opts),
-            KvArena::BudgetBytes(spec_, flat_opts));
+            3 * KvCache(spec_).ArenaBytes());
 
   // An explicit sub-page-multiple budget rounds down to whole frames, and
   // BudgetBytes tracks the rounding.
@@ -508,7 +553,6 @@ TEST_F(PagedKvTest, ArenaBudgetBytesMatchesConstructionInEveryMode) {
 TEST_F(PagedKvTest, PrefixRegistryAdoptRegisterAndEvict) {
   KvArenaOptions o;
   o.slots = 2;
-  o.paged = true;
   o.pool.page_positions = kPagePositions;
   o.pool.spill_key = TestSpillKey();
   o.prefix_entries = 2;
@@ -597,7 +641,10 @@ const std::vector<std::string>& EnginePrompts() {
   return prompts;
 }
 
-RuntimeConfig EngineConfig(int max_sessions, bool paged, bool force_scalar) {
+// `one_page` is the reference geometry: one max_ctx-position page per
+// session (the standalone cache's layout) and no prefix sharing.
+RuntimeConfig EngineConfig(int max_sessions, bool one_page,
+                           bool force_scalar) {
   RuntimeConfig config;
   config.model = TestSmallModel();
   // A small context keeps per-session page tables short enough that a tiny
@@ -609,14 +656,17 @@ RuntimeConfig EngineConfig(int max_sessions, bool paged, bool force_scalar) {
   config.engine.prefill_batch = 8;
   config.engine.max_sessions = max_sessions;
   config.engine.force_scalar = force_scalar;
-  config.engine.paged_kv = paged;
-  config.engine.kv_page_positions = 8;
+  config.engine.kv_page_positions = one_page ? config.model.max_ctx : 8;
+  if (one_page) {
+    config.engine.kv_prefix_entries = 0;
+  }
   return config;
 }
 
-std::vector<GenerationResult> FlatSoloRuns(bool force_scalar) {
+std::vector<GenerationResult> OnePageSoloRuns(bool force_scalar) {
   SocPlatform plat;
-  SystemRuntime runtime(&plat, EngineConfig(1, /*paged=*/false, force_scalar));
+  SystemRuntime runtime(&plat,
+                        EngineConfig(1, /*one_page=*/true, force_scalar));
   EXPECT_TRUE(runtime.Setup().ok());
   auto ta = runtime.CreateFunctionalTa();
   EXPECT_TRUE(ta.ok());
@@ -699,12 +749,12 @@ void ExpectIdentical(const std::vector<GenerationResult>& solo,
 
 class PagedEngineParityTest : public ::testing::TestWithParam<bool> {};
 
-TEST_P(PagedEngineParityTest, PagedSessionsMatchFlatSoloBitIdentically) {
+TEST_P(PagedEngineParityTest, PagedSessionsMatchOnePageSoloBitIdentically) {
   const bool force_scalar = GetParam();
-  const auto solo = FlatSoloRuns(force_scalar);
+  const auto solo = OnePageSoloRuns(force_scalar);
   const auto paged = PagedConcurrentRun(
-      EngineConfig(static_cast<int>(EnginePrompts().size()), /*paged=*/true,
-                   force_scalar),
+      EngineConfig(static_cast<int>(EnginePrompts().size()),
+                   /*one_page=*/false, force_scalar),
       nullptr, nullptr, nullptr, nullptr);
   ExpectIdentical(solo, paged);
 }
@@ -720,10 +770,10 @@ TEST(PagedEngineSpillTest, OverSubscribedPoolSpillsWithoutChangingTokens) {
   // Three concurrent sessions over a pool that holds exactly one session's
   // full context (the LoadModel floor): cold pages MUST spill to REE memory
   // and restore on demand, and not a single token may change.
-  const auto solo = FlatSoloRuns(/*force_scalar=*/false);
+  const auto solo = OnePageSoloRuns(/*force_scalar=*/false);
 
   RuntimeConfig config = EngineConfig(
-      static_cast<int>(EnginePrompts().size()), /*paged=*/true, false);
+      static_cast<int>(EnginePrompts().size()), /*one_page=*/false, false);
   const ModelSpec spec = ModelSpec::Create(config.model);
   config.engine.kv_pool_bytes =
       (config.model.max_ctx / config.engine.kv_page_positions) *
@@ -749,11 +799,11 @@ TEST(PagedEnginePrefixTest, SharedPrefixAdoptionKeepsTokensIdentical) {
   const std::string p2 = preamble + "beta query";
   constexpr int kPrefixBudget = 8;
 
-  // Flat reference: each prompt alone, no sharing possible.
-  std::vector<GenerationResult> flat;
+  // One-page reference: each prompt alone, no sharing possible.
+  std::vector<GenerationResult> reference;
   {
     SocPlatform plat;
-    SystemRuntime runtime(&plat, EngineConfig(1, /*paged=*/false, false));
+    SystemRuntime runtime(&plat, EngineConfig(1, /*one_page=*/true, false));
     ASSERT_TRUE(runtime.Setup().ok());
     auto ta = runtime.CreateFunctionalTa();
     ASSERT_TRUE(ta.ok());
@@ -761,7 +811,7 @@ TEST(PagedEnginePrefixTest, SharedPrefixAdoptionKeepsTokensIdentical) {
     for (const std::string& prompt : {p1, p2}) {
       auto result = (*ta)->Generate(prompt, kPrefixBudget);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
-      flat.push_back(*result);
+      reference.push_back(*result);
     }
   }
 
@@ -769,7 +819,7 @@ TEST(PagedEnginePrefixTest, SharedPrefixAdoptionKeepsTokensIdentical) {
   // shareable prefix; admitting p2 adopts the common pages and prefills
   // only the divergent tail. TTFT work shrinks, tokens do not move.
   SocPlatform plat;
-  SystemRuntime runtime(&plat, EngineConfig(1, /*paged=*/true, false));
+  SystemRuntime runtime(&plat, EngineConfig(1, /*one_page=*/false, false));
   ASSERT_TRUE(runtime.Setup().ok());
   auto ta = runtime.CreateFunctionalTa();
   ASSERT_TRUE(ta.ok());
@@ -777,11 +827,11 @@ TEST(PagedEnginePrefixTest, SharedPrefixAdoptionKeepsTokensIdentical) {
 
   auto r1 = (*ta)->Generate(p1, kPrefixBudget);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  EXPECT_EQ(r1->output_tokens, flat[0].output_tokens);
+  EXPECT_EQ(r1->output_tokens, reference[0].output_tokens);
 
   auto r2 = (*ta)->Generate(p2, kPrefixBudget);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-  EXPECT_EQ(r2->output_tokens, flat[1].output_tokens);
+  EXPECT_EQ(r2->output_tokens, reference[1].output_tokens);
 
   const KvArena::PrefixStats& stats = (*ta)->kv_arena()->prefix_stats();
   EXPECT_GE(stats.hits, 1u);

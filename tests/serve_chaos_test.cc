@@ -50,7 +50,6 @@ RuntimeConfig PagedChaosConfig(const std::string& plan) {
   config.engine.prefill_batch = 8;
   config.engine.max_sessions = kSessions;
   config.engine.serve_eviction = ServeEvictPolicy::kNone;
-  config.engine.paged_kv = true;
   config.engine.kv_page_positions = kPagePositions;
   config.engine.kv_pool_bytes =
       ModelSpec::Create(config.model).KvCacheBytes(kMaxCtx);
@@ -62,8 +61,10 @@ RuntimeConfig PagedChaosConfig(const std::string& plan) {
   return config;
 }
 
-RuntimeConfig FlatConfig(int max_sessions, ServeEvictPolicy eviction,
-                         const std::string& plan = "") {
+// Every admitted session fully resident: the pool at its default budget and
+// no prefix sharing, so extra demand queues or is evicted whole.
+RuntimeConfig ResidentConfig(int max_sessions, ServeEvictPolicy eviction,
+                             const std::string& plan = "") {
   RuntimeConfig config;
   config.model = ChaosModel();
   config.system = SystemKind::kTzLlm;
@@ -71,16 +72,16 @@ RuntimeConfig FlatConfig(int max_sessions, ServeEvictPolicy eviction,
   config.engine.prefill_batch = 8;
   config.engine.max_sessions = max_sessions;
   config.engine.serve_eviction = eviction;
-  config.engine.paged_kv = false;
+  config.engine.kv_prefix_entries = 0;
   config.engine.serve_fault_plan = plan;
   return config;
 }
 
-// Each prompt generated alone on a flat single-session engine — the
-// identity reference (flat vs paged never changes a logit).
+// Each prompt generated alone on a single-session engine — the identity
+// reference (page size, spill and sharing never change a logit).
 std::vector<std::vector<TokenId>> SoloRuns() {
   SocPlatform plat;
-  SystemRuntime runtime(&plat, FlatConfig(1, ServeEvictPolicy::kNone));
+  SystemRuntime runtime(&plat, ResidentConfig(1, ServeEvictPolicy::kNone));
   EXPECT_TRUE(runtime.Setup().ok());
   auto ta = runtime.CreateFunctionalTa();
   EXPECT_TRUE(ta.ok());
@@ -170,7 +171,7 @@ TEST(ServeChaosTest, CkptDropRestartsEvicteeIdentically) {
   SocPlatform plat;
   SystemRuntime runtime(
       &plat,
-      FlatConfig(2, ServeEvictPolicy::kPriority, "ckpt_drop@1x1000000"));
+      ResidentConfig(2, ServeEvictPolicy::kPriority, "ckpt_drop@1x1000000"));
   ASSERT_TRUE(runtime.Setup().ok());
   auto ta = runtime.CreateFunctionalTa();
   ASSERT_TRUE(ta.ok());
@@ -216,7 +217,8 @@ TEST(ServeChaosTest, TaCrashRecoverResumesFleetIdentically) {
   // after at least one auto-checkpoint round. The plan re-arms on every
   // reboot, so recovery itself may crash again — loop until a round
   // outruns the crash tick.
-  RuntimeConfig config = FlatConfig(2, ServeEvictPolicy::kNone, "ta_crash@10");
+  RuntimeConfig config =
+      ResidentConfig(2, ServeEvictPolicy::kNone, "ta_crash@10");
   config.engine.serve_checkpoint_every_n_ticks = 4;
   SocPlatform plat;
   SystemRuntime runtime(&plat, config);
@@ -289,7 +291,7 @@ TEST(ServeChaosTest, TaCrashRecoverResumesFleetIdentically) {
 // --- Overload valves: queue bound, deadline shedding, watchdog. -----------
 
 TEST(ServeChaosTest, QueueBoundRejectsWithUnavailable) {
-  RuntimeConfig config = FlatConfig(1, ServeEvictPolicy::kNone);
+  RuntimeConfig config = ResidentConfig(1, ServeEvictPolicy::kNone);
   config.engine.serve_queue_max = 2;
   SocPlatform plat;
   SystemRuntime runtime(&plat, config);
@@ -318,7 +320,7 @@ TEST(ServeChaosTest, QueueBoundRejectsWithUnavailable) {
 
 TEST(ServeChaosTest, DeadlineTicksShedsQueuedRequest) {
   SocPlatform plat;
-  SystemRuntime runtime(&plat, FlatConfig(1, ServeEvictPolicy::kNone));
+  SystemRuntime runtime(&plat, ResidentConfig(1, ServeEvictPolicy::kNone));
   ASSERT_TRUE(runtime.Setup().ok());
   auto ta = runtime.CreateFunctionalTa();
   ASSERT_TRUE(ta.ok());
@@ -353,7 +355,7 @@ TEST(ServeChaosTest, DeadlineTicksShedsQueuedRequest) {
 }
 
 TEST(ServeChaosTest, WatchdogSurfacesStuckScheduler) {
-  RuntimeConfig config = FlatConfig(1, ServeEvictPolicy::kNone);
+  RuntimeConfig config = ResidentConfig(1, ServeEvictPolicy::kNone);
   config.engine.serve_watchdog_ticks = 3;
   SocPlatform plat;
   SystemRuntime runtime(&plat, config);
@@ -381,7 +383,7 @@ TEST(ServeChaosTest, WatchdogSurfacesStuckScheduler) {
 
 TEST(ServeChaosTest, WatchdogOffKeepsImmediateInternalError) {
   SocPlatform plat;
-  SystemRuntime runtime(&plat, FlatConfig(1, ServeEvictPolicy::kNone));
+  SystemRuntime runtime(&plat, ResidentConfig(1, ServeEvictPolicy::kNone));
   ASSERT_TRUE(runtime.Setup().ok());
   auto ta = runtime.CreateFunctionalTa();
   ASSERT_TRUE(ta.ok());
