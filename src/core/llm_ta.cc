@@ -262,11 +262,9 @@ Status LlmTa::RestoreParameters(SchedulePolicy policy) {
   // false: the plan prices prefill compute ops at NPU rates exactly when
   // the configuration routes prefill there. npu_ctx_bytes_ is nonzero
   // exactly when LoadModel decided NPU prefill is active (driver wired,
-  // npu_prefill set, not forced onto the per-position CPU path) — one
-  // predicate, no second spelling to drift. The plan is nominal per model
-  // (n_tokens=16 below), so per-request divergence — e.g. a single-token
-  // prompt taking the per-position CPU path — is outside its scope either
-  // way.
+  // npu_prefill_active()) — one predicate, no second spelling to drift.
+  // The plan is nominal per model (n_tokens=16 below); per-request prompt
+  // lengths are outside its scope.
   options.npu_available = npu_ctx_bytes_ > 0;
   options.decrypt = true;
   options.preemptible = policy == SchedulePolicy::kPriorityPreemptive;
@@ -389,6 +387,7 @@ Status LlmTa::RecoverLostKv(const std::vector<Session*>& sessions,
     std::set<int> pending;
     uint64_t healed = 0;
     std::vector<TokenId> span;
+    const int quantum = std::max(1, engine_options_.prefill_batch);
     auto absorb = [&](const std::vector<int>& found) -> Status {
       // A registry entry holding a lost page would hand zeros to the next
       // AdoptPrefix — invalidate those before detaching anything.
@@ -440,13 +439,19 @@ Status LlmTa::RecoverLostKv(const std::vector<Session*>& sessions,
                                       : s->output_tokens[p - prompt_len]);
       }
       // Rewind the fill marks to the lost range and run the standard
-      // chunked prefill over it: ForwardChunk takes its RoPE start from the
-      // cache's seq_len, so the rows land at exactly positions [a, b) with
-      // the same floats the original pass produced (chunked prefill is
-      // bit-identical at any boundary — the house invariant).
+      // chunked prefill over it, in prefill quanta like every other prefill
+      // (an NPU job context holds prefill_batch positions): Forward takes
+      // its RoPE start from the cache's seq_len, so the rows land at exactly
+      // positions [a, b) with the same floats the original pass produced
+      // (chunked prefill is bit-identical at any boundary — the house
+      // invariant).
       TZLLM_RETURN_IF_ERROR(kv->RewindFill(a));
-      const Status refilled = executor_->PrefillChunk(
-          span.data(), b - a, s->per_position, kv, nullptr);
+      Status refilled;
+      for (int off = 0; off < b - a && refilled.ok(); off += quantum) {
+        const ForwardRow row{kv, span.data() + off,
+                             std::min(quantum, b - a - off), nullptr};
+        refilled = executor_->Forward(&row, 1, ForwardPhase::kPrefill);
+      }
       if (!refilled.ok()) {
         Status surface = refilled;
         if (refilled.code() == ErrorCode::kDataCorruption) {
@@ -543,11 +548,6 @@ Result<SessionId> LlmTa::AdmitSession(const std::string& prompt,
   // so adoption changes TTFT, never a logit.
   const int adopted = kv_arena_->AdoptPrefix(slot, s.prompt_tokens);
   s.prefill_pos = adopted;
-  // Mirror Prefill's dispatch exactly so the chunked prompt runs the same
-  // schedule the one-shot call would have.
-  s.per_position = engine_options_.use_reference_kernels ||
-                   engine_options_.prefill_batch <= 1 ||
-                   s.prompt_tokens.size() <= 1;
   s.remaining = max_new_tokens;
   s.sampling = sampling;
   s.sampler = std::make_unique<Sampler>(sampling);
@@ -573,10 +573,10 @@ Result<bool> LlmTa::PrefillSessionChunk(SessionId sid) {
   // Wrapped in KV recovery: a tampered/dropped REE spill blob surfaces as
   // kDataCorruption when the chunk pins the cache; the lost pages are then
   // re-prefilled from token history and the chunk reruns.
+  const ForwardRow row{kv, s->prompt_tokens.data() + s->prefill_pos, m,
+                       last ? s->logits.data() : nullptr};
   TZLLM_RETURN_IF_ERROR(RetryWithKvRecovery({s}, [&]() {
-    return executor_->PrefillChunk(
-        s->prompt_tokens.data() + s->prefill_pos, m, s->per_position, kv,
-        last ? s->logits.data() : nullptr);
+    return executor_->Forward(&row, 1, ForwardPhase::kPrefill);
   }));
   s->prefill_pos += m;
   if (last) {
@@ -642,24 +642,23 @@ Status LlmTa::DecodeSessions(const std::vector<SessionId>& sids) {
   const int group = engine_options_.decode_batch > 0
                         ? engine_options_.decode_batch
                         : static_cast<int>(batch.size());
-  std::vector<TransformerExecutor::DecodeEntry> entries;
+  std::vector<ForwardRow> rows;
   auto run_group = [&](size_t off, int n) -> Status {
-    entries.resize(n);
+    rows.resize(n);
     std::vector<Session*> group(batch.begin() + off, batch.begin() + off + n);
     for (int i = 0; i < n; ++i) {
       Session* s = group[i];
       // Same per-token order as the solo loop: emit, decode, then sample
       // the successor below.
       s->output_tokens.push_back(s->next_token);
-      entries[i].token = s->next_token;
-      entries[i].kv = kv_arena_->cache(s->slot);
-      entries[i].logits = s->logits.data();
+      rows[i] = {kv_arena_->cache(s->slot), &s->next_token, 1,
+                 s->logits.data()};
     }
     // Only the step itself is retried on a lost spill blob — the token
     // pushes above are not rerun (corruption surfaces at pin time, before
     // the step appends anything).
     TZLLM_RETURN_IF_ERROR(RetryWithKvRecovery(group, [&]() {
-      return executor_->DecodeStepBatch(entries.data(), n);
+      return executor_->Forward(rows.data(), n, ForwardPhase::kDecode);
     }));
     for (int i = 0; i < n; ++i) {
       Session* s = batch[off + i];
@@ -708,8 +707,9 @@ Result<int> LlmTa::StepSession(SessionId sid, int max_steps) {
     }
   }
   // Token-for-token the classic Generate loop: check stop conditions before
-  // emitting, decode the emitted token, then sample its successor.
-  KvCache* kv = kv_arena_->cache(s->slot);
+  // emitting, then a one-session DecodeSessions step emits, decodes and
+  // samples the successor.
+  const KvCache* kv = kv_arena_->cache(s->slot);
   int emitted = 0;
   while (emitted < max_steps && s->remaining > 0) {
     if (s->next_token == Tokenizer::kEos ||
@@ -717,12 +717,7 @@ Result<int> LlmTa::StepSession(SessionId sid, int max_steps) {
       s->done = true;
       break;
     }
-    s->output_tokens.push_back(s->next_token);
-    TZLLM_RETURN_IF_ERROR(RetryWithKvRecovery({s}, [&]() {
-      return executor_->DecodeStepInto(s->next_token, kv, s->logits.data());
-    }));
-    s->next_token = s->sampler->Sample(s->logits);
-    --s->remaining;
+    TZLLM_RETURN_IF_ERROR(DecodeSessions({sid}));
     ++emitted;
   }
   return emitted;
@@ -981,9 +976,6 @@ Result<SessionId> LlmTa::RestoreSession(SessionId sid) {
   s.done = done != 0;
   s.prefilled = prefilled != 0;
   s.prefill_pos = static_cast<int>(prefill_pos);
-  s.per_position = engine_options_.use_reference_kernels ||
-                   engine_options_.prefill_batch <= 1 ||
-                   s.prompt_tokens.size() <= 1;
   s.sampling.greedy = greedy != 0;
   s.sampling.top_k = static_cast<int>(top_k);
   std::memcpy(&s.sampling.temperature, &temp_bits,

@@ -99,11 +99,12 @@ class LlmTa {
                                  const Sampler::Options& sampling = {});
 
   // Advances an admitted session's prompt by one chunk of up to
-  // prefill_batch positions (the serving quantum). Chunk boundaries are
-  // exactly ForwardPrompt's, so the chunked prompt lands bit-identical KV
-  // rows and first-token logits to the one-shot BeginSession. Returns true
-  // once the prompt is fully in and the first token is sampled; true
-  // immediately (no-op) on an already-prefilled session.
+  // prefill_batch positions (the serving quantum): one Forward row.
+  // Chunked prefill is bit-identical at any boundary, so the chunked prompt
+  // lands the same KV rows and first-token logits as a one-shot
+  // TransformerExecutor::Prefill. Returns true once the prompt is fully in
+  // and the first token is sampled; true immediately (no-op) on an
+  // already-prefilled session.
   Result<bool> PrefillSessionChunk(SessionId sid);
 
   // One batched decode step advancing EVERY listed session by one token:
@@ -229,13 +230,12 @@ class LlmTa {
  private:
   // Live state of an in-progress generation session. Everything here plus
   // the KV slot contents is exactly what CheckpointSession serializes
-  // (per_position and logits are derived/scratch, recomputed on restore).
+  // (logits is scratch, resized on restore).
   struct Session {
     SessionId sid = 0;
     int slot = -1;             // KV-arena slot index.
     bool prefilled = false;    // Prompt fully in; next_token sampled.
     int prefill_pos = 0;       // Prompt positions already through the model.
-    bool per_position = false; // Prefill path (mirrors Prefill's dispatch).
     bool done = false;         // EOS or context window reached.
     std::vector<TokenId> prompt_tokens;
     std::vector<TokenId> output_tokens;

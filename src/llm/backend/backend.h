@@ -1,20 +1,19 @@
 // ComputeBackend — the seam between the transformer executor and whatever
 // hardware runs its heavyweight matmuls.
 //
-// The executor no longer calls the kernel table directly for prefill: every
-// batched-prefill matmul group routes through a ComputeBackend, so the same
-// schedule can run a chunk's QKV/FFN work on the CPU kernel pool
-// (CpuBackend) or hand it to the secure NPU behind the TEE's minimal
-// co-driver data plane (NpuBackend, paper §4.3). Decode stays on the CPU
-// KernelDispatch path by construction: the executor always owns a CpuBackend
-// and only the *prefill* seam is swappable.
+// Every quantized matmul group of the executor's forward pass routes
+// through a ComputeBackend, so the same schedule can run a chunk's QKV/FFN
+// work on the CPU kernel pool (CpuBackend) or hand it to the secure NPU
+// behind the TEE's minimal co-driver data plane (NpuBackend, paper §4.3).
+// Decode stays on the CPU KernelDispatch path by construction: the executor
+// always owns a CpuBackend and only the *prefill* seam is swappable.
 //
 // The submission API is asynchronous: SubmitMatMatGroup/SubmitLayerTail
 // return a ticket, and the caller observes completion through Await/TryPoll
 // (or the Sync barrier). A synchronous backend (CpuBackend) executes at
 // submit time and returns the kCompletedTicket; an asynchronous backend
 // (NpuBackend) turns each submission into one fused secure NPU job and lets
-// the caller overlap its own CPU work — the executor's pipelined prefill
+// the caller overlap its own CPU work — the executor's prefill wavefront
 // computes one chunk's attention while another chunk's fused layer job runs
 // on the NPU timeline.
 //
@@ -57,16 +56,8 @@ class SocPlatform;
 class TeeNpuDriver;
 class ThreadPool;
 
-// One projection sharing the caller's activation row: y = W x with W a
-// Q8_0 row-major (rows x cols) matrix.
-struct MatTarget {
-  const uint8_t* w = nullptr;
-  uint64_t rows = 0;
-  float* y = nullptr;
-};
-
-// One matmul of a fused batched-prefill group; all members share the
-// group's quantized activations: y[p * rows + r] = W row r . X position p.
+// One matmul of a fused group; all members share the group's quantized
+// activations: y[p * rows + r] = W row r . X position p.
 struct MatMatOp {
   const uint8_t* w = nullptr;
   uint64_t rows = 0;
@@ -138,11 +129,11 @@ class ComputeBackend {
 
   virtual const char* name() const = 0;
   // True when submissions may complete after the submit call returns — the
-  // executor picks the pipelined prefill schedule for such backends.
+  // executor's whole-prompt Prefill runs its wavefront on such backends.
   virtual bool asynchronous() const { return false; }
 
-  // Batched-prefill matmul group over pre-quantized activations `x` shared
-  // by every member op. May execute asynchronously; see the lifetime
+  // Matmul group over pre-quantized activations `x` shared by every member
+  // op. May execute asynchronously; see the lifetime
   // contract above.
   virtual Result<BackendTicket> SubmitMatMatGroup(const MatMatOp* ops, int n,
                                                   const Q8Acts& x) = 0;
@@ -160,28 +151,20 @@ class ComputeBackend {
   // Non-blocking: true when Await(ticket) would return without waiting.
   virtual Result<bool> TryPoll(BackendTicket ticket) = 0;
 
-  // Single-position projections sharing one activation row `x` of `cols`
-  // floats (decode and per-position prefill). Synchronous; reference mode
-  // (EngineOptions::use_reference_kernels) is handled inside the backend so
-  // call sites are one code path.
-  virtual Status MatVec(const float* x, uint64_t cols, const MatTarget* targets,
-                        int n_targets) = 0;
-
   // Barrier: returns once every outstanding submission has completed, with
   // the first failure if any job failed.
   virtual Status Sync() = 0;
 };
 
-// Wraps the existing CPU path: reference scalar kernels or quantized
-// integer-dot kernels on the thread pool, inner loops through the SIMD table
-// the engine resolved at construction. Fully synchronous — every submit
-// executes inline and returns kCompletedTicket.
+// The CPU path: quantized integer-dot kernels on the thread pool, inner
+// loops through the SIMD table the engine resolved at construction. Fully
+// synchronous — every submit executes inline and returns kCompletedTicket.
 class CpuBackend : public ComputeBackend {
  public:
   // `pool` (optional) and `kernels` (nullptr = process-wide table) are owned
   // by the caller and must outlive the backend.
-  CpuBackend(const EngineOptions& options, ThreadPool* pool,
-             const KernelDispatch* kernels);
+  CpuBackend(ThreadPool* pool, const KernelDispatch* kernels)
+      : pool_(pool), kernels_(kernels) {}
 
   const char* name() const override { return "cpu"; }
   Result<BackendTicket> SubmitMatMatGroup(const MatMatOp* ops, int n,
@@ -190,15 +173,11 @@ class CpuBackend : public ComputeBackend {
                                         const Q8Acts& x_attn) override;
   Status Await(BackendTicket /*ticket*/) override { return OkStatus(); }
   Result<bool> TryPoll(BackendTicket /*ticket*/) override { return true; }
-  Status MatVec(const float* x, uint64_t cols, const MatTarget* targets,
-                int n_targets) override;
   Status Sync() override { return OkStatus(); }
 
  private:
-  bool use_reference_;
   ThreadPool* pool_;
   const KernelDispatch* kernels_;
-  Q8Acts acts_;  // Reusable single-row quantization scratch.
 };
 
 // Wiring for the secure NPU prefill path. All pointers are non-owning and
@@ -286,11 +265,6 @@ class NpuBackend : public ComputeBackend {
       TZLLM_EXCLUDES(mu_);
   Status Await(BackendTicket ticket) override TZLLM_EXCLUDES(mu_);
   Result<bool> TryPoll(BackendTicket ticket) override TZLLM_EXCLUDES(mu_);
-  // Decode never routes here — the executor keeps its own CpuBackend for
-  // every MatVec — so this surfaces misuse as kUnimplemented instead of
-  // silently computing on a shadow CPU path.
-  Status MatVec(const float* x, uint64_t cols, const MatTarget* targets,
-                int n_targets) override;
   Status Sync() override TZLLM_EXCLUDES(mu_);
 
   uint64_t jobs_submitted() const TZLLM_EXCLUDES(mu_) {

@@ -1,7 +1,6 @@
 #include <cmath>
 
 #include "src/llm/backend/backend.h"
-#include "src/llm/engine_options.h"
 #include "src/llm/simd/kernels.h"
 
 namespace tzllm {
@@ -51,12 +50,6 @@ void RunLayerTail(const LayerTailOp& op, const Q8Acts& x_attn,
   LayerTailDownResidual(op);
 }
 
-CpuBackend::CpuBackend(const EngineOptions& options, ThreadPool* pool,
-                       const KernelDispatch* kernels)
-    : use_reference_(options.use_reference_kernels),
-      pool_(pool),
-      kernels_(kernels) {}
-
 Result<BackendTicket> CpuBackend::SubmitMatMatGroup(const MatMatOp* ops, int n,
                                                     const Q8Acts& x) {
   for (int i = 0; i < n; ++i) {
@@ -69,25 +62,6 @@ Result<BackendTicket> CpuBackend::SubmitLayerTail(const LayerTailOp& op,
                                                   const Q8Acts& x_attn) {
   RunLayerTail(op, x_attn, kernels_, pool_);
   return kCompletedTicket;
-}
-
-Status CpuBackend::MatVec(const float* x, uint64_t cols,
-                          const MatTarget* targets, int n_targets) {
-  if (use_reference_) {
-    // The seed's scalar float-activation path — the one reference code path
-    // that used to be scattered as per-call-site branches in the executor.
-    for (int i = 0; i < n_targets; ++i) {
-      MatVecQ8Reference(targets[i].w, targets[i].rows, cols, x, targets[i].y);
-    }
-    return OkStatus();
-  }
-  // One activation quantization feeds every projection in the group.
-  acts_.Quantize(x, cols);
-  for (int i = 0; i < n_targets; ++i) {
-    MatVecQ8Pre(targets[i].w, targets[i].rows, cols, acts_, targets[i].y,
-                pool_, kernels_);
-  }
-  return OkStatus();
 }
 
 }  // namespace tzllm

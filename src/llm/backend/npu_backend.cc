@@ -548,17 +548,6 @@ Result<bool> NpuBackend::TryPoll(BackendTicket ticket) {
   return true;
 }
 
-Status NpuBackend::MatVec(const float* x, uint64_t cols,
-                          const MatTarget* targets, int n_targets) {
-  (void)x;
-  (void)cols;
-  (void)targets;
-  (void)n_targets;
-  return Status(ErrorCode::kUnimplemented,
-                "NpuBackend handles batched-prefill submissions only; "
-                "single-position MatVec belongs on the CPU backend");
-}
-
 Status NpuBackend::Sync() {
   Status first;
   for (;;) {

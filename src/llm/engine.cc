@@ -29,11 +29,14 @@ Result<std::vector<float>> LlmEngine::Prefill(
 }
 
 Result<std::vector<float>> LlmEngine::DecodeStep(TokenId token) {
-  return executor_->DecodeStep(token, kv_.get());
+  std::vector<float> logits(spec_.config().vocab_size);
+  TZLLM_RETURN_IF_ERROR(DecodeStepInto(token, logits.data()));
+  return logits;
 }
 
 Status LlmEngine::DecodeStepInto(TokenId token, float* logits) {
-  return executor_->DecodeStepInto(token, kv_.get(), logits);
+  const ForwardRow row{kv_.get(), &token, 1, logits};
+  return executor_->Forward(&row, 1, ForwardPhase::kDecode);
 }
 
 Result<GenerationResult> LlmEngine::Generate(const std::string& prompt,
@@ -60,10 +63,7 @@ Result<GenerationResult> LlmEngine::Generate(const std::string& prompt,
       break;
     }
     result.output_tokens.push_back(token);
-    Status st = executor_->DecodeStepInto(token, kv_.get(), next.data());
-    if (!st.ok()) {
-      return st;
-    }
+    TZLLM_RETURN_IF_ERROR(DecodeStepInto(token, next.data()));
     token = sampler.Sample(next);
   }
   result.text = tokenizer_->Decode(result.output_tokens);

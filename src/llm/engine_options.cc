@@ -60,7 +60,7 @@ Status EngineOptions::Validate() const {
 
   // NPU / fault groups apply only when the configuration actually routes
   // prefill to the NPU backend; inert combinations (reference kernels,
-  // per-position prefill) stay valid whatever the NPU knobs say.
+  // prefill_batch <= 1) stay valid whatever the NPU knobs say.
   if (npu_prefill_active()) {
     if (npu_job_timeout == 0) {
       return InvalidArgument(

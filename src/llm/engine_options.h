@@ -44,14 +44,15 @@ struct EngineOptions {
   // snapshot showed threads_4 slower than threads_1), so a request beyond
   // the hardware is treated as "use everything", not honored literally.
   int n_threads = 1;
-  // Positions per batched-prefill chunk (MatMatQ8 weight reuse); <= 1 falls
-  // back to the per-position path. Also the serving runtime's prefill
-  // scheduling quantum: each scheduler tick advances one admitted session
-  // by one chunk of this many positions.
+  // Positions per prefill chunk (one Forward row; MatMatQ8 weight reuse);
+  // <= 1 prefills in chunks of one position and keeps prefill off the NPU.
+  // Also the serving runtime's prefill scheduling quantum: each scheduler
+  // tick advances one admitted session by one chunk of this many positions.
   int prefill_batch = 32;
   // Runs the seed's scalar float-activation kernels and per-call RoPE — the
   // performance/numerics baseline the benches and parity tests compare
-  // against. Implies per-position prefill and f32 KV storage.
+  // against. Every Forward row then runs one position at a time through the
+  // reference MatVecs on the CPU (no NPU), over f32 KV storage.
   bool use_reference_kernels = false;
   // Stores the KV cache at f32 instead of the default f16 — the full-width
   // numerics baseline the f16-KV parity suite diffs against. Costs 2x cache
@@ -81,8 +82,8 @@ struct EngineOptions {
   // own kernel table (the integer-dot rows are bit-identical across tables,
   // and the fused layer-tail's norm/silu glue must match the CPU path
   // exactly), so the combination never changes a logit. Inert under
-  // use_reference_kernels or prefill_batch <= 1, which force the
-  // per-position CPU path (see npu_prefill_active()).
+  // use_reference_kernels or prefill_batch <= 1, which keep prefill on the
+  // CPU (see npu_prefill_active()).
   bool npu_prefill = false;
   // Fuses each chunk-layer's matmul group into one secure NPU job (QKV as
   // one job; the whole post-attention segment — Wo + residual + FFN norm +
@@ -91,11 +92,6 @@ struct EngineOptions {
   // (the pre-fusion granularity, kept for the fused-vs-unfused parity test
   // and the co-driver ablation).
   bool npu_fusion = true;
-  // Pipelined wavefront schedule for NPU prefill (overlap one chunk's CPU
-  // attention with another chunk's fused jobs). Off = the serial chunk
-  // schedule (submit, then immediately await) on the same backend — the
-  // {serial, pipelined} axis of the fault-recovery test matrix.
-  bool npu_pipeline = true;
 
   // --- Fault group: NPU failure injection and recovery. -----------------
 
@@ -191,8 +187,8 @@ struct EngineOptions {
   int kv_recompute_max = 256;
 
   // True exactly when this configuration routes prefill to the NPU backend
-  // (reference kernels and prefill_batch <= 1 force the per-position CPU
-  // path, making npu_prefill genuinely inert) — THE predicate LoadModel
+  // (reference kernels and prefill_batch <= 1 keep prefill on the CPU,
+  // making npu_prefill genuinely inert) — THE predicate LoadModel
   // budgets job contexts with, and the one Validate() gates the NPU/fault
   // knob checks on, so there is no second spelling to drift.
   bool npu_prefill_active() const {

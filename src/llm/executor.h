@@ -57,131 +57,133 @@ class HostWeightSource : public WeightSource {
   std::vector<Tensor> tensors_;
 };
 
+// Which backend a Forward pass's matmuls run on (paper §4.3: prefill chunks
+// offload to the NPU, decode tokens stay on the CPU).
+enum class ForwardPhase : uint8_t {
+  kPrefill,  // The prefill backend: the NPU when one is wired.
+  kDecode,   // Always the executor's own CPU backend.
+};
+
+// One row of a ragged Forward batch: `m` consecutive tokens appended to `kv`
+// at its current position. A decode token is a row with m = 1.
+struct ForwardRow {
+  KvCache* kv = nullptr;
+  const TokenId* tokens = nullptr;
+  int m = 0;
+  // vocab_size floats receiving the logits of the row's last position, or
+  // nullptr when the row wants none (a prompt chunk other than the last).
+  // Decode rows must provide one.
+  float* logits = nullptr;
+};
+
 class TransformerExecutor {
  public:
   // `prefill_backend` (optional, non-owning, must outlive the executor)
-  // swaps where the batched-prefill matmuls run: nullptr keeps them on the
-  // executor's own CpuBackend; the LLM TA passes an NpuBackend to offload
-  // them through the secure co-driver. Decode and the per-position path
-  // always run on the CPU backend regardless.
+  // swaps where kPrefill matmuls run: nullptr keeps them on the executor's
+  // own CpuBackend; the LLM TA passes an NpuBackend to offload them through
+  // the secure co-driver. kDecode matmuls and the LM head always run on the
+  // CPU backend, and so does everything when prefill_batch <= 1 or under
+  // use_reference_kernels.
   TransformerExecutor(const ModelSpec* spec, WeightSource* weights,
                       const EngineOptions& options = {},
                       ComputeBackend* prefill_backend = nullptr);
 
-  // Runs the prompt through the model, filling the KV cache. Returns the
-  // logits of the last position (vocab_size floats). Dispatches to
-  // ForwardPrompt (batched) or the per-position path per `options`.
+  // Runs the whole prompt into `kv` and returns the last position's logits
+  // (vocab_size floats): chunks of prefill_batch positions, each one
+  // Forward row. On an asynchronous prefill backend (NPU offload) the
+  // chunks run as a two-chunk wavefront instead, so one chunk's CPU
+  // attention overlaps the other chunk's jobs — same stages, same floats,
+  // reordered only across independent work.
   Result<std::vector<float>> Prefill(const std::vector<TokenId>& tokens,
                                      KvCache* kv);
 
-  // Batched prefill: runs the prompt through each layer `prefill_batch`
-  // positions at a time, so every weight row is streamed once per chunk
-  // (MatMatQ8) instead of once per position. With use_reference_kernels it
-  // degrades to the per-position seed path (no mixed numerics). On an
-  // asynchronous prefill backend (NPU offload) it runs the pipelined
-  // schedule: two chunks in flight, so one chunk's CPU attention overlaps
-  // the other chunk's fused matmul jobs — same floats, reordered only
-  // across independent work.
-  Result<std::vector<float>> ForwardPrompt(const std::vector<TokenId>& tokens,
-                                           KvCache* kv);
-
-  // One incremental decode step for `token` at the cache's current position.
-  Result<std::vector<float>> DecodeStep(TokenId token, KvCache* kv);
-
-  // Same step into a caller-provided buffer of vocab_size floats — the
-  // allocation-free decode path DecodeStep routes through (ROADMAP: the
-  // by-value API allocated the logits vector every step).
-  Status DecodeStepInto(TokenId token, KvCache* kv, float* logits);
-
-  // One session's slice of a batched decode step: its pending token, its
-  // private KV cache (positions may differ per session) and a vocab_size
-  // logits row to fill.
-  struct DecodeEntry {
-    TokenId token = 0;
-    KvCache* kv = nullptr;
-    float* logits = nullptr;
-  };
-
-  // One decode step for `n` independent sessions at once: per layer, ONE
-  // MatMatQ8 over all sessions' activation rows (weights stream once per
-  // step regardless of batch size — the same reuse that made batched
-  // prefill pay) instead of n MatVecs, then per-session attention against
-  // each session's own cache at its own position. Bit-identical per session
-  // to running DecodeStepInto solo: the row kernels, the fused layer tail
-  // and the per-session m=1 attention are exactly the solo path's
-  // computations (the backend numerics contract batched prefill already
-  // rests on). n == 1 and reference-kernel engines route straight through
-  // DecodeStepInto. Each session's cache advances one position on success.
-  Status DecodeStepBatch(const DecodeEntry* entries, int n);
-
-  // Advances a prompt by one chunk of `m` positions into `kv` — the serving
-  // scheduler's prefill quantum. `per_position` selects the seed
-  // per-position path (reference kernels / prefill_batch <= 1 /
-  // single-token prompts), matching Prefill's dispatch so a chunked prompt
-  // is bit-identical to the one-shot call. When `logits` is non-null (the
-  // prompt's final chunk) the last position's logits are computed into it
-  // (vocab_size floats).
-  Status PrefillChunk(const TokenId* tokens, int m, bool per_position,
-                      KvCache* kv, float* logits);
+  // The one forward pass: `n` rows over distinct caches, each appended at
+  // its own cache's position. Per layer every weight streams once over all
+  // rows' positions (one QKV group, one fused layer tail), with RoPE, the KV
+  // append and attention per row against its own cache; the rows that want
+  // logits share one LM-head MatMat on the CPU. Every row is bit-identical
+  // to running it alone, and to any chunking of it. All checks (empty batch
+  // or row, missing cache or decode logits, a cache named twice, context
+  // overflow) fail before anything is pinned or appended; every cache is
+  // then pinned, in row order, for the whole pass. Under
+  // use_reference_kernels each row instead runs one position at a time
+  // through the seed's reference kernels (ForwardPosition).
+  Status Forward(const ForwardRow* rows, int n, ForwardPhase phase);
 
   const EngineOptions& options() const { return options_; }
 
-  // Wall-clock seconds spent in Attend since construction / ResetStats.
-  // Only accumulated when options.collect_stats is set.
+  // Wall-clock seconds spent in Attend since construction. Only
+  // accumulated when options.collect_stats is set.
   double attend_seconds() const { return attend_seconds_; }
-  void ResetStats() { attend_seconds_ = 0.0; }
 
  private:
-  // One prompt chunk flowing through the pipelined prefill schedule. Each
-  // slot owns a full activation workspace so two chunks can be in flight at
-  // once: while this chunk's fused layer job runs on the NPU timeline, the
-  // other chunk's attention runs on the CPU against its own buffers. Every
+  // Activation buffers for a pass of up to `capacity` positions,
+  // position-major (row i belongs to the pass's i-th position). Every
   // buffer a submitted job references lives here, which is what makes the
   // NPU jobs zero-copy (the ComputeBackend lifetime contract).
-  struct PipeChunk {
-    int index = -1;  // Chunk ordinal within the prompt; -1 = slot free.
-    int start = 0;   // First absolute position of the chunk.
-    int m = 0;
-    int layer = 0;
-    // false: next step submits this layer's QKV group (S0). true: QKV is in
-    // flight; next step runs attention and submits the layer tail (S1).
-    bool attend_next = false;
-    BackendTicket qkv_ticket = kCompletedTicket;
-    BackendTicket tail_ticket = kCompletedTicket;
+  struct Activations {
+    int capacity = 0;
     std::vector<float> hiddens, norm, q, k, v, attn, proj, gate, up, down;
     Q8Acts qkv_acts, attn_acts;
   };
+  // One row's slice of a pass: `m` positions of `kv` from absolute position
+  // `start`.
+  struct RowSpan {
+    KvCache* kv;
+    int start;
+    int m;
+  };
+  // One prompt chunk in the wavefront. Each slot owns its activations, so
+  // two chunks can be in flight at once.
+  struct PipeSlot {
+    Activations act;
+    int index = -1;  // Chunk ordinal within the prompt.
+    int start = 0;   // First absolute position of the chunk.
+    int m = 0;
+    int layer = 0;
+    // false: the next step submits this layer's QKV group. true: QKV is in
+    // flight; the next step attends and submits the layer tail.
+    bool attend_next = false;
+    BackendTicket qkv_ticket = kCompletedTicket;
+    BackendTicket tail_ticket = kCompletedTicket;
+  };
 
-  // Forward pass of one position given its embedding in `hidden` (d_model
-  // floats, updated in place).
+  // The quantized pass over pinned caches; leaves each row's cache one pass
+  // further and its logits (if wanted) filled.
+  Status ForwardRows(const ForwardRow* rows, int n, ComputeBackend* backend);
+  // The two stages of one layer, shared by ForwardRows and the wavefront.
+  // Stage one: attention norm and quantization of `m` rows, then the QKV
+  // group is submitted.
+  Result<BackendTicket> SubmitQkv(int layer, int m, Activations* a,
+                                  ComputeBackend* backend);
+  // Stage two, once QKV landed: per span RoPE at its positions, KV append
+  // and attention, then the whole post-attention segment (Wo + residual +
+  // FFN) is submitted as one fused layer tail over every span's rows.
+  Result<BackendTicket> AttendAndSubmitTail(int layer, const RowSpan* spans,
+                                            int n, Activations* a,
+                                            ComputeBackend* backend);
+  // The shared LM head: one CPU MatMat over the last position of every row
+  // that wants logits (rows are laid out in act_ as ForwardRows packs them).
+  Status LmHead(const ForwardRow* rows, int n);
+  // Prefill's schedule for asynchronous backends: a layer-major wavefront
+  // with up to two chunks in flight (one slot per NPU context buffer). Per
+  // layer, chunk c's KV rows are appended before chunk c+1 attends — the
+  // only cross-chunk dependency — so logits are bit-identical to running
+  // the chunks one Forward call at a time.
+  Status PrefillWavefront(const std::vector<TokenId>& tokens, KvCache* kv,
+                          float* logits);
+  // Advances a wavefront chunk by one stage.
+  Status PipeAdvance(PipeSlot* ch, KvCache* kv);
+
+  // The use_reference_kernels path: the seed's scalar float-activation
+  // MatVecs, one position at a time through every layer. Its kernels take
+  // float activations and have no MatMat form.
+  Status ForwardReference(const ForwardRow& row);
+  // One position given its embedding in `hidden` (d_model floats, updated
+  // in place).
   Status ForwardPosition(float* hidden, int pos, KvCache* kv);
-  // The seed schedule: one position at a time through all layers.
-  Result<std::vector<float>> PrefillPerPosition(
-      const std::vector<TokenId>& tokens, KvCache* kv);
-  // Forward pass of `m` prompt positions at once; leaves the residual
-  // streams in hiddens_.
-  Status ForwardChunk(const TokenId* tokens, int m, KvCache* kv);
-  // The pipelined schedule for asynchronous backends: a layer-major
-  // wavefront with up to two chunks in flight (one slot per NPU context
-  // buffer). Per layer, chunk c's KV rows are appended before chunk c+1
-  // attends — the only cross-chunk dependency — so logits are bit-identical
-  // to the serial chunk schedule.
-  Result<std::vector<float>> ForwardPromptPipelined(
-      const std::vector<TokenId>& tokens, KvCache* kv);
-  // Fetches layer `l`'s post-attention weights and wires a LayerTailOp over
-  // the given chunk buffers — the ONE place the tail submission is packed,
-  // shared by the serial and pipelined schedules so they cannot drift.
-  // `acts` is the requantization scratch and aliases the attention
-  // activations by contract (the Wo matmul consumes them first).
-  Result<LayerTailOp> BuildLayerTail(int l, int m, float* hiddens, float* proj,
-                                     float* norm, float* gate, float* up,
-                                     float* down, Q8Acts* acts);
-  // Sizes a pipeline slot's buffers and embeds the chunk's tokens.
-  Status PipeAdmit(PipeChunk* ch, int index, int start, const TokenId* tokens,
-                   int m);
-  // Advances a chunk one stage (S0: norm+quantize, submit QKV; S1: rope +
-  // KV append + attention, submit the fused layer tail).
-  Status PipeAdvance(PipeChunk* ch, KvCache* kv);
+  Status LogitsInto(const float* hidden, float* out);
+
   // Fused causal attention for `m` consecutive positions starting at
   // `start`: fills out rows [m][d_model] from q rows [m][d_model] and the KV
   // cache rows [0, start + i] of `layer`. The m x n_heads head loops are one
@@ -192,15 +194,13 @@ class TransformerExecutor {
   // reference arena).
   void Attend(int layer, int start, int m, const float* q, float* out,
               const KvCache& kv);
-  Result<std::vector<float>> Logits(const float* hidden);
-  Status LogitsInto(const float* hidden, float* out);
   Status EmbedToken(TokenId token, float* hidden);
 
   Result<const uint8_t*> Weights(TensorRole role, int layer);
 
   void Rope(float* vec, int n_heads, int pos) const;
-  // Sizes the reusable activation buffers for chunks of up to `m` positions.
-  void EnsureWorkspace(int m);
+  // Grows `a` to hold passes of up to `m` positions (never shrinks).
+  void Reserve(Activations* a, int m) const;
 
   const ModelSpec* spec_;
   WeightSource* weights_;
@@ -216,11 +216,9 @@ class TransformerExecutor {
   // will run.
   int n_threads_;
   std::unique_ptr<ThreadPool> pool_;
-  // The backend seam. cpu_backend_ always exists and serves decode, the
-  // per-position path and the logits head (one code path for reference and
-  // quantized kernels — CpuBackend internalizes the branch); every batched-
-  // prefill MatMat goes through prefill_backend_, which is either the same
-  // CpuBackend or a caller-provided backend (NPU offload).
+  // The backend seam. cpu_backend_ always exists and serves kDecode passes
+  // and the LM head; kPrefill passes go through prefill_backend_, which is
+  // either the same CpuBackend or a caller-provided backend (NPU offload).
   std::unique_ptr<CpuBackend> cpu_backend_;
   ComputeBackend* prefill_backend_ = nullptr;
   // Geometry validation result, computed once; entry points fail fast on it
@@ -228,22 +226,16 @@ class TransformerExecutor {
   Status init_status_;
   double attend_seconds_ = 0.0;
 
-  // Reusable workspace (grown once; no allocation in the token loop). All
-  // are position-major: row i belongs to chunk position i — except scores_,
-  // which holds one max_ctx attention-scratch row per pool part.
-  int workspace_m_ = 0;
-  std::vector<float> hiddens_, norm_, q_, k_, v_, attn_, proj_, gate_, up_,
-      down_, scores_;
-  // Batched-decode LM-head staging: MatMat writes the batch's logits rows
-  // contiguously here before they scatter to each session's buffer.
+  // Reusable state (grown once; no allocation in the token loop): the
+  // pass's activations, its row spans and step pins, the LM-head staging
+  // rows, and one max_ctx attention-scores row per pool part.
+  Activations act_;
+  std::vector<RowSpan> spans_;
+  std::vector<KvCachePin> pins_;
   std::vector<float> logits_rows_;
-  Q8Acts acts_;
-  // Pipelined-prefill slots (double-buffered chunk workspaces), grown once;
-  // pipe_slots_ tracks how many have sized buffers (a single-chunk prompt
-  // only ever needs one).
-  PipeChunk pipe_[2];
-  int pipe_m_ = 0;
-  int pipe_slots_ = 0;
+  std::vector<float> scores_;
+  // Wavefront slots, each sized before the wavefront starts.
+  PipeSlot pipe_[2];
 };
 
 // Numerics helpers shared with tests — always the portable-scalar table

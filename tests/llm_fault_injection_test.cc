@@ -1,7 +1,9 @@
 // Fault-injection matrix for the NPU offload path: every deterministic
 // fault class (payload fault, device stall, context-validation rejection,
 // lost post-submit shadow) crossed with {fused, unfused} job granularity
-// and {serial, pipelined} prefill schedules. The contract under test:
+// and the two prefill schedules: chunk by chunk (one Forward call per chunk,
+// the TA's schedule) and the pipelined wavefront (whole-prompt Prefill).
+// The contract under test:
 //
 //  - a transient fault is retried within the bounded backoff budget and the
 //    prefill completes with logits BIT-IDENTICAL to the CPU path;
@@ -14,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -84,13 +87,27 @@ struct SecureStack {
     return config;
   }
 
+  // `wavefront` picks the schedule by entry point: whole-prompt Prefill
+  // pipelines on the NPU; one Forward call per chunk is the serial schedule.
   Result<std::vector<float>> NpuPrefill(const EngineOptions& options,
+                                        bool wavefront,
                                         const std::vector<TokenId>& prompt,
                                         NpuBackend* backend) {
     HostWeightSource source(weights);
     TransformerExecutor exec(&spec, &source, options, backend);
     KvCache kv(spec, KvStorageFor(options), KernelsFor(options));
-    return exec.Prefill(prompt, &kv);
+    if (wavefront) {
+      return exec.Prefill(prompt, &kv);
+    }
+    std::vector<float> logits(spec.config().vocab_size);
+    const int total = static_cast<int>(prompt.size());
+    for (int off = 0; off < total; off += options.prefill_batch) {
+      const int m = std::min(options.prefill_batch, total - off);
+      const ForwardRow row{&kv, prompt.data() + off, m,
+                           off + m == total ? logits.data() : nullptr};
+      TZLLM_RETURN_IF_ERROR(exec.Forward(&row, 1, ForwardPhase::kPrefill));
+    }
+    return logits;
   }
 
   SocPlatform plat;
@@ -110,7 +127,7 @@ const char* const kFaultClasses[] = {"payload", "timeout", "ctx", "submit"};
 
 struct Schedule {
   bool fused;
-  bool pipelined;
+  bool wavefront;
 };
 const Schedule kSchedules[] = {
     {true, true}, {true, false}, {false, true}, {false, false}};
@@ -119,13 +136,12 @@ EngineOptions ScheduleOptions(const Schedule& s) {
   EngineOptions options;
   options.prefill_batch = 8;
   options.npu_fusion = s.fused;
-  options.npu_pipeline = s.pipelined;
   return options;
 }
 
 std::string CellName(const char* cls, const Schedule& s) {
   return std::string(cls) + (s.fused ? "/fused" : "/unfused") +
-         (s.pipelined ? "/pipelined" : "/serial");
+         (s.wavefront ? "/wavefront" : "/chunked");
 }
 
 // CPU reference logits for `options` — computed on a stack-independent
@@ -213,7 +229,7 @@ TEST(NpuFaultMatrixTest, TransientFaultRecoversBitIdentically) {
       NpuBackendConfig config = stack.BackendConfig(options);
       NpuBackend backend(config);
       const SimTime start = stack.plat.sim().Now();
-      auto npu = stack.NpuPrefill(options, prompt, &backend);
+      auto npu = stack.NpuPrefill(options, sched.wavefront, prompt, &backend);
       ASSERT_TRUE(npu.ok()) << npu.status().ToString();
       ASSERT_EQ(npu->size(), cpu.size());
       for (size_t i = 0; i < cpu.size(); ++i) {
@@ -236,7 +252,7 @@ TEST(NpuFaultMatrixTest, TransientFaultRecoversBitIdentically) {
 
 TEST(NpuFaultMatrixTest, PersistentFaultFallsBackToCpuBitIdentically) {
   // The fault hits every ordinal from 3 on: retries cannot clear it, so the
-  // failed job's matmul group must re-execute on the CPU and the wavefront
+  // failed job's matmul group must re-execute on the CPU and the prefill
   // must continue — same logits, degradation visible in the stats.
   for (const char* cls : kFaultClasses) {
     for (const Schedule& sched : kSchedules) {
@@ -254,7 +270,7 @@ TEST(NpuFaultMatrixTest, PersistentFaultFallsBackToCpuBitIdentically) {
       config.max_retries = 1;
       NpuBackend backend(config);
       const SimTime start = stack.plat.sim().Now();
-      auto npu = stack.NpuPrefill(options, prompt, &backend);
+      auto npu = stack.NpuPrefill(options, sched.wavefront, prompt, &backend);
       ASSERT_TRUE(npu.ok()) << npu.status().ToString();
       ASSERT_EQ(npu->size(), cpu.size());
       for (size_t i = 0; i < cpu.size(); ++i) {
@@ -294,7 +310,8 @@ TEST(NpuFaultMatrixTest, RecoveryDisabledSurfacesCleanStatusAndDrains) {
       const SimTime start = stack.plat.sim().Now();
       {
         NpuBackend backend(config);
-        auto npu = stack.NpuPrefill(options, prompt, &backend);
+        auto npu =
+            stack.NpuPrefill(options, sched.wavefront, prompt, &backend);
         ASSERT_FALSE(npu.ok());
         EXPECT_NE(npu.status().code(), ErrorCode::kOk);
         // The ticket-leak contract: a failed prefill leaves no pending job
@@ -307,7 +324,8 @@ TEST(NpuFaultMatrixTest, RecoveryDisabledSurfacesCleanStatusAndDrains) {
       // in a reusable state despite the failed run.
       stack.tee_npu->ArmFaultPlan(NpuFaultPlan{});
       NpuBackend retry_backend(stack.BackendConfig(options));
-      auto ok_run = stack.NpuPrefill(options, prompt, &retry_backend);
+      auto ok_run = stack.NpuPrefill(options, sched.wavefront, prompt,
+                                     &retry_backend);
       ASSERT_TRUE(ok_run.ok()) << ok_run.status().ToString();
       const std::vector<float> cpu =
           CpuReference(stack.spec, stack.weights, options, prompt);

@@ -1,6 +1,7 @@
-// ComputeBackend seam: NPU-offloaded batched prefill through the secure
-// co-driver must compute exactly the same function as the CPU path — under
-// the fused per-layer job format AND the pipelined two-chunk schedule — and
+// ComputeBackend seam: NPU-offloaded prefill through the secure co-driver
+// must compute exactly the same function as the CPU path — under the fused
+// per-layer job format, the pipelined two-chunk wavefront of whole-prompt
+// Prefill AND the chunk-by-chunk Forward schedule the TA runs — and
 // the co-driver's TZASC validation must reject fused job contexts whose
 // sub-buffers stray outside the TA's protected regions, with the real
 // shadow-queue / takeover / world-switch machinery running under the
@@ -90,14 +91,28 @@ class NpuBackendTest : public ::testing::Test {
   }
 
   // Prefill logits through an NPU-offloaded executor; `backend` outlives
-  // the call so the caller can inspect its stats.
+  // the call so the caller can inspect its stats. `wavefront` picks the
+  // schedule by entry point: whole-prompt Prefill pipelines two chunks, and
+  // one Forward call per chunk (the TA's schedule) awaits every dependency.
   Result<std::vector<float>> NpuPrefill(const EngineOptions& options,
                                         const std::vector<TokenId>& prompt,
-                                        NpuBackend* backend) {
+                                        NpuBackend* backend,
+                                        bool wavefront = true) {
     HostWeightSource source(weights_);
     TransformerExecutor exec(&spec_, &source, options, backend);
     KvCache kv(spec_, KvStorageFor(options), KernelsFor(options));
-    return exec.Prefill(prompt, &kv);
+    if (wavefront) {
+      return exec.Prefill(prompt, &kv);
+    }
+    std::vector<float> logits(spec_.config().vocab_size);
+    const int total = static_cast<int>(prompt.size());
+    for (int off = 0; off < total; off += options.prefill_batch) {
+      const int m = std::min(options.prefill_batch, total - off);
+      const ForwardRow row{&kv, prompt.data() + off, m,
+                           off + m == total ? logits.data() : nullptr};
+      TZLLM_RETURN_IF_ERROR(exec.Forward(&row, 1, ForwardPhase::kPrefill));
+    }
+    return logits;
   }
 
   SocPlatform plat_;
@@ -118,28 +133,36 @@ TEST_F(NpuBackendTest, NpuPrefillLogitsBitIdenticalToCpu) {
   const auto prompt = MakePrompt(spec_.config(), 20);  // 2.5 chunks.
   const std::vector<float> cpu = CpuPrefill(options, prompt);
 
-  NpuBackend backend(BackendConfig(options, scratch_));
-  auto npu = NpuPrefill(options, prompt, &backend);
-  ASSERT_TRUE(npu.ok()) << npu.status().ToString();
+  for (bool wavefront : {true, false}) {
+    SCOPED_TRACE(wavefront ? "wavefront" : "chunk by chunk");
+    const uint64_t jobs0 = tee_npu_->secure_jobs_completed();
+    const uint64_t matmuls0 = tee_npu_->total_matmuls_completed();
+    NpuBackend backend(BackendConfig(options, scratch_));
+    auto npu = NpuPrefill(options, prompt, &backend, wavefront);
+    ASSERT_TRUE(npu.ok()) << npu.status().ToString();
 
-  // Offloading moved only backend submissions, and the payloads run the
-  // same kernels through the same shared helpers: not one logit may differ
-  // — even though the pipelined schedule interleaved two chunks.
-  ASSERT_EQ(npu->size(), cpu.size());
-  for (size_t i = 0; i < cpu.size(); ++i) {
-    ASSERT_EQ((*npu)[i], cpu[i]) << "logit " << i;
+    // Offloading moved only backend submissions, and the payloads run the
+    // same kernels through the same shared helpers: not one logit may
+    // differ — even when the wavefront interleaved two chunks.
+    ASSERT_EQ(npu->size(), cpu.size());
+    for (size_t i = 0; i < cpu.size(); ++i) {
+      ASSERT_EQ((*npu)[i], cpu[i]) << "logit " << i;
+    }
+    EXPECT_EQ(std::max_element(npu->begin(), npu->end()) - npu->begin(),
+              std::max_element(cpu.begin(), cpu.end()) - cpu.begin());
+
+    // Fused format: every chunk-layer is 2 jobs (QKV group + layer tail)
+    // carrying 7 matmuls between them — not 7 jobs.
+    const uint64_t chunks = (prompt.size() + 7) / 8;
+    const uint64_t layers = static_cast<uint64_t>(spec_.config().n_layers);
+    EXPECT_EQ(backend.jobs_submitted(), chunks * layers * 2);
+    EXPECT_EQ(backend.matmuls_submitted(), chunks * layers * 7);
+    EXPECT_EQ(backend.pending_jobs(), 0u);
+    EXPECT_EQ(tee_npu_->secure_jobs_completed() - jobs0,
+              backend.jobs_submitted());
+    EXPECT_EQ(tee_npu_->total_matmuls_completed() - matmuls0,
+              backend.matmuls_submitted());
   }
-  EXPECT_EQ(std::max_element(npu->begin(), npu->end()) - npu->begin(),
-            std::max_element(cpu.begin(), cpu.end()) - cpu.begin());
-
-  // Fused format: every chunk-layer is 2 jobs (QKV group + layer tail)
-  // carrying 7 matmuls between them — not 7 jobs.
-  const uint64_t chunks = (prompt.size() + 7) / 8;
-  const uint64_t layers = static_cast<uint64_t>(spec_.config().n_layers);
-  EXPECT_EQ(backend.jobs_submitted(), chunks * layers * 2);
-  EXPECT_EQ(backend.matmuls_submitted(), chunks * layers * 7);
-  EXPECT_EQ(tee_npu_->secure_jobs_completed(), backend.jobs_submitted());
-  EXPECT_EQ(tee_npu_->total_matmuls_completed(), backend.matmuls_submitted());
   EXPECT_EQ(plat_.npu().compute_failures(), 0u);
   // Co-driver overhead stats accumulated real (virtual) time.
   EXPECT_GT(tee_npu_->total_config_time(), 0u);
@@ -211,8 +234,9 @@ TEST_F(NpuBackendTest, DecodeStaysOnCpuAfterNpuPrefill) {
   const uint64_t jobs_after_prefill = backend.jobs_submitted();
   EXPECT_GT(jobs_after_prefill, 0u);
   std::vector<float> logits(spec_.config().vocab_size);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(exec.DecodeStepInto(1 + i, &kv, logits.data()).ok());
+  for (TokenId token = 1; token <= 4; ++token) {
+    const ForwardRow row{&kv, &token, 1, logits.data()};
+    ASSERT_TRUE(exec.Forward(&row, 1, ForwardPhase::kDecode).ok());
   }
   // Decode kept the CPU KernelDispatch path: no new NPU traffic.
   EXPECT_EQ(backend.jobs_submitted(), jobs_after_prefill);
@@ -268,7 +292,7 @@ TEST_F(NpuBackendTest, FusedJobSubBufferOutsideTzascRejected) {
   EXPECT_EQ(logits.status().code(), ErrorCode::kSecurityViolation);
 }
 
-TEST_F(NpuBackendTest, PayloadFailureSurfacesOutOfForwardPrompt) {
+TEST_F(NpuBackendTest, PayloadFailureSurfacesOutOfPrefill) {
   // A job whose functional payload fails mid-prefill must surface a clear
   // Status out of Prefill — not hang the pipeline, not complete with
   // corrupt logits. Recovery is explicitly disabled here (no retries, no

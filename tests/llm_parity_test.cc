@@ -1,7 +1,8 @@
-// Parity between the optimized engine schedules and the 1-thread scalar
-// path: multithreaded kernels and batched prefill must not change the
-// numerics (ISSUE 1 acceptance: within 1e-4 per logit — in practice they are
-// bit-identical because the static row partition preserves summation order).
+// Parity between the engine schedules: multithreaded kernels and prefill
+// chunk sizes must not change a single logit. prefill_batch = 1 is chunks
+// of one position through the same Forward pass, and the static row
+// partition preserves summation order at any thread count, so these are
+// exact-equality checks.
 
 #include <gtest/gtest.h>
 
@@ -39,7 +40,7 @@ void ExpectLogitParity(const std::vector<float>& got,
                        const std::vector<float>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_NEAR(got[i], want[i], 1e-4f) << "logit " << i;
+    ASSERT_EQ(got[i], want[i]) << "logit " << i;
   }
 }
 
@@ -53,7 +54,7 @@ class ParityTest : public ::testing::Test {
 TEST_F(ParityTest, BatchedPrefillMatchesScalarPath) {
   // >= 64-token prompt so multiple batched chunks run.
   const auto tokens = LongPrompt(spec_.config(), 70);
-  EngineOptions scalar;  // n_threads = 1, per-position prefill.
+  EngineOptions scalar;  // n_threads = 1, chunks of one position.
   scalar.prefill_batch = 1;
   EngineOptions batched;
   batched.prefill_batch = 32;
@@ -123,7 +124,7 @@ TEST_F(ParityTest, QuantizedEngineTracksReferenceKernels) {
   // Anchors every optimized schedule to the seed float-activation path so
   // the quantized engines cannot silently drift together. The quantized
   // path is a different numeric function (activation Q8), so the bound is
-  // empirical, not 1e-4: measured max |fast - ref| on this model/prompt is
+  // empirical, not exact: measured max |fast - ref| on this model/prompt is
   // ~0.08 per logit; 0.2 gives headroom without masking a broken scale
   // (a 1% scale error shifts logits by O(1) here). The argmax check pins
   // the functional contract: greedy decoding picks the same token.

@@ -146,13 +146,23 @@ ServeStats RunAllAndExpectSoloTokens(const RuntimeConfig& config) {
 // --- Recompute-on-loss: spilled pages tampered / dropped wholesale. -------
 
 TEST(ServeChaosTest, SpillTamperRecomputesAndMatchesSolo) {
-  const ServeStats stats =
-      RunAllAndExpectSoloTokens(PagedChaosConfig("spill_tamper@1x1000000"));
-  // The plan corrupted real spill traffic and recovery really ran.
-  EXPECT_GT(stats.page_spills, 0u);
-  EXPECT_GT(stats.pages_lost, 0u);
-  EXPECT_GT(stats.pages_recomputed, 0u);
-  EXPECT_GT(stats.kv_recoveries, 0u);
+  // Second input: NPU prefill with a quantum (4) smaller than a page (8).
+  // An NPU job context holds prefill_batch positions, so recovery must
+  // re-prefill a lost page in quanta like every other prefill.
+  RuntimeConfig npu = PagedChaosConfig("spill_tamper@1x1000000");
+  npu.use_npu = true;
+  npu.engine.npu_prefill = true;
+  npu.engine.prefill_batch = 4;
+  for (const RuntimeConfig& config :
+       {PagedChaosConfig("spill_tamper@1x1000000"), npu}) {
+    SCOPED_TRACE(config.engine.npu_prefill ? "npu" : "cpu");
+    const ServeStats stats = RunAllAndExpectSoloTokens(config);
+    // The plan corrupted real spill traffic and recovery really ran.
+    EXPECT_GT(stats.page_spills, 0u);
+    EXPECT_GT(stats.pages_lost, 0u);
+    EXPECT_GT(stats.pages_recomputed, 0u);
+    EXPECT_GT(stats.kv_recoveries, 0u);
+  }
 }
 
 TEST(ServeChaosTest, SpillDropRecomputesAndMatchesSolo) {
