@@ -221,35 +221,54 @@ Status LlmTa::LoadExtent(uint64_t offset, uint64_t bytes) {
   // The CA loads the encrypted extent from flash into the *unprotected*
   // freshly allocated CMA memory: the flash controller's DMA is checked
   // against the TZASC, so this only works because extend_protected has not
-  // yet covered the extent (paper §4.2 bounce-buffer elimination).
+  // yet covered the extent (paper §4.2 bounce-buffer elimination). The DMA
+  // lands straight in the DRAM frames.
   const PhysAddr dst = tee_os_->RegionBase(SecureRegionId::kParams) + offset;
   TZLLM_RETURN_IF_ERROR(platform_->tzasc().CheckDmaAccess(
       DeviceId::kFlashController, dst, bytes));
-  std::vector<uint8_t> buf(bytes);
-  TZLLM_RETURN_IF_ERROR(platform_->flash().PeekBytes(meta_->DataFile(), offset,
-                                                     bytes, buf.data()));
-  TZLLM_RETURN_IF_ERROR(platform_->dram().Write(dst, buf.data(), bytes));
+  TZLLM_RETURN_IF_ERROR(platform_->dram().ForEachWindow(
+      dst, bytes, [&](uint8_t* window, uint64_t done, uint64_t n) {
+        return platform_->flash().PeekBytes(meta_->DataFile(), offset + done,
+                                            n, window);
+      }));
   // Now cover it with the TZASC before plaintext ever exists.
   return tee_os_->ExtendProtected(ta_, SecureRegionId::kParams, bytes);
 }
 
 Status LlmTa::DecryptExtent(uint64_t offset, uint64_t bytes) {
   const PhysAddr base = tee_os_->RegionBase(SecureRegionId::kParams);
-  std::vector<uint8_t> buf(bytes);
-  TZLLM_RETURN_IF_ERROR(platform_->dram().Read(base + offset, buf.data(),
-                                               bytes));
-  Tzguf::DecryptExtent(model_key_, model_id_, offset, buf.data(), bytes);
-  // Verify every tensor fully contained in this extent (Iago defense for
-  // model loading, §6).
-  for (const TensorSpec& t : spec_->tensors()) {
-    if (t.file_offset >= offset && t.file_offset + t.bytes <= offset + bytes) {
-      TZLLM_RETURN_IF_ERROR(
-          Tzguf::VerifyTensor(*meta_, t.index,
-                              buf.data() + (t.file_offset - offset),
-                              t.data_bytes));
-    }
-  }
-  return platform_->dram().Write(base + offset, buf.data(), bytes);
+  // First tensor whose plaintext ends past the extent start.
+  auto t = std::partition_point(
+      tensor_checks_.begin(), tensor_checks_.end(),
+      [offset](const TensorCheck& c) { return c.end <= offset; });
+  return platform_->dram().ForEachWindow(
+      base + offset, bytes,
+      [&](uint8_t* window, uint64_t done, uint64_t n) -> Status {
+        const uint64_t lo = offset + done;
+        const uint64_t hi = lo + n;
+        Tzguf::DecryptExtent(model_key_, model_id_, lo, window, n);
+        // Verify every tensor overlapping the frame while it is hot (Iago
+        // defense for model loading, §6). A tensor is fed strictly in file
+        // order and exactly once; anything else fails closed.
+        for (; t != tensor_checks_.end() && t->begin < hi; ++t) {
+          const uint64_t from = std::max(lo, t->begin);
+          const uint64_t to = std::min(hi, t->end);
+          if (t->verified || from != t->begin + t->hashed) {
+            return Internal("restore decrypted tensor " +
+                            std::to_string(t->index) +
+                            " out of order or twice");
+          }
+          t->hasher.Update(window + (from - lo), to - from);
+          t->hashed += to - from;
+          if (t->begin + t->hashed < t->end) {
+            break;  // Continues in the next frame.
+          }
+          TZLLM_RETURN_IF_ERROR(Tzguf::CheckTensorDigest(
+              *meta_, t->index, t->hasher.Finalize()));
+          t->verified = true;
+        }
+        return OkStatus();
+      });
 }
 
 Status LlmTa::RestoreParameters(SchedulePolicy policy) {
@@ -286,6 +305,20 @@ Status LlmTa::RestoreParameters(SchedulePolicy policy) {
     return DecryptExtent(offset, bytes);
   };
 
+  // Index the tensors by file offset once; DecryptExtent walks it.
+  tensor_checks_.clear();
+  tensor_checks_.reserve(spec_->tensors().size());
+  for (const TensorSpec& t : spec_->tensors()) {
+    TensorCheck& check = tensor_checks_.emplace_back();
+    check.index = t.index;
+    check.begin = t.file_offset;
+    check.end = t.file_offset + t.data_bytes;
+  }
+  std::sort(tensor_checks_.begin(), tensor_checks_.end(),
+            [](const TensorCheck& a, const TensorCheck& b) {
+              return a.begin < b.begin;
+            });
+
   auto plan = BuildRestorePlan(*spec_, graph, /*n_tokens=*/16, cost, options,
                                hooks);
   if (!plan.ok()) {
@@ -295,7 +328,16 @@ Status LlmTa::RestoreParameters(SchedulePolicy policy) {
   config.policy = policy;
   PipelineExecutor executor(&platform_->sim(), config);
   restore_result_ = executor.RunToCompletion(std::move(plan->ops));
-  return restore_result_.status;
+  TZLLM_RETURN_IF_ERROR(restore_result_.status);
+  // Fail closed: a tensor the plan never decrypted whole was never checked.
+  for (const TensorCheck& check : tensor_checks_) {
+    if (!check.verified) {
+      return Internal("restore left tensor " + std::to_string(check.index) +
+                      " unverified");
+    }
+  }
+  tensor_checks_.clear();
+  return OkStatus();
 }
 
 Result<const uint8_t*> LlmTa::SecureWeightSource::TensorData(
@@ -728,6 +770,7 @@ Result<GenerationResult> LlmTa::FinishSession(SessionId sid) {
   if (s == nullptr) {
     return Status(ErrorCode::kFailedPrecondition, "no active session");
   }
+  TZLLM_RETURN_IF_ERROR(DropSessionBlob(sid));
   GenerationResult result;
   result.prompt_tokens = std::move(s->prompt_tokens);
   result.output_tokens = std::move(s->output_tokens);
@@ -741,6 +784,7 @@ Status LlmTa::AbandonSession(SessionId sid) {
   if (s == nullptr) {
     return FailedPrecondition("no active session");
   }
+  TZLLM_RETURN_IF_ERROR(DropSessionBlob(sid));
   CloseSession(s);
   return OkStatus();
 }
@@ -1005,6 +1049,14 @@ bool LlmTa::HasSessionCheckpoint(SessionId sid) const {
   CheckpointService checkpoints(&platform_->flash());
   return !model_id_.empty() &&
          checkpoints.Exists(SessionCheckpointId(model_id_, sid));
+}
+
+Status LlmTa::DropSessionBlob(SessionId sid) {
+  if (!HasSessionCheckpoint(sid)) {
+    return OkStatus();
+  }
+  CheckpointService checkpoints(&platform_->flash());
+  return checkpoints.Delete(SessionCheckpointId(model_id_, sid));
 }
 
 // --- Serving-fleet manifest (whole-TA crash recovery). ----------------------

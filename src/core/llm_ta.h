@@ -122,11 +122,13 @@ class LlmTa {
   Result<int> StepSession(SessionId sid, int max_steps);
 
   // Completes the session and returns its GenerationResult; the KV slot is
-  // scrubbed and released.
+  // scrubbed and released, and the session's sealed checkpoint, if any, is
+  // deleted from flash.
   Result<GenerationResult> FinishSession(SessionId sid);
 
   // Drops the session without a result (failed or cancelled requests): the
-  // KV slot is scrubbed and released, nothing is sealed to flash.
+  // KV slot is scrubbed and released, nothing is sealed to flash, and any
+  // earlier checkpoint of the session is deleted.
   Status AbandonSession(SessionId sid);
 
   // Seals the session's complete generation state (prompt/output tokens,
@@ -248,8 +250,25 @@ class LlmTa {
     int pages_recomputed = 0;
   };
 
+  // One tensor's verification during restoration: DecryptExtent feeds its
+  // plaintext to `hasher` in file order while each frame is hot, and
+  // checks the digest against the meta tag when the last byte is in.
+  struct TensorCheck {
+    int index = 0;
+    uint64_t begin = 0;  // Plaintext bytes [begin, end) of the data file.
+    uint64_t end = 0;
+    uint64_t hashed = 0;  // Bytes fed to `hasher` so far.
+    bool verified = false;
+    Sha256 hasher;
+  };
+
+  // Restores every parameter through the pipeline; fails unless each
+  // tensor was verified exactly once.
   Status RestoreParameters(SchedulePolicy policy);
+  // Flash -> params frames, in place (one copy).
   Status LoadExtent(uint64_t offset, uint64_t bytes);
+  // Decrypts the extent frame by frame in place and streams each frame
+  // into the hashers of the tensors it overlaps.
   Status DecryptExtent(uint64_t offset, uint64_t bytes);
 
   Session* FindSession(SessionId sid);
@@ -264,6 +283,10 @@ class LlmTa {
   Status BuildSessionBlob(Session* s, std::vector<uint8_t>* blob);
   Result<uint64_t> SaveSessionBlob(const std::string& ckpt_id,
                                    const std::vector<uint8_t>& blob);
+  // Deletes the session's sealed checkpoint from flash if one exists. A
+  // finished or abandoned session never restores again; eviction and
+  // Unload keep their blobs, which crash recovery needs.
+  Status DropSessionBlob(SessionId sid);
   // Probes every listed session for lost pages, quarantines and re-prefills
   // them from token history. `*recovered` reports whether any page was
   // healed; an exhausted kv_recompute_max budget is an error.
@@ -289,6 +312,8 @@ class LlmTa {
   std::unique_ptr<ModelSpec> spec_;
   std::unique_ptr<Tokenizer> tokenizer_;
   std::unique_ptr<SecureWeightSource> weights_;
+  // Restoration's tensor index, sorted by file offset; built once per load.
+  std::vector<TensorCheck> tensor_checks_;
   // Per-session KV slots (max_sessions of them), all budgeted into the
   // secure scratch region at load.
   std::unique_ptr<KvArena> kv_arena_;

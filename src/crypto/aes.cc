@@ -39,36 +39,14 @@ inline uint8_t XTime(uint8_t x) {
   return static_cast<uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
 }
 
-}  // namespace
-
-Aes128::Aes128(const AesKey128& key) {
-  // Key expansion (Nk=4, Nr=10).
-  std::memcpy(round_keys_.data(), key.data(), 16);
-  for (int i = 4; i < 44; ++i) {
-    uint8_t temp[4];
-    std::memcpy(temp, &round_keys_[(i - 1) * 4], 4);
-    if (i % 4 == 0) {
-      // RotWord + SubWord + Rcon.
-      const uint8_t t0 = temp[0];
-      temp[0] = static_cast<uint8_t>(kSbox[temp[1]] ^ kRcon[i / 4]);
-      temp[1] = kSbox[temp[2]];
-      temp[2] = kSbox[temp[3]];
-      temp[3] = kSbox[t0];
-    }
-    for (int b = 0; b < 4; ++b) {
-      round_keys_[i * 4 + b] =
-          static_cast<uint8_t>(round_keys_[(i - 4) * 4 + b] ^ temp[b]);
-    }
-  }
-}
-
-void Aes128::EncryptBlock(uint8_t block[16]) const {
+// One FIPS-197 block encryption under a 176-byte key schedule.
+void EncryptBlockPortable(const uint8_t* round_keys, uint8_t block[16]) {
   uint8_t s[16];
   std::memcpy(s, block, 16);
 
   auto add_round_key = [&](int round) {
     for (int i = 0; i < 16; ++i) {
-      s[i] ^= round_keys_[round * 16 + i];
+      s[i] ^= round_keys[round * 16 + i];
     }
   };
   auto sub_bytes = [&] {
@@ -111,38 +89,80 @@ void Aes128::EncryptBlock(uint8_t block[16]) const {
   std::memcpy(block, s, 16);
 }
 
-AesCtr::AesCtr(const AesKey128& key, const AesBlock& iv)
-    : cipher_(key), iv_(iv) {}
+}  // namespace
 
-void AesCtr::KeystreamBlock(uint64_t block_index, uint8_t out[16]) const {
-  // Counter = IV with the low 8 bytes treated as a big-endian counter that is
-  // incremented by block_index (standard NIST CTR with 64-bit counter).
-  std::memcpy(out, iv_.data(), 16);
-  uint64_t counter = 0;
-  for (int i = 8; i < 16; ++i) {
-    counter = (counter << 8) | out[i];
+Aes128::Aes128(const AesKey128& key) {
+  // Key expansion (Nk=4, Nr=10).
+  std::memcpy(round_keys_.data(), key.data(), 16);
+  for (int i = 4; i < 44; ++i) {
+    uint8_t temp[4];
+    std::memcpy(temp, &round_keys_[(i - 1) * 4], 4);
+    if (i % 4 == 0) {
+      // RotWord + SubWord + Rcon.
+      const uint8_t t0 = temp[0];
+      temp[0] = static_cast<uint8_t>(kSbox[temp[1]] ^ kRcon[i / 4]);
+      temp[1] = kSbox[temp[2]];
+      temp[2] = kSbox[temp[3]];
+      temp[3] = kSbox[t0];
+    }
+    for (int b = 0; b < 4; ++b) {
+      round_keys_[i * 4 + b] =
+          static_cast<uint8_t>(round_keys_[(i - 4) * 4 + b] ^ temp[b]);
+    }
   }
-  counter += block_index;
-  for (int i = 15; i >= 8; --i) {
-    out[i] = static_cast<uint8_t>(counter);
-    counter >>= 8;
-  }
-  cipher_.EncryptBlock(out);
 }
 
-void AesCtr::Crypt(uint64_t offset, uint8_t* data, size_t len) const {
-  size_t done = 0;
-  while (done < len) {
-    const uint64_t abs = offset + done;
-    const uint64_t block_index = abs / 16;
-    const size_t in_block = static_cast<size_t>(abs % 16);
+void Aes128::EncryptBlock(uint8_t block[16]) const {
+  EncryptBlockPortable(round_keys_.data(), block);
+}
+
+void AesCtrXorPortable(const uint8_t* round_keys, const uint8_t* iv,
+                       uint64_t first_block, uint8_t* data,
+                       uint64_t nblocks) {
+  uint64_t counter = 0;
+  for (int i = 8; i < 16; ++i) {
+    counter = (counter << 8) | iv[i];
+  }
+  counter += first_block;
+  for (uint64_t n = 0; n < nblocks; ++n, ++counter, data += 16) {
     uint8_t ks[16];
-    KeystreamBlock(block_index, ks);
-    const size_t n = std::min(len - done, 16 - in_block);
-    for (size_t i = 0; i < n; ++i) {
-      data[done + i] ^= ks[in_block + i];
+    std::memcpy(ks, iv, 8);
+    for (int i = 0; i < 8; ++i) {
+      ks[15 - i] = static_cast<uint8_t>(counter >> (8 * i));
     }
-    done += n;
+    EncryptBlockPortable(round_keys, ks);
+    for (int i = 0; i < 16; ++i) {
+      data[i] ^= ks[i];
+    }
+  }
+}
+
+AesCtr::AesCtr(const AesKey128& key, const AesBlock& iv,
+               const CryptoDispatch* row)
+    : cipher_(key), iv_(iv), ctr_xor_(row->aes_ctr_xor) {}
+
+void AesCtr::Crypt(uint64_t offset, uint8_t* data, size_t len) const {
+  const uint8_t* rk = cipher_.round_keys();
+  while (len > 0) {
+    const uint64_t block = offset / 16;
+    const size_t in_block = static_cast<size_t>(offset % 16);
+    size_t n;
+    if (in_block == 0 && len >= 16) {
+      // The run of whole blocks goes to the row in one call.
+      n = len & ~static_cast<size_t>(15);
+      ctr_xor_(rk, iv_.data(), block, data, n / 16);
+    } else {
+      // A partial head or tail block: one keystream block from the row.
+      uint8_t ks[16] = {};
+      ctr_xor_(rk, iv_.data(), block, ks, 1);
+      n = std::min(len, 16 - in_block);
+      for (size_t i = 0; i < n; ++i) {
+        data[i] ^= ks[in_block + i];
+      }
+    }
+    offset += n;
+    data += n;
+    len -= n;
   }
 }
 

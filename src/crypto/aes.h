@@ -7,6 +7,14 @@
 // CTR mode lets the restoration pipeline decrypt arbitrary tensor extents
 // independently (seekable by block offset), which is exactly what the
 // chunked, preemptible decryption micro-operators need.
+//
+// AesCtr runs its whole blocks through a crypto row (crypto_dispatch.h):
+// AES-NI where the CPU has it, the portable byte-wise code otherwise. The
+// portable row is the test oracle. It indexes the S-box with secret bytes,
+// so its cache footprint depends on the key and the data: the timing
+// channel TrustZone cache attacks (TruSpy, ARMageddon) exploit. The key
+// schedule is portable code on every row, so one S-box pass over the key
+// runs per AesCtr; the per-block work leaves the S-box on AES-NI.
 
 #ifndef SRC_CRYPTO_AES_H_
 #define SRC_CRYPTO_AES_H_
@@ -14,6 +22,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+
+#include "src/crypto/crypto_dispatch.h"
 
 namespace tzllm {
 
@@ -24,18 +34,23 @@ class Aes128 {
  public:
   explicit Aes128(const AesKey128& key);
 
-  // Encrypts one 16-byte block in place (ECB primitive).
+  // Encrypts one 16-byte block in place (portable ECB primitive).
   void EncryptBlock(uint8_t block[16]) const;
 
+  // The 11 round keys, 16 bytes each (FIPS-197 byte order).
+  const uint8_t* round_keys() const { return round_keys_.data(); }
+
  private:
-  // 11 round keys of 16 bytes each.
   std::array<uint8_t, 176> round_keys_;
 };
 
 // AES-128-CTR stream cipher. Encryption == decryption.
 class AesCtr {
  public:
-  AesCtr(const AesKey128& key, const AesBlock& iv);
+  // `row` picks the crypto row (tests pin each one); callers leave it at
+  // the process-wide row.
+  AesCtr(const AesKey128& key, const AesBlock& iv,
+         const CryptoDispatch* row = ActiveCrypto());
 
   // XORs the keystream for absolute stream offset `offset` into
   // data[0..len). Offsets may be arbitrary (not block aligned) and calls may
@@ -47,10 +62,9 @@ class AesCtr {
   void CryptAll(uint8_t* data, size_t len) const { Crypt(0, data, len); }
 
  private:
-  void KeystreamBlock(uint64_t block_index, uint8_t out[16]) const;
-
   Aes128 cipher_;
   AesBlock iv_;
+  AesCtrXorFn ctr_xor_;
 };
 
 }  // namespace tzllm

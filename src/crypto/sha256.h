@@ -4,6 +4,11 @@
 // REE filesystem (the paper's Iago-attack defense for model loading, §6) and
 // to derive checkpoint integrity tags. Verified against NIST vectors in
 // tests/crypto_sha256_test.cc.
+//
+// Whole 64-byte blocks go to a crypto row's compress slot
+// (crypto_dispatch.h): SHA-NI where the CPU has it, the portable FIPS 180-4
+// loop otherwise. The portable row is the test oracle; it has no table
+// lookups, so unlike the portable AES it is constant-time.
 
 #ifndef SRC_CRYPTO_SHA256_H_
 #define SRC_CRYPTO_SHA256_H_
@@ -13,13 +18,17 @@
 #include <cstdint>
 #include <string>
 
+#include "src/crypto/crypto_dispatch.h"
+
 namespace tzllm {
 
 using Sha256Digest = std::array<uint8_t, 32>;
 
 class Sha256 {
  public:
-  Sha256();
+  // Hashes on the process-wide row; `row` pins one (tests check each).
+  Sha256() : Sha256(ActiveCrypto()) {}
+  explicit Sha256(const CryptoDispatch* row);
 
   void Update(const uint8_t* data, size_t len);
   void Update(const std::string& s) {
@@ -34,8 +43,7 @@ class Sha256 {
   static Sha256Digest Hash(const std::string& s);
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
+  Sha256CompressFn compress_;
   std::array<uint32_t, 8> state_;
   uint64_t total_len_ = 0;
   std::array<uint8_t, 64> buffer_;

@@ -41,6 +41,16 @@ bool FlashDevice::Exists(const std::string& name) const {
   return files_.count(name) > 0;
 }
 
+std::vector<std::string> FlashDevice::FileNames() const {
+  std::vector<std::string> names;
+  names.reserve(files_.size());
+  for (const auto& [name, file] : files_) {
+    names.push_back(name);
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
 Result<uint64_t> FlashDevice::FileSize(const std::string& name) const {
   auto it = files_.find(name);
   if (it == files_.end()) {

@@ -38,6 +38,8 @@ class FlashDevice {
   Status DeleteFile(const std::string& name);
   bool Exists(const std::string& name) const;
   Result<uint64_t> FileSize(const std::string& name) const;
+  // Every stored file's name, sorted.
+  std::vector<std::string> FileNames() const;
 
   // Reads file content into a host buffer without timing or DMA checks.
   // Used by provisioning tools and by tests to inspect flash content (the

@@ -47,16 +47,11 @@ Status PhysMemory::Read(PhysAddr addr, uint8_t* out, uint64_t len) const {
 }
 
 Status PhysMemory::Write(PhysAddr addr, const uint8_t* data, uint64_t len) {
-  TZLLM_RETURN_IF_ERROR(CheckRange(addr, len));
-  uint64_t done = 0;
-  while (done < len) {
-    const PhysAddr cur = addr + done;
-    const uint64_t in_frame = cur % kFrameSize;
-    const uint64_t n = std::min(len - done, kFrameSize - in_frame);
-    std::memcpy(MutableFrameFor(cur) + in_frame, data + done, n);
-    done += n;
-  }
-  return OkStatus();
+  return ForEachWindow(addr, len,
+                       [data](uint8_t* window, uint64_t done, uint64_t n) {
+                         std::memcpy(window, data + done, n);
+                         return OkStatus();
+                       });
 }
 
 Status PhysMemory::Fill(PhysAddr addr, uint8_t value, uint64_t len) {

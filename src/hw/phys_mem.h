@@ -11,6 +11,7 @@
 #ifndef SRC_HW_PHYS_MEM_H_
 #define SRC_HW_PHYS_MEM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -45,6 +46,21 @@ class PhysMemory {
   // (e.g. TEE decryption); nullptr if the range crosses a frame boundary that
   // has not been materialized. Materializes frames on demand.
   uint8_t* RawWindow(PhysAddr addr, uint64_t len);
+
+  // Calls fn(RawWindow(addr + done, n), done, n) for each frame-contained
+  // piece of [addr, addr + len), in address order: in-place compute over a
+  // range that crosses frames. Stops at the first non-OK Status fn returns.
+  template <typename Fn>
+  Status ForEachWindow(PhysAddr addr, uint64_t len, Fn&& fn) {
+    TZLLM_RETURN_IF_ERROR(CheckRange(addr, len));
+    for (uint64_t done = 0; done < len;) {
+      const PhysAddr cur = addr + done;
+      const uint64_t n = std::min(len - done, kFrameSize - cur % kFrameSize);
+      TZLLM_RETURN_IF_ERROR(fn(RawWindow(cur, n), done, n));
+      done += n;
+    }
+    return OkStatus();
+  }
 
   size_t materialized_frames() const { return frames_.size(); }
   uint64_t materialized_bytes() const { return frames_.size() * kFrameSize; }

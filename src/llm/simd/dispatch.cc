@@ -3,10 +3,10 @@
 // requests for an absent/unsupported backend degrade to scalar rather than
 // fault on the first illegal instruction.
 
-#include <cctype>
 #include <cstdlib>
 #include <string>
 
+#include "src/common/simd_env.h"
 #include "src/llm/engine_options.h"
 #include "src/llm/simd/kernels.h"
 
@@ -55,12 +55,9 @@ const KernelDispatch* BestSupported() {
 }  // namespace
 
 const KernelDispatch* ResolveKernels(const char* env_value) {
-  if (env_value != nullptr && env_value[0] != '\0') {
-    std::string v(env_value);
-    for (char& c : v) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
-    if (v == "off" || v == "scalar" || v == "0" || v == "none") {
+  const std::string v = SimdEnvValue(env_value);
+  if (!v.empty()) {
+    if (SimdEnvPinsPortable(v)) {
       return ScalarKernels();
     }
     if (v == "avx2") {

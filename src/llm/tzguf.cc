@@ -219,13 +219,18 @@ void Tzguf::DecryptExtent(const AesKey128& key, const std::string& model_id,
 
 Status Tzguf::VerifyTensor(const TzgufMeta& meta, int index,
                            const uint8_t* data, uint64_t len) {
+  return CheckTensorDigest(meta, index, Sha256::Hash(data, len));
+}
+
+Status Tzguf::CheckTensorDigest(const TzgufMeta& meta, int index,
+                                const Sha256Digest& digest) {
   if (index < 0 || index >= static_cast<int>(meta.tensor_tags.size())) {
     return InvalidArgument("tensor index out of range");
   }
   if (!meta.materialized) {
     return OkStatus();  // Paper-scale models are tagless.
   }
-  if (Sha256::Hash(data, len) != meta.tensor_tags[index]) {
+  if (digest != meta.tensor_tags[index]) {
     return DataCorruption("tensor checksum mismatch (forged model content?)");
   }
   return OkStatus();

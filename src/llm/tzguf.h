@@ -75,6 +75,9 @@ class Tzguf {
   // Verifies tensor `index`'s plaintext bytes against the meta tag.
   static Status VerifyTensor(const TzgufMeta& meta, int index,
                              const uint8_t* data, uint64_t len);
+  // The same check for a digest streamed by the caller.
+  static Status CheckTensorDigest(const TzgufMeta& meta, int index,
+                                  const Sha256Digest& digest);
 
   static AesBlock DataIv(const std::string& model_id) {
     return KeyHierarchy::ModelIv("data/" + model_id);

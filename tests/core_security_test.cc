@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/llm_ta.h"
 #include "src/crypto/sha256.h"
@@ -162,6 +165,103 @@ TEST_F(SecurityTest, OnlySizesLeakThroughScaling) {
   EXPECT_FALSE(plat_.tzasc()
                    .CheckCpuAccess(World::kNonSecure, stats.base, 1)
                    .ok());
+}
+
+// Every flash file by name: a provisioned model, copied between stacks.
+using FlashImage = std::vector<std::pair<std::string, std::vector<uint8_t>>>;
+
+// One booted stack over test-small. It provisions the model itself, or
+// installs a copy of another stack's flash so that a sweep of loads does
+// not regenerate the weights.
+struct SmallStack {
+  static constexpr uint64_t kRootSeed = 55;
+
+  explicit SmallStack(const FlashImage* image = nullptr) {
+    ReeMemoryLayout layout;
+    layout.dram_bytes = plat.config().dram_bytes;
+    layout.kernel_bytes = 256 * kMiB;
+    layout.cma_bytes = 256 * kMiB;
+    layout.cma2_bytes = 64 * kMiB;
+    mm = std::make_unique<ReeMemoryManager>(layout, &plat.dram());
+    tz = std::make_unique<TzDriver>(&plat, mm.get());
+    tee = std::make_unique<TeeOs>(&plat, tz.get(), kRootSeed);
+    EXPECT_TRUE(tee->Boot().ok());
+    if (image == nullptr) {
+      EXPECT_TRUE(Tzguf::Provision(&plat.flash(), tee->keys(), "m", spec,
+                                   kWeightSeed, true)
+                      .ok());
+    } else {
+      for (const auto& [name, bytes] : *image) {
+        EXPECT_TRUE(plat.flash().CreateFile(name, bytes).ok());
+      }
+    }
+    auto wrapped = Tzguf::ReadWrappedKey(&plat.flash(), "m");
+    EXPECT_TRUE(wrapped.ok());
+    tee->InstallWrappedKey(*wrapped);
+    ta = std::make_unique<LlmTa>(&plat, tee.get(), tz.get());
+    EXPECT_TRUE(ta->Attach().ok());
+    EXPECT_TRUE(tee->AuthorizeKeyAccess(ta->ta_id(), "m").ok());
+  }
+
+  FlashImage Image() {
+    FlashImage out;
+    for (const std::string& name : plat.flash().FileNames()) {
+      std::vector<uint8_t> bytes(*plat.flash().FileSize(name));
+      EXPECT_TRUE(
+          plat.flash().PeekBytes(name, 0, bytes.size(), bytes.data()).ok());
+      out.emplace_back(name, std::move(bytes));
+    }
+    return out;
+  }
+
+  SocPlatform plat;
+  ModelSpec spec = ModelSpec::Create(TestSmallModel());
+  std::unique_ptr<ReeMemoryManager> mm;
+  std::unique_ptr<TzDriver> tz;
+  std::unique_ptr<TeeOs> tee;
+  std::unique_ptr<LlmTa> ta;
+};
+
+// §6 Iago defense, exhaustively: flipping the first or the last data byte
+// of ANY tensor on flash fails the load closed. The sweep covers the
+// tensors that cross a DRAM frame, whose digests are streamed across two
+// in-place decryption windows.
+TEST(TamperSweepTest, EveryTensorFailsClosedAtItsFirstAndLastByte) {
+  SmallStack golden;
+  ASSERT_TRUE(golden.ta->LoadModel("m").ok());
+  const PhysAddr base = golden.tee->RegionBase(SecureRegionId::kParams);
+  const FlashImage image = golden.Image();
+  int crossing = 0;
+  for (const TensorSpec& t : golden.spec.tensors()) {
+    const PhysAddr first = base + t.file_offset;
+    const PhysAddr last = first + t.data_bytes - 1;
+    crossing += first / PhysMemory::kFrameSize != last / PhysMemory::kFrameSize;
+    for (const uint64_t byte :
+         {t.file_offset, t.file_offset + t.data_bytes - 1}) {
+      SmallStack stack(&image);
+      ASSERT_TRUE(stack.plat.flash().CorruptBytes("m.data", byte, 1).ok());
+      const Status st = stack.ta->LoadModel("m");
+      EXPECT_EQ(st.code(), ErrorCode::kDataCorruption)
+          << "tensor " << t.index << " byte " << byte << ": " << st.ToString();
+    }
+  }
+  EXPECT_GE(crossing, 1) << "the sweep must cover frame-crossing tensors";
+}
+
+// A clean load leaves every tensor's exact plaintext in the params region.
+TEST(TamperSweepTest, CleanLoadLeavesEveryTensorPlaintextInParams) {
+  SmallStack stack;
+  ASSERT_TRUE(stack.ta->LoadModel("m").ok());
+  const PhysAddr base = stack.tee->RegionBase(SecureRegionId::kParams);
+  const std::vector<Tensor> plain =
+      Tzguf::ReferenceWeights(stack.spec, kWeightSeed);
+  for (const TensorSpec& t : stack.spec.tensors()) {
+    std::vector<uint8_t> in_dram(t.data_bytes);
+    ASSERT_TRUE(stack.plat.dram()
+                    .Read(base + t.file_offset, in_dram.data(), t.data_bytes)
+                    .ok());
+    EXPECT_EQ(in_dram, plain[t.index].data) << "tensor " << t.index;
+  }
 }
 
 }  // namespace

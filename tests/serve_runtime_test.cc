@@ -218,5 +218,45 @@ TEST(ServeRuntimeTest, NoEvictionPolicyMakesUrgentWaitInQueue) {
   EXPECT_EQ(serve.results()[1].priority, 1.0);
 }
 
+TEST(ServeRuntimeTest, CompletedRunLeavesNoSessionCheckpointOnFlash) {
+  // Every finished session deletes its sealed blob, whether it got there by
+  // eviction or by an auto-checkpoint snapshot: a long-running server must
+  // not grow REE flash by one blob per preempted request.
+  SocPlatform plat;
+  RuntimeConfig config = ServeConfig(2, ServeEvictPolicy::kPriority);
+  config.engine.serve_checkpoint_every_n_ticks = 2;
+  SystemRuntime runtime(&plat, config);
+  ASSERT_TRUE(runtime.Setup().ok());
+  auto ta = runtime.CreateFunctionalTa();
+  ASSERT_TRUE(ta.ok());
+  ASSERT_TRUE((*ta)->LoadModel(runtime.spec().config().name).ok());
+
+  ServingRuntime serve(ta->get(), &plat.sim());
+  for (size_t i = 0; i < 2; ++i) {
+    ServeRequest req;
+    req.prompt = Prompts()[i];
+    req.max_new_tokens = kBudget;
+    req.priority = 5.0;
+    ASSERT_TRUE(serve.Enqueue(req).ok());
+  }
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(serve.Tick().ok());
+  }
+  ServeRequest urgent;
+  urgent.prompt = Prompts()[2];
+  urgent.max_new_tokens = kBudget;
+  urgent.priority = 1.0;
+  ASSERT_TRUE(serve.Enqueue(urgent).ok());
+  ASSERT_TRUE(serve.RunToCompletion().ok());
+
+  ASSERT_EQ(serve.results().size(), 3u);
+  EXPECT_GE(serve.stats().preemptions, 1);
+  EXPECT_GE(serve.stats().auto_checkpoints, 1u);
+  for (const std::string& name : plat.flash().FileNames()) {
+    EXPECT_EQ(name.find(".sess."), std::string::npos)
+        << name << " outlived its finished session";
+  }
+}
+
 }  // namespace
 }  // namespace tzllm
