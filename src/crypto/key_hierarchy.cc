@@ -2,6 +2,9 @@
 
 #include <cstring>
 
+#include "src/crypto/seal.h"
+#include "src/crypto/sha256.h"
+
 namespace tzllm {
 
 KeyHierarchy::KeyHierarchy(uint64_t root_seed) : root_seed_(root_seed) {}
@@ -37,39 +40,17 @@ AesBlock KeyHierarchy::ModelIv(const std::string& model_id) {
 
 WrappedModelKey KeyHierarchy::WrapModelKey(const std::string& model_id,
                                            const AesKey128& model_key) const {
-  WrappedModelKey wrapped;
-  wrapped.model_id = model_id;
-  wrapped.iv = ModelIv("wrap/" + model_id);
-
-  Sha256 tag;
-  tag.Update(model_id);
-  tag.Update(model_key.data(), model_key.size());
-  wrapped.integrity_tag = tag.Finalize();
-
-  wrapped.ciphertext.assign(model_key.begin(), model_key.end());
-  AesCtr ctr(DeriveTeeKey(), wrapped.iv);
-  ctr.CryptAll(wrapped.ciphertext.data(), wrapped.ciphertext.size());
-  return wrapped;
+  return {model_id, Seal(DeriveTeeKey(), {SealKind::kModelKey, model_id},
+                         model_key.data(), model_key.size())};
 }
 
 Result<AesKey128> KeyHierarchy::UnwrapModelKey(
     const WrappedModelKey& wrapped) const {
-  if (wrapped.ciphertext.size() != 16) {
-    return Status(ErrorCode::kDataCorruption, "wrapped key has wrong size");
-  }
-  std::vector<uint8_t> plain = wrapped.ciphertext;
-  AesCtr ctr(DeriveTeeKey(), wrapped.iv);
-  ctr.CryptAll(plain.data(), plain.size());
-
-  Sha256 tag;
-  tag.Update(wrapped.model_id);
-  tag.Update(plain.data(), plain.size());
-  if (tag.Finalize() != wrapped.integrity_tag) {
-    return Status(ErrorCode::kDataCorruption,
-                  "model key integrity check failed (tampered flash?)");
-  }
   AesKey128 key;
-  std::memcpy(key.data(), plain.data(), key.size());
+  TZLLM_RETURN_IF_ERROR(Open(DeriveTeeKey(),
+                             {SealKind::kModelKey, wrapped.model_id},
+                             wrapped.sealed.data(), wrapped.sealed.size(),
+                             key.data(), key.size()));
   return key;
 }
 

@@ -2,12 +2,12 @@
 //
 //   hardware root key (fused, never leaves the SoC model)
 //     └── TEE key           (derived; only the TEE OS can use it)
-//           └── model key   (per model; stored in flash wrapped by the TEE
-//                            key; unwrapped inside the TEE, released only to
-//                            the LLM TA)
+//           └── model key   (per model; stored in flash sealed under the
+//                            TEE key (src/crypto/seal.h); opened inside the
+//                            TEE, released only to the LLM TA)
 //
-// Keys are derived with SHA-256-based KDF and models are encrypted with
-// AES-128-CTR under their model key.
+// Keys are derived with SHA-256-based KDF and model weights are encrypted
+// with AES-128-CTR under their model key.
 
 #ifndef SRC_CRYPTO_KEY_HIERARCHY_H_
 #define SRC_CRYPTO_KEY_HIERARCHY_H_
@@ -18,16 +18,13 @@
 
 #include "src/common/status.h"
 #include "src/crypto/aes.h"
-#include "src/crypto/sha256.h"
 
 namespace tzllm {
 
-// A wrapped (encrypted) model key as stored in flash next to the model file.
+// A wrapped model key as stored in flash next to the model file.
 struct WrappedModelKey {
   std::string model_id;
-  std::vector<uint8_t> ciphertext;  // key material encrypted under TEE key.
-  AesBlock iv{};                    // CTR IV used for wrapping.
-  Sha256Digest integrity_tag{};     // Digest over (model_id || plaintext key).
+  std::vector<uint8_t> sealed;  // The key sealed under the TEE key.
 };
 
 class KeyHierarchy {
@@ -47,11 +44,12 @@ class KeyHierarchy {
   WrappedModelKey WrapModelKey(const std::string& model_id,
                                const AesKey128& model_key) const;
 
-  // Unwraps and integrity-checks a model key. Fails with kDataCorruption if
-  // the wrapped blob was tampered with (REE flash is untrusted).
+  // Opens a wrapped model key. Fails with kDataCorruption if the blob was
+  // tampered with or wrapped for another model (REE flash is untrusted).
   Result<AesKey128> UnwrapModelKey(const WrappedModelKey& wrapped) const;
 
-  // Per-model CTR IV (public; derived from the model id).
+  // Per-model CTR IV (public; derived from the model id). Only the weights
+  // data file uses it (Tzguf::DataIv); sealed blobs derive theirs.
   static AesBlock ModelIv(const std::string& model_id);
 
  private:

@@ -84,6 +84,18 @@ Status FlashDevice::PeekBytes(const std::string& name, uint64_t offset,
   return FillFromFile(it->second, offset, len, out);
 }
 
+Result<std::vector<uint8_t>> FlashDevice::PeekFile(
+    const std::string& name) const {
+  auto it = files_.find(name);
+  if (it == files_.end()) {
+    return NotFound("no such file: " + name);
+  }
+  std::vector<uint8_t> bytes(it->second.size);
+  TZLLM_RETURN_IF_ERROR(
+      FillFromFile(it->second, 0, bytes.size(), bytes.data()));
+  return bytes;
+}
+
 Status FlashDevice::CorruptBytes(const std::string& name, uint64_t offset,
                                  uint64_t len) {
   auto it = files_.find(name);

@@ -46,6 +46,8 @@ class FlashDevice {
   // "attacker reads flash" probe).
   Status PeekBytes(const std::string& name, uint64_t offset, uint64_t len,
                    uint8_t* out) const;
+  // The whole file, read the same way (how the TEE fetches a sealed blob).
+  Result<std::vector<uint8_t>> PeekFile(const std::string& name) const;
 
   // Overwrites a byte range in place (tamper primitive for security tests).
   Status CorruptBytes(const std::string& name, uint64_t offset, uint64_t len);

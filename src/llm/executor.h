@@ -110,8 +110,6 @@ class TransformerExecutor {
   // through the seed's reference kernels (ForwardPosition).
   Status Forward(const ForwardRow* rows, int n, ForwardPhase phase);
 
-  const EngineOptions& options() const { return options_; }
-
   // Wall-clock seconds spent in Attend since construction. Only
   // accumulated when options.collect_stats is set.
   double attend_seconds() const { return attend_seconds_; }

@@ -4,27 +4,17 @@
 #include <cstring>
 #include <string>
 
-#include "src/common/bytes.h"
-#include "src/crypto/key_hierarchy.h"
-#include "src/crypto/sha256.h"
+#include "src/crypto/seal.h"
 
 namespace tzllm {
 
 namespace {
 
-// Spill blob layout (all little-endian, the checkpoint idiom):
-//   magic | u32 page_id | u64 spill_seq | sha256(plaintext) | ciphertext.
-// The hash is over the plaintext page, so any bit flipped in the REE blob
-// decrypts to a page whose digest no longer matches — kDataCorruption, the
-// same contract the PR 6 session checkpoints enforce.
-constexpr char kSpillMagic[8] = {'T', 'Z', 'K', 'V', 'P', 'G', '0', '1'};
-constexpr size_t kSpillHeader = sizeof(kSpillMagic) + 4 + 8 + 32;
-
-AesBlock SpillIv(KvPageId id, uint64_t seq) {
-  // Fresh IV per (page, spill generation): CTR keystream never repeats even
-  // when the same page spills repeatedly under one key.
-  return KeyHierarchy::ModelIv("kv-page/" + std::to_string(id) + "/" +
-                               std::to_string(seq));
+// A spill opens only as the page and spill generation it was sealed for, so
+// the REE cannot substitute another page's blob or replay an older spill of
+// this one within the pool's lifetime.
+SealContext SpillContext(KvPageId id, uint64_t generation) {
+  return {SealKind::kKvPage, std::to_string(id), generation};
 }
 
 }  // namespace
@@ -113,30 +103,19 @@ Status KvPagePool::SpillPage(KvPageId id) {
     return Internal("spill of a non-resident KV page");
   }
   p.spill_seq = ++spill_clock_;
-  std::vector<uint8_t> blob;
-  blob.reserve(kSpillHeader + page_bytes_);
-  blob.insert(blob.end(), kSpillMagic, kSpillMagic + sizeof(kSpillMagic));
-  ByteWriter w(&blob);
-  w.U32(id);
-  w.U64(p.spill_seq);
-  const uint8_t* plain = FrameBytes(p.frame);
-  const Sha256Digest digest = Sha256::Hash(plain, page_bytes_);
-  w.Bytes(digest.data(), digest.size());
-  const size_t ct_off = blob.size();
-  w.Bytes(plain, page_bytes_);
-  AesCtr ctr(spill_key_, SpillIv(id, p.spill_seq));
-  ctr.CryptAll(blob.data() + ct_off, page_bytes_);
+  std::vector<uint8_t> blob = Seal(spill_key_, SpillContext(id, p.spill_seq),
+                                   FrameBytes(p.frame), page_bytes_);
   if (spill_fault_armed_) {
     const uint64_t ordinal = stats_.spills + 1;  // 1-based, like NpuFaultPlan.
     if (ordinal >= spill_fault_first_ &&
         ordinal < spill_fault_first_ + spill_fault_count_) {
       if (spill_fault_drop_) {
         // The REE "loses" the blob: nothing but a stub survives, so restore
-        // fails the size/magic check.
-        blob.resize(kSpillHeader / 2);
+        // fails the size check.
+        blob.resize(kSealHeaderBytes / 2);
       } else {
-        // One ciphertext byte flipped: decrypts fine, digest mismatches.
-        blob[ct_off + page_bytes_ / 2] ^= 0x5a;
+        // One ciphertext byte flipped: decrypts fine, fails the tag.
+        blob[kSealHeaderBytes + page_bytes_ / 2] ^= 0x5a;
       }
       ++stats_.spill_faults_injected;
     }
@@ -158,38 +137,20 @@ Status KvPagePool::RestorePage(KvPageId id) {
   if (p.state != PageState::kSpilled) {
     return Internal("restore of a non-spilled KV page");
   }
-  const std::vector<uint8_t>& blob = p.ree_blob;
-  ByteReader r(blob);
-  uint8_t magic[sizeof(kSpillMagic)];
-  uint32_t blob_id = 0;
-  uint64_t seq = 0;
-  Sha256Digest stored;
-  if (blob.size() != kSpillHeader + page_bytes_ ||
-      !r.Bytes(magic, sizeof(magic)) ||
-      std::memcmp(magic, kSpillMagic, sizeof(kSpillMagic)) != 0 ||
-      !r.U32(&blob_id) || !r.U64(&seq) ||
-      !r.Bytes(stored.data(), stored.size())) {
+  // A dropped or padded blob fails before a frame is claimed for it.
+  if (p.ree_blob.size() != kSealHeaderBytes + page_bytes_) {
     return Status(ErrorCode::kDataCorruption,
-                  "spilled KV page blob truncated or bad magic");
-  }
-  if (blob_id != id || seq != p.spill_seq) {
-    // A stale or foreign blob substituted in REE memory (replay of an older
-    // spill generation included) decrypts under the wrong IV anyway; fail
-    // on the labels first for a clear diagnosis.
-    return Status(ErrorCode::kDataCorruption,
-                  "spilled KV page blob labels do not match the page");
+                  "spilled KV page blob has the wrong size");
   }
   TZLLM_ASSIGN_OR_RETURN(frame, TakeFrame());
-  uint8_t* dst = FrameBytes(frame);
-  std::memcpy(dst, blob.data() + r.pos(), page_bytes_);
-  AesCtr ctr(spill_key_, SpillIv(id, p.spill_seq));
-  ctr.CryptAll(dst, page_bytes_);
-  if (Sha256::Hash(dst, page_bytes_) != stored) {
-    ScrubFrame(frame);
+  // Decrypts straight into the frame; a blob that fails to open leaves the
+  // frame scrubbed, so it goes back on the free list as is.
+  const Status opened =
+      Open(spill_key_, SpillContext(id, p.spill_seq), p.ree_blob.data(),
+           p.ree_blob.size(), FrameBytes(frame), page_bytes_);
+  if (!opened.ok()) {
     free_frames_.push_back(frame);
-    return Status(ErrorCode::kDataCorruption,
-                  "spilled KV page failed its integrity check (REE memory "
-                  "tampered)");
+    return opened;
   }
   p.ree_blob.clear();
   p.ree_blob.shrink_to_fit();
@@ -368,11 +329,11 @@ const float* KvPagePool::Data32(KvPageId id) const {
              : nullptr;
 }
 
-uint8_t* KvPagePool::ree_blob_data(KvPageId id) {
+std::vector<uint8_t>* KvPagePool::ree_blob(KvPageId id) {
   if (!ValidLive(id) || pages_[id].state != PageState::kSpilled) {
     return nullptr;
   }
-  return pages_[id].ree_blob.data();
+  return &pages_[id].ree_blob;
 }
 
 size_t KvPagePool::ree_blob_size(KvPageId id) const {

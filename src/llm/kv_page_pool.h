@@ -12,9 +12,9 @@
 // The pool owns a fixed number of resident frames in secure scratch (by
 // default every session's full context in whole pages). When every frame
 // is in use, allocation and restore evict the least-recently-touched
-// unpinned page to REE memory, encrypted and integrity-tagged under the
-// session spill key (AES-128-CTR + SHA-256, the session-checkpoint idiom):
-// REE memory is attacker-controlled, so a tampered spilled page fails
+// unpinned page to REE memory as a src/crypto/seal.h seal under the pool's
+// key, bound to the page id and spill generation: REE memory is
+// attacker-controlled, so a tampered, substituted or replayed spill fails
 // restore with kDataCorruption, never with silently wrong KV. Pinned pages
 // (a decode step in flight) are never evicted. Recency is a monotonic
 // counter, not a clock — eviction order is deterministic and replayable.
@@ -67,8 +67,8 @@ struct KvPagePoolOptions {
   // Allow evicting cold pages to encrypted REE memory. Off = the pool is a
   // hard budget: allocation beyond the frames fails with ResourceExhausted.
   bool spill = true;
-  // Key the spill blobs are encrypted under (derived from the model key by
-  // the TA; tests may use any fixed key).
+  // Key the spill blobs are sealed under (the model key in the TA; tests
+  // may use any fixed key).
   AesKey128 spill_key{};
 };
 
@@ -117,8 +117,8 @@ class KvPagePool {
   // --- Residency. --------------------------------------------------------
 
   bool resident(KvPageId id) const;
-  // Restores a spilled page into a frame (decrypt + integrity check;
-  // kDataCorruption on tamper), evicting colder unpinned pages if needed.
+  // Restores a spilled page into a frame (opens its seal; kDataCorruption
+  // on tamper), evicting colder unpinned pages if needed.
   // No-op when already resident. Counts as a recency touch. Fails with
   // kDataCorruption on a quarantined (lost) page until ClearLost — zeros
   // must never be silently read as KV data.
@@ -144,7 +144,7 @@ class KvPagePool {
   Status ClearLost(KvPageId id);
 
   // Deterministic REE-misbehavior injection (ServeFaultPlan): sabotage the
-  // 1-based `first..first+count-1`-th spills right after encryption — a
+  // 1-based `first..first+count-1`-th spills right after sealing — a
   // flipped ciphertext byte (tamper) or a truncated blob (drop). Restores
   // of those generations then fail exactly like a real adversarial REE.
   void ArmSpillFault(bool drop, uint64_t first, uint64_t count);
@@ -176,7 +176,7 @@ class KvPagePool {
     return static_cast<uint64_t>(resident_pages()) * page_bytes_;
   }
   // Plaintext-equivalent bytes of pages currently spilled to REE memory
-  // (the encrypted blobs add a constant header per page).
+  // (each sealed blob adds kSealHeaderBytes).
   uint64_t SpilledBytes() const {
     return static_cast<uint64_t>(spilled_pages_) * page_bytes_;
   }
@@ -185,9 +185,14 @@ class KvPagePool {
 
   // --- REE-visible spill surface. ----------------------------------------
   // A spilled page's blob lives in untrusted REE memory, which the threat
-  // model says an attacker can rewrite at will; tests model tampering
-  // through this mutable view. nullptr / 0 when the page is not spilled.
-  uint8_t* ree_blob_data(KvPageId id);
+  // model says an attacker can rewrite, truncate or extend at will; tests
+  // model that through these mutable views. nullptr / 0 when the page is
+  // not spilled.
+  std::vector<uint8_t>* ree_blob(KvPageId id);
+  uint8_t* ree_blob_data(KvPageId id) {
+    std::vector<uint8_t>* blob = ree_blob(id);
+    return blob == nullptr ? nullptr : blob->data();
+  }
   size_t ree_blob_size(KvPageId id) const;
 
  private:
@@ -200,8 +205,8 @@ class KvPagePool {
     int pins = 0;
     bool lost = false;  // Quarantined: frame is zeroed, awaiting recompute.
     uint64_t lru = 0;
-    uint64_t spill_seq = 0;           // CTR-IV uniqueness across re-spills.
-    std::vector<uint8_t> ree_blob;    // Encrypted page while spilled.
+    uint64_t spill_seq = 0;         // Generation bound into the seal.
+    std::vector<uint8_t> ree_blob;  // Sealed page while spilled.
   };
 
   bool ValidLive(KvPageId id) const {

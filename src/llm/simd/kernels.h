@@ -11,11 +11,11 @@
 // (the rest of the codebase stays portable baseline code).
 //
 // Numerics contract per slot:
-//  - dot_row_q8 / dot_row_q8_ws / dot_rows4_q8 are BIT-IDENTICAL across
-//    all backends: the 32-wide int8 MACs reduce in exact integer arithmetic
-//    and the per-block float combine runs serially in block order (one
-//    independent serial accumulator per position in the rows4 variant), so
-//    vectorizing the integer dot cannot change a single bit of the output.
+//  - dot_row_q8 / dot_rows4_q8 are BIT-IDENTICAL across all backends: the
+//    32-wide int8 MACs reduce in exact integer arithmetic and the per-block
+//    float combine runs serially in block order (one independent serial
+//    accumulator per position in the rows4 variant), so vectorizing the
+//    integer dot cannot change a single bit of the output.
 //  - f32_to_f16 is bit-identical across backends for FINITE inputs (the
 //    AVX2 path reproduces the scalar converter's flush-subnormals-to-zero
 //    behavior; NaN diverges — scalar emits inf, AVX2 flushes to zero — but
@@ -53,11 +53,6 @@ struct KernelDispatch {
   // from the f16 header of each block. The MatVecQ8Pre row kernel.
   float (*dot_row_q8)(const uint8_t* row, const int8_t* xq,
                       const float* xscale, uint64_t nblocks);
-  // Same dot with the row's weight scales pre-expanded by the caller (for
-  // callers that amortize one expansion across many dots of the same row).
-  float (*dot_row_q8_ws)(const uint8_t* row, const float* wscales,
-                         const int8_t* xq, const float* xscale,
-                         uint64_t nblocks);
   // Four positions against one weight row in a single pass — the MatMatQ8
   // group kernel behind batched multi-session decode. Each weight block is
   // loaded and widened ONCE and all four positions' activations dot

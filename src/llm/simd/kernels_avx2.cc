@@ -80,19 +80,6 @@ float DotRowQ8Avx2(const uint8_t* row, const int8_t* xq, const float* xscale,
   return acc;
 }
 
-float DotRowQ8WsAvx2(const uint8_t* row, const float* wscales,
-                     const int8_t* xq, const float* xscale,
-                     uint64_t nblocks) {
-  float acc = 0.0f;
-  for (uint64_t b = 0; b < nblocks; ++b) {
-    const int32_t dot = DotBlock32(
-        reinterpret_cast<const int8_t*>(row + b * kQ8BlockBytes + 2),
-        xq + b * kQ8BlockElems);
-    acc += (wscales[b] * xscale[b]) * static_cast<float>(dot);
-  }
-  return acc;
-}
-
 void DotRows4Q8Avx2(const uint8_t* row, const int8_t* xq, uint64_t x_stride,
                     const float* xs_t, uint64_t xs_stride, uint64_t nblocks,
                     float* out4) {
@@ -320,7 +307,6 @@ void SoftmaxAvx2(float* x, int n) {
 const KernelDispatch kAvx2Table = {
     SimdIsa::kAvx2F16c,
     DotRowQ8Avx2,
-    DotRowQ8WsAvx2,
     DotRows4Q8Avx2,
     DotQkF16Avx2,
     DotQkF32Avx2,

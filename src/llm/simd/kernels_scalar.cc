@@ -30,23 +30,6 @@ float DotRowQ8Scalar(const uint8_t* row, const int8_t* xq,
   return acc;
 }
 
-float DotRowQ8WsScalar(const uint8_t* row, const float* wscales,
-                       const int8_t* xq, const float* xscale,
-                       uint64_t nblocks) {
-  float acc = 0.0f;
-  for (uint64_t b = 0; b < nblocks; ++b) {
-    const int8_t* wq =
-        reinterpret_cast<const int8_t*>(row + b * kQ8BlockBytes + 2);
-    const int8_t* xb = xq + b * kQ8BlockElems;
-    int32_t dot = 0;
-    for (uint64_t i = 0; i < kQ8BlockElems; ++i) {
-      dot += static_cast<int32_t>(wq[i]) * static_cast<int32_t>(xb[i]);
-    }
-    acc += (wscales[b] * xscale[b]) * static_cast<float>(dot);
-  }
-  return acc;
-}
-
 void DotRows4Q8Scalar(const uint8_t* row, const int8_t* xq,
                       uint64_t x_stride, const float* xs_t,
                       uint64_t xs_stride, uint64_t nblocks, float* out4) {
@@ -165,7 +148,6 @@ void SoftmaxScalar(float* x, int n) {
 const KernelDispatch kScalarTable = {
     SimdIsa::kScalar,
     DotRowQ8Scalar,
-    DotRowQ8WsScalar,
     DotRows4Q8Scalar,
     DotQkF16Scalar,
     DotQkF32Scalar,

@@ -4,12 +4,11 @@
 
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
+#include "src/crypto/seal.h"
 
 namespace tzllm {
 
 namespace {
-
-constexpr char kMetaMagic[8] = {'T', 'Z', 'G', 'U', 'F', '0', '1', 0};
 
 std::vector<uint8_t> SerializeMetaBody(const TzgufMeta& meta) {
   std::vector<uint8_t> body;
@@ -129,85 +128,29 @@ Result<TzgufMeta> Tzguf::Provision(FlashDevice* flash,
         meta.DataFile(), spec.total_param_bytes(), SplitMix64(weight_seed)));
   }
 
-  // --- Meta file: magic | sha256(body) | encrypted body. ---
-  std::vector<uint8_t> body = SerializeMetaBody(meta);
-  const Sha256Digest body_digest = Sha256::Hash(body.data(), body.size());
-  AesCtr meta_ctr(model_key, KeyHierarchy::ModelIv("meta/" + model_id));
-  meta_ctr.CryptAll(body.data(), body.size());
-
-  std::vector<uint8_t> meta_file;
-  ByteWriter w(&meta_file);
-  w.Bytes(reinterpret_cast<const uint8_t*>(kMetaMagic), sizeof(kMetaMagic));
-  w.Bytes(body_digest.data(), body_digest.size());
-  w.Bytes(body.data(), body.size());
-  TZLLM_RETURN_IF_ERROR(
-      flash->CreateFile(meta.MetaFile(), std::move(meta_file)));
-
-  // --- Wrapped key file. ---
-  const WrappedModelKey wrapped = keys.WrapModelKey(model_id, model_key);
-  std::vector<uint8_t> key_file;
-  ByteWriter kw(&key_file);
-  kw.Str(wrapped.model_id);
-  kw.U32(static_cast<uint32_t>(wrapped.ciphertext.size()));
-  kw.Bytes(wrapped.ciphertext.data(), wrapped.ciphertext.size());
-  kw.Bytes(wrapped.iv.data(), wrapped.iv.size());
-  kw.Bytes(wrapped.integrity_tag.data(), wrapped.integrity_tag.size());
-  TZLLM_RETURN_IF_ERROR(
-      flash->CreateFile(KeyFile(model_id), std::move(key_file)));
+  // --- Meta file and wrapped key file: one seal each. ---
+  const std::vector<uint8_t> body = SerializeMetaBody(meta);
+  TZLLM_RETURN_IF_ERROR(flash->CreateFile(
+      meta.MetaFile(), Seal(model_key, {SealKind::kModelMeta, model_id},
+                            body.data(), body.size())));
+  TZLLM_RETURN_IF_ERROR(flash->CreateFile(
+      KeyFile(model_id), keys.WrapModelKey(model_id, model_key).sealed));
 
   return meta;
 }
 
 Result<WrappedModelKey> Tzguf::ReadWrappedKey(FlashDevice* flash,
                                               const std::string& model_id) {
-  auto size = flash->FileSize(KeyFile(model_id));
-  if (!size.ok()) {
-    return size.status();
-  }
-  std::vector<uint8_t> blob(*size);
-  TZLLM_RETURN_IF_ERROR(
-      flash->PeekBytes(KeyFile(model_id), 0, *size, blob.data()));
-  ByteReader r(blob);
-  WrappedModelKey wrapped;
-  uint32_t ct_len = 0;
-  if (!r.Str(&wrapped.model_id) || !r.U32(&ct_len) || ct_len > 64) {
-    return Status(ErrorCode::kDataCorruption, "bad wrapped key blob");
-  }
-  wrapped.ciphertext.resize(ct_len);
-  if (!r.Bytes(wrapped.ciphertext.data(), ct_len) ||
-      !r.Bytes(wrapped.iv.data(), wrapped.iv.size()) ||
-      !r.Bytes(wrapped.integrity_tag.data(), wrapped.integrity_tag.size())) {
-    return Status(ErrorCode::kDataCorruption, "bad wrapped key blob");
-  }
-  return wrapped;
+  TZLLM_ASSIGN_OR_RETURN(sealed, flash->PeekFile(KeyFile(model_id)));
+  return WrappedModelKey{model_id, std::move(sealed)};
 }
 
 Result<TzgufMeta> Tzguf::ReadMeta(FlashDevice* flash,
                                   const std::string& model_id,
                                   const AesKey128& key) {
-  const std::string file = model_id + ".meta";
-  auto size = flash->FileSize(file);
-  if (!size.ok()) {
-    return size.status();
-  }
-  if (*size < sizeof(kMetaMagic) + 32) {
-    return Status(ErrorCode::kDataCorruption, "TZGUF meta truncated");
-  }
-  std::vector<uint8_t> blob(*size);
-  TZLLM_RETURN_IF_ERROR(flash->PeekBytes(file, 0, *size, blob.data()));
-  if (std::memcmp(blob.data(), kMetaMagic, sizeof(kMetaMagic)) != 0) {
-    return Status(ErrorCode::kDataCorruption, "TZGUF magic mismatch");
-  }
-  Sha256Digest stored;
-  std::memcpy(stored.data(), blob.data() + sizeof(kMetaMagic), 32);
-  std::vector<uint8_t> body(blob.begin() + sizeof(kMetaMagic) + 32,
-                            blob.end());
-  AesCtr ctr(key, KeyHierarchy::ModelIv("meta/" + model_id));
-  ctr.CryptAll(body.data(), body.size());
-  if (Sha256::Hash(body.data(), body.size()) != stored) {
-    return Status(ErrorCode::kDataCorruption,
-                  "TZGUF meta integrity check failed (wrong key or tamper)");
-  }
+  TZLLM_ASSIGN_OR_RETURN(blob, flash->PeekFile(model_id + ".meta"));
+  TZLLM_ASSIGN_OR_RETURN(
+      body, Open(key, {SealKind::kModelMeta, model_id}, blob));
   return DeserializeMetaBody(body);
 }
 

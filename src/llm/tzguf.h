@@ -1,15 +1,20 @@
 // TZGUF: the encrypted on-flash model container (GGUF-shaped, TrustZone-
 // hardened). A provisioned model is three flash files:
 //
-//   <id>.key  — the model key, wrapped under the device's TEE key (§6).
-//   <id>.meta — encrypted metadata: architecture config + tensor table with
-//               per-tensor PLAINTEXT SHA-256 tags. The tags are the Iago
-//               defense for model loading: after the TEE decrypts a tensor
-//               it verifies the tag, so a malicious REE filesystem cannot
-//               substitute content.
+//   <id>.key  — the model key, sealed under the device's TEE key (§6).
+//   <id>.meta — metadata sealed under the model key: architecture config +
+//               tensor table with per-tensor PLAINTEXT SHA-256 tags. The
+//               tags are the Iago defense for model loading: after the TEE
+//               decrypts a tensor it verifies the tag, so a malicious REE
+//               filesystem cannot substitute content.
 //   <id>.data — per-tensor payloads encrypted with AES-128-CTR keyed at the
 //               tensor's file offset (so arbitrary extents decrypt
 //               independently — the property chunked restoration needs).
+//               Not a seal: it is encrypted once at provisioning, and the
+//               tags inside the sealed meta verify it.
+//
+// Both seals are src/crypto/seal.h blobs whose context binds the model id,
+// so neither file opens as another model's.
 //
 // Functional models carry real quantized weights; paper-scale models use a
 // synthetic .data stream and tagless tensors.
@@ -59,10 +64,11 @@ class Tzguf {
                                               uint64_t weight_seed);
 
   // --- TEE-side access. ---
-  // Reads the wrapped key blob from flash.
+  // Reads the wrapped key blob from flash (opened by UnwrapModelKey).
   static Result<WrappedModelKey> ReadWrappedKey(FlashDevice* flash,
                                                 const std::string& model_id);
-  // Decrypts and integrity-checks the metadata with the (unwrapped) key.
+  // Opens the sealed metadata with the (unwrapped) key; kDataCorruption on
+  // tamper, wrong key or another model's meta.
   static Result<TzgufMeta> ReadMeta(FlashDevice* flash,
                                     const std::string& model_id,
                                     const AesKey128& key);

@@ -17,11 +17,8 @@ constexpr char kManifestMagic[8] = {'T', 'Z', 'S', 'R', 'V', 'M', 'F', '1'};
 
 }  // namespace
 
-ServingRuntime::ServingRuntime(LlmTa* ta, Simulator* sim)
-    : ta_(ta),
-      pool_(sim, "serve-admit",
-            std::max(1, ta->engine_options().max_sessions)),
-      t0_(std::chrono::steady_clock::now()) {}
+ServingRuntime::ServingRuntime(LlmTa* ta, Simulator* /*sim*/)
+    : ta_(ta), t0_(std::chrono::steady_clock::now()) {}
 
 double ServingRuntime::Now() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
@@ -33,13 +30,9 @@ ServingRuntime::Request* ServingRuntime::Find(uint64_t id) {
   return it == requests_.end() ? nullptr : &it->second;
 }
 
-void ServingRuntime::SubmitJob(const Request& r) {
-  const uint64_t id = r.id;
-  ServerPool::Job job;
-  job.priority = r.priority;
-  job.label = "serve-req";
-  job.on_complete = [this, id] { popped_request_ = id; };
-  pool_.SubmitHeld(std::move(job));
+void ServingRuntime::QueueForAdmission(Request* r) {
+  r->queue_seq = next_queue_seq_++;
+  queue_.emplace(std::make_pair(r->priority, r->queue_seq), r->id);
 }
 
 Result<uint64_t> ServingRuntime::Enqueue(ServeRequest request) {
@@ -66,28 +59,19 @@ Result<uint64_t> ServingRuntime::Enqueue(ServeRequest request) {
   r.submit_s = Now();
   r.submit_tick = stats_.ticks;
   r.deadline_ticks = request.deadline_ticks;
-  SubmitJob(r);
+  QueueForAdmission(&r);
   requests_.emplace(id, std::move(r));
   return id;
 }
 
 Status ServingRuntime::AdmitTop() {
-  ServerPool::Job job;
-  if (!pool_.TakeTop(&job)) {
+  if (queue_.empty()) {
     return Internal("admission queue empty at AdmitTop");
   }
-  popped_request_ = 0;
-  if (job.on_complete) {
-    job.on_complete();  // Writes the request id into popped_request_.
-  }
-  Request* r = Find(popped_request_);
+  Request* r = Find(queue_.begin()->second);
+  queue_.erase(queue_.begin());
   if (r == nullptr) {
-    return Internal("admission queue handed back an unknown request");
-  }
-  if (r->state == State::kDone) {
-    // A request shed past its deadline leaves its held job behind; consume
-    // it without admitting anything.
-    return OkStatus();
+    return Internal("admission queue held an unknown request");
   }
   if (r->state == State::kQueued) {
     TZLLM_ASSIGN_OR_RETURN(
@@ -138,7 +122,7 @@ Status ServingRuntime::Evict(Request* r) {
   r->state = State::kEvicted;
   ++r->preemptions;
   ++stats_.preemptions;
-  SubmitJob(*r);
+  QueueForAdmission(r);
   return OkStatus();
 }
 
@@ -195,9 +179,9 @@ Result<bool> ServingRuntime::Tick() {
 
   // --- 0. Deadline shedding: queued requests that waited past their
   // deadline_ticks without ever being admitted complete with kUnavailable
-  // (their held admission job is consumed as a no-op when it surfaces).
-  // Runs before admission so an expired request cannot grab the slot a
-  // within-deadline one is waiting for.
+  // and leave the admission queue. Runs before admission so an expired
+  // request cannot grab the slot, or preempt the session, that
+  // within-deadline work is using.
   for (auto& [id, r] : requests_) {
     if (stalled || r.state != State::kQueued || r.deadline_ticks == 0 ||
         stats_.ticks - r.submit_tick < r.deadline_ticks) {
@@ -211,6 +195,7 @@ Result<bool> ServingRuntime::Tick() {
     shed.submit_s = r.submit_s;
     shed.finish_s = Now();
     results_.push_back(std::move(shed));
+    queue_.erase({r.priority, r.queue_seq});
     r.state = State::kDone;
     ++stats_.requests_shed;
     worked = true;
@@ -221,8 +206,7 @@ Result<bool> ServingRuntime::Tick() {
   // running session evicts it and takes the slot. The loop cannot ping-pong
   // within a tick: an evictee's priority is strictly greater than the
   // request that displaced it, so it never displaces anything back.
-  double top = 0.0;
-  while (!stalled && pool_.TopPriority(&top)) {
+  while (!stalled && !queue_.empty()) {
     if (ta_->free_session_slots() > 0) {
       TZLLM_RETURN_IF_ERROR(AdmitTop());
       worked = true;
@@ -231,6 +215,7 @@ Result<bool> ServingRuntime::Tick() {
     if (ta_->engine_options().serve_eviction != ServeEvictPolicy::kPriority) {
       break;
     }
+    const double top = queue_.begin()->first.first;
     Request* victim = LeastUrgentRunning();
     if (victim == nullptr || !(victim->priority > top)) {
       break;
@@ -457,7 +442,7 @@ Status ServingRuntime::Recover() {
       r.state = State::kQueued;
       r.sid = 0;
     }
-    SubmitJob(r);
+    QueueForAdmission(&r);
     requests_.emplace(r.id, std::move(r));
   }
   next_request_ = std::max(next_request_, next_request);

@@ -5,7 +5,7 @@
 // Each tick:
 //
 //   1. Admission/preemption — free KV slots are filled with the most urgent
-//      waiting requests (a held-job ServerPool is the admission queue);
+//      waiting requests (the runtime's own queue, by priority then arrival);
 //      under ServeEvictPolicy::kPriority a more urgent arrival preempts the
 //      least urgent running session via CheckpointSession (the PR 6 sealed
 //      blob), whose slot it takes; the victim re-queues at its own priority
@@ -53,13 +53,15 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/core/llm_ta.h"
-#include "src/sim/server.h"
 
 namespace tzllm {
+
+class Simulator;
 
 // One generation request submitted to the serving runtime.
 struct ServeRequest {
@@ -137,9 +139,8 @@ class ServingRuntime {
   // `ta` must outlive the runtime and have a model loaded; its
   // EngineOptions supply the session capacity (max_sessions), the prefill
   // quantum (prefill_batch), the decode grouping (decode_batch) and the
-  // eviction policy (serve_eviction). `sim` backs the admission-queue
-  // ServerPool (held jobs never schedule on it, but the pool needs its
-  // substrate).
+  // eviction policy (serve_eviction). `sim` is unused; the parameter stays
+  // until its callers drop it.
   ServingRuntime(LlmTa* ta, Simulator* sim);
 
   // Queues a request; returns its id. Admission happens inside Tick.
@@ -204,6 +205,8 @@ class ServingRuntime {
     // Re-queued by Recover() with a sealed session checkpoint to restore;
     // its first successful admission counts as a session recovered.
     bool from_manifest = false;
+    // While waiting: the arrival half of its admission-queue key.
+    uint64_t queue_seq = 0;
   };
 
   double Now() const;
@@ -220,8 +223,9 @@ class ServingRuntime {
   void SnapshotKvStats();
   // The most urgent admitted session still mid-prefill; nullptr if none.
   Request* NextPrefill();
-  // Re-queues `r` on the admission ServerPool (held job carrying its id).
-  void SubmitJob(const Request& r);
+  // Queues `r` behind every waiting request of its priority; a re-queue
+  // takes a new place, so an evictee waits behind earlier arrivals.
+  void QueueForAdmission(Request* r);
   // Auto-checkpoint round: snapshot every active session and seal the fleet
   // manifest (serve_checkpoint_every_n_ticks cadence).
   Status CheckpointFleet();
@@ -230,13 +234,14 @@ class ServingRuntime {
   std::vector<uint8_t> SerializeManifest() const;
 
   LlmTa* ta_;
-  ServerPool pool_;
+  // Admission queue: (priority, queue_seq) -> request id, most urgent
+  // first and first-in-first-out among equals.
+  std::map<std::pair<double, uint64_t>, uint64_t> queue_;
+  uint64_t next_queue_seq_ = 0;
   std::map<uint64_t, Request> requests_;  // Deterministic iteration order.
   std::vector<ServeRequestResult> results_;
   ServeStats stats_;
   uint64_t next_request_ = 1;
-  // Handoff slot for the admission queue's job closures (see AdmitTop).
-  uint64_t popped_request_ = 0;
   // Consecutive zero-progress ticks (watchdog) and pending injected stalls
   // (test hook).
   int stall_ticks_ = 0;

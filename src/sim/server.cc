@@ -20,58 +20,21 @@ void ServerPool::Submit(SimDuration duration,
   Submit(Job{0.0, duration, std::move(on_complete), std::move(label)});
 }
 
-void ServerPool::SubmitHeld(Job job) {
-  job.held = true;
-  queue_.push(PendingJob{job.priority, next_seq_++, std::move(job)});
-}
-
-bool ServerPool::TopPriority(double* priority) const {
-  if (queue_.empty()) {
-    return false;
-  }
-  *priority = queue_.top().priority;
-  return true;
-}
-
-bool ServerPool::TakeTop(Job* out) {
-  if (queue_.empty()) {
-    return false;
-  }
-  *out = std::move(const_cast<PendingJob&>(queue_.top()).job);
-  queue_.pop();
-  return true;
-}
-
-bool ServerPool::ReleaseOne() {
-  if (queue_.empty() || busy_ >= capacity_) {
-    return false;
-  }
-  DispatchTop();
-  // Releasing a held head may have unblocked auto-dispatchable jobs queued
-  // behind it.
-  TryDispatch();
-  return true;
-}
-
-void ServerPool::DispatchTop() {
-  Job job = std::move(const_cast<PendingJob&>(queue_.top()).job);
-  queue_.pop();
-  ++busy_;
-  busy_time_ += job.duration;
-  auto on_complete = std::move(job.on_complete);
-  sim_->Schedule(job.duration, [this, on_complete = std::move(on_complete)] {
-    --busy_;
-    ++jobs_completed_;
-    if (on_complete) {
-      on_complete();
-    }
-    TryDispatch();
-  });
-}
-
 void ServerPool::TryDispatch() {
-  while (busy_ < capacity_ && !queue_.empty() && !queue_.top().job.held) {
-    DispatchTop();
+  while (busy_ < capacity_ && !queue_.empty()) {
+    Job job = std::move(const_cast<PendingJob&>(queue_.top()).job);
+    queue_.pop();
+    ++busy_;
+    busy_time_ += job.duration;
+    auto on_complete = std::move(job.on_complete);
+    sim_->Schedule(job.duration, [this, on_complete = std::move(on_complete)] {
+      --busy_;
+      ++jobs_completed_;
+      if (on_complete) {
+        on_complete();
+      }
+      TryDispatch();
+    });
   }
 }
 

@@ -6,14 +6,6 @@
 // unit for its service duration. Used by the NPU time-sharing evaluation
 // (Figure 15), the Geekbench interference models (Figures 2/16) and as the
 // substrate under the restoration pipeline executor.
-//
-// Held jobs make the pool double as an admission-queue front: a job
-// submitted with SubmitHeld keeps its place in the priority order but is
-// never auto-dispatched — the owner either hands it to a unit explicitly
-// (ReleaseOne) or takes it over entirely (TakeTop). The serving runtime
-// (src/serve/) queues generation requests this way: the scheduler peeks the
-// most urgent waiting request (TopPriority) to decide preemption, then pops
-// it (TakeTop) when a session slot frees up.
 
 #ifndef SRC_SIM_SERVER_H_
 #define SRC_SIM_SERVER_H_
@@ -38,11 +30,6 @@ class ServerPool {
     std::function<void()> on_complete;
     // Optional label used by utilization traces.
     std::string label;
-    // Held jobs queue in priority order but wait for an explicit ReleaseOne
-    // / TakeTop instead of auto-dispatching. A held job at the head of the
-    // queue blocks auto-dispatch behind it — admission is strict priority
-    // order, a less-urgent job must not jump a more-urgent held one.
-    bool held = false;
   };
 
   ServerPool(Simulator* sim, std::string name, int capacity);
@@ -52,22 +39,6 @@ class ServerPool {
   // Convenience: submit with default priority.
   void Submit(SimDuration duration, std::function<void()> on_complete,
               std::string label = "");
-
-  // Enqueues `job` as held (see Job::held).
-  void SubmitHeld(Job job);
-
-  // Most urgent queued job's priority into *priority; false when the queue
-  // is empty.
-  bool TopPriority(double* priority) const;
-
-  // Pops the most urgent queued job (held or not) into *out WITHOUT running
-  // it — the admission-front handoff: the caller decides when and where the
-  // job executes. False when the queue is empty.
-  bool TakeTop(Job* out);
-
-  // Dispatches the most urgent queued job onto a free unit even if held.
-  // False when the queue is empty or every unit is busy.
-  bool ReleaseOne();
 
   int capacity() const { return capacity_; }
   int busy() const { return busy_; }
@@ -91,8 +62,6 @@ class ServerPool {
   };
 
   void TryDispatch();
-  // Pops the queue head onto a free unit (caller checked both).
-  void DispatchTop();
 
   Simulator* sim_;
   std::string name_;

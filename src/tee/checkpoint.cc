@@ -1,85 +1,33 @@
 #include "src/tee/checkpoint.h"
 
-#include <cstring>
-
-#include "src/crypto/key_hierarchy.h"
+#include "src/crypto/seal.h"
 
 namespace tzllm {
 
-namespace {
-constexpr char kMagic[8] = {'T', 'Z', 'C', 'K', 'P', 'T', '0', '1'};
-}  // namespace
-
 CheckpointService::CheckpointService(FlashDevice* flash) : flash_(flash) {}
 
-Result<uint64_t> CheckpointService::Save(const std::string& model_id,
+Result<uint64_t> CheckpointService::Save(const std::string& ckpt_id,
                                          const AesKey128& key,
                                          const std::vector<uint8_t>& state) {
-  // Layout: magic | u64 payload_len | sha256(plaintext) | encrypted payload.
-  std::vector<uint8_t> blob;
-  blob.reserve(sizeof(kMagic) + 8 + 32 + state.size());
-  blob.insert(blob.end(), kMagic, kMagic + sizeof(kMagic));
-  const uint64_t len = state.size();
-  for (int i = 0; i < 8; ++i) {
-    blob.push_back(static_cast<uint8_t>(len >> (8 * i)));
-  }
-  const Sha256Digest digest = Sha256::Hash(state.data(), state.size());
-  blob.insert(blob.end(), digest.begin(), digest.end());
-
-  std::vector<uint8_t> payload = state;
-  AesCtr ctr(key, KeyHierarchy::ModelIv("ckpt/" + model_id));
-  ctr.CryptAll(payload.data(), payload.size());
-  blob.insert(blob.end(), payload.begin(), payload.end());
-
+  std::vector<uint8_t> blob = Seal(key, {SealKind::kCheckpoint, ckpt_id},
+                                   state.data(), state.size());
   const uint64_t total = blob.size();
-  TZLLM_RETURN_IF_ERROR(flash_->CreateFile(FileName(model_id), std::move(blob)));
+  TZLLM_RETURN_IF_ERROR(flash_->CreateFile(FileName(ckpt_id), std::move(blob)));
   return total;
 }
 
 Result<std::vector<uint8_t>> CheckpointService::Restore(
-    const std::string& model_id, const AesKey128& key) {
-  const std::string file = FileName(model_id);
-  auto size = flash_->FileSize(file);
-  if (!size.ok()) {
-    return size.status();
-  }
-  if (*size < sizeof(kMagic) + 8 + 32) {
-    return Status(ErrorCode::kDataCorruption, "checkpoint truncated");
-  }
-  std::vector<uint8_t> blob(*size);
-  TZLLM_RETURN_IF_ERROR(flash_->PeekBytes(file, 0, *size, blob.data()));
-
-  if (std::memcmp(blob.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status(ErrorCode::kDataCorruption, "checkpoint magic mismatch");
-  }
-  uint64_t len = 0;
-  for (int i = 7; i >= 0; --i) {
-    len = (len << 8) | blob[sizeof(kMagic) + i];
-  }
-  if (sizeof(kMagic) + 8 + 32 + len != *size) {
-    return Status(ErrorCode::kDataCorruption, "checkpoint length mismatch");
-  }
-  Sha256Digest stored;
-  std::memcpy(stored.data(), blob.data() + sizeof(kMagic) + 8, 32);
-
-  std::vector<uint8_t> payload(blob.begin() + sizeof(kMagic) + 8 + 32,
-                               blob.end());
-  AesCtr ctr(key, KeyHierarchy::ModelIv("ckpt/" + model_id));
-  ctr.CryptAll(payload.data(), payload.size());
-
-  if (Sha256::Hash(payload.data(), payload.size()) != stored) {
-    return Status(ErrorCode::kDataCorruption,
-                  "checkpoint integrity check failed");
-  }
-  return payload;
+    const std::string& ckpt_id, const AesKey128& key) {
+  TZLLM_ASSIGN_OR_RETURN(blob, flash_->PeekFile(FileName(ckpt_id)));
+  return Open(key, {SealKind::kCheckpoint, ckpt_id}, blob);
 }
 
-bool CheckpointService::Exists(const std::string& model_id) const {
-  return flash_->Exists(FileName(model_id));
+bool CheckpointService::Exists(const std::string& ckpt_id) const {
+  return flash_->Exists(FileName(ckpt_id));
 }
 
-Status CheckpointService::Delete(const std::string& model_id) {
-  return flash_->DeleteFile(FileName(model_id));
+Status CheckpointService::Delete(const std::string& ckpt_id) {
+  return flash_->DeleteFile(FileName(ckpt_id));
 }
 
 }  // namespace tzllm

@@ -1,10 +1,12 @@
 // Framework-state checkpointing (paper §3.2 "Other techniques"): the 2.3 s
 // of llama.cpp metadata / tokenizer initialization is paid once, serialized,
-// encrypted under the model key, and stored in flash; every later inference
-// restores the state instead of re-initializing.
+// sealed under the model key, and stored in flash; every later inference
+// restores the state instead of re-initializing. The LLM TA stores session
+// checkpoints and the serving manifest the same way.
 //
-// The blob is integrity-tagged: a tampered checkpoint (untrusted flash) is
-// detected on restore and falls back to full initialization.
+// Each blob is a src/crypto/seal.h seal whose context binds the checkpoint
+// id: a tampered blob, or one copied from another id, fails restore with
+// kDataCorruption. An older blob of the same id still opens (no freshness).
 
 #ifndef SRC_TEE_CHECKPOINT_H_
 #define SRC_TEE_CHECKPOINT_H_
@@ -16,7 +18,6 @@
 #include "src/common/calibration.h"
 #include "src/common/status.h"
 #include "src/crypto/aes.h"
-#include "src/crypto/sha256.h"
 #include "src/hw/flash.h"
 
 namespace tzllm {
@@ -25,22 +26,22 @@ class CheckpointService {
  public:
   explicit CheckpointService(FlashDevice* flash);
 
-  // Serializes + encrypts `state` under `key` and stores it as
-  // "<model_id>.ckpt". Returns the stored size.
-  Result<uint64_t> Save(const std::string& model_id, const AesKey128& key,
+  // Seals `state` under `key` and stores it as "<ckpt_id>.ckpt". Returns
+  // the stored size.
+  Result<uint64_t> Save(const std::string& ckpt_id, const AesKey128& key,
                         const std::vector<uint8_t>& state);
 
-  // Loads, decrypts and verifies the checkpoint. kDataCorruption on tamper.
-  Result<std::vector<uint8_t>> Restore(const std::string& model_id,
+  // Loads and opens the checkpoint. kDataCorruption on tamper.
+  Result<std::vector<uint8_t>> Restore(const std::string& ckpt_id,
                                        const AesKey128& key);
 
-  bool Exists(const std::string& model_id) const;
+  bool Exists(const std::string& ckpt_id) const;
 
   // Removes a stored checkpoint; kNotFound when none exists. Used when a
   // superseded blob must not be restorable (a completed serving manifest)
   // and by the ckpt_drop fault injection, which models the REE discarding
   // a blob it promised to keep.
-  Status Delete(const std::string& model_id);
+  Status Delete(const std::string& ckpt_id);
 
   // Modeled wall time of a restore at inference start (I/O + decrypt of the
   // serialized state + fixups); used by the runtime cost accounting.
@@ -51,8 +52,8 @@ class CheckpointService {
   }
 
  private:
-  static std::string FileName(const std::string& model_id) {
-    return model_id + ".ckpt";
+  static std::string FileName(const std::string& ckpt_id) {
+    return ckpt_id + ".ckpt";
   }
 
   FlashDevice* flash_;

@@ -4,14 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/core/llm_ta.h"
+#include "src/core/runtime.h"
+#include "src/crypto/seal.h"
 #include "src/crypto/sha256.h"
 #include "src/llm/engine.h"
+#include "src/serve/serving.h"
+#include "src/tee/checkpoint.h"
 
 namespace tzllm {
 namespace {
@@ -116,9 +123,10 @@ TEST_F(SecurityTest, WrappedKeyUselessToRee) {
   auto wrapped = Tzguf::ReadWrappedKey(&plat_.flash(), "m");
   ASSERT_TRUE(wrapped.ok());
   const AesKey128 real_key = tee_->keys().DeriveModelKey("m");
-  // The ciphertext is not the key.
-  EXPECT_NE(0,
-            memcmp(wrapped->ciphertext.data(), real_key.data(), 16));
+  // The key's bytes appear nowhere in the blob.
+  EXPECT_EQ(std::search(wrapped->sealed.begin(), wrapped->sealed.end(),
+                        real_key.begin(), real_key.end()),
+            wrapped->sealed.end());
   // An attacker's own key hierarchy (different fuses) cannot unwrap it.
   KeyHierarchy attacker(0xBAD);
   EXPECT_FALSE(attacker.UnwrapModelKey(*wrapped).ok());
@@ -262,6 +270,151 @@ TEST(TamperSweepTest, CleanLoadLeavesEveryTensorPlaintextInParams) {
                     .ok());
     EXPECT_EQ(in_dram, plain[t.index].data) << "tensor " << t.index;
   }
+}
+
+// Feeds every mutation of `blob` to `open`, which must fail each with
+// kDataCorruption and never crash: a bit flipped in every byte (past 4 KiB,
+// in every header byte and 1,024 seeded offsets), a truncation to every
+// length up to the header and to 64 seeded lengths beyond it, and 1 to 3
+// appended bytes. Last, the intact blob must open, which also puts it
+// back in place.
+void SweepMutations(const std::string& kind, const std::vector<uint8_t>& blob,
+                    const std::function<Status(const std::vector<uint8_t>&)>&
+                        open) {
+  SCOPED_TRACE(kind + " blob of " + std::to_string(blob.size()) + " bytes");
+  ASSERT_GT(blob.size(), kSealHeaderBytes + 1);
+  Rng rng(0x5EA1);
+  int cases = 0;
+  int wrong = 0;
+  auto expect_rejected = [&](const std::vector<uint8_t>& mutated,
+                             const std::string& what) {
+    ++cases;
+    const Status st = open(mutated);
+    if (st.code() != ErrorCode::kDataCorruption && wrong++ < 5) {
+      ADD_FAILURE() << what << " gave " << st.ToString();
+    }
+  };
+  const bool small = blob.size() < 4 * kKiB;
+  std::vector<size_t> offsets;
+  for (size_t i = 0; i < (small ? blob.size() : kSealHeaderBytes); ++i) {
+    offsets.push_back(i);
+  }
+  for (int i = 0; !small && i < 1024; ++i) {
+    offsets.push_back(rng.NextU64() % blob.size());
+  }
+  for (size_t off : offsets) {
+    std::vector<uint8_t> mutated = blob;
+    mutated[off] ^= static_cast<uint8_t>(1u << (off % 8));
+    expect_rejected(mutated, "bit flip at " + std::to_string(off));
+  }
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= kSealHeaderBytes; ++len) {
+    lengths.push_back(len);
+  }
+  for (int i = 0; i < 64; ++i) {
+    lengths.push_back(kSealHeaderBytes + 1 +
+                      rng.NextU64() % (blob.size() - kSealHeaderBytes - 1));
+  }
+  for (size_t len : lengths) {
+    expect_rejected(std::vector<uint8_t>(blob.begin(), blob.begin() + len),
+                    "truncation to " + std::to_string(len));
+  }
+  for (size_t extra = 1; extra <= 3; ++extra) {
+    std::vector<uint8_t> mutated = blob;
+    mutated.resize(blob.size() + extra, static_cast<uint8_t>(rng.NextU64()));
+    expect_rejected(mutated, std::to_string(extra) + " appended bytes");
+  }
+  EXPECT_EQ(wrong, 0) << "of " << cases << " mutations";
+  EXPECT_TRUE(open(blob).ok());
+}
+
+// §6, every sealed blob the REE holds: one of each kind from a real
+// serving run — the wrapped key, the meta, a session checkpoint and the
+// serving manifest on flash, and a KV page spilled under the model key —
+// each driven through its own open path.
+TEST(SealMutationTest, EveryBlobKindFailsClosedUnderMutation) {
+  RuntimeConfig config;
+  config.model = TestTinyModel();
+  config.system = SystemKind::kTzLlm;
+  config.materialize_model = true;
+  config.engine.serve_checkpoint_every_n_ticks = 1;
+  SocPlatform plat;
+  SystemRuntime runtime(&plat, config);
+  ASSERT_TRUE(runtime.Setup().ok());
+  auto ta = runtime.CreateFunctionalTa();
+  ASSERT_TRUE(ta.ok());
+  const std::string model = runtime.spec().config().name;
+  ASSERT_TRUE((*ta)->LoadModel(model).ok());
+  ServingRuntime serve(ta->get(), &plat.sim());
+  ServeRequest req;
+  req.prompt = "seal every blob the ree keeps";
+  req.max_new_tokens = 8;
+  ASSERT_TRUE(serve.Enqueue(req).ok());
+  // One tick admits, prefills and decodes the request, then snapshots its
+  // session and seals the fleet manifest.
+  ASSERT_TRUE(serve.Tick().ok());
+
+  FlashDevice& flash = plat.flash();
+  const KeyHierarchy& keys = runtime.tee_os().keys();
+  const AesKey128 model_key = keys.DeriveModelKey(model);
+  auto stored = [&](const std::string& file) {
+    auto bytes = flash.PeekFile(file);
+    EXPECT_TRUE(bytes.ok()) << file;
+    return bytes.ok() ? *bytes : std::vector<uint8_t>{};
+  };
+
+  SweepMutations("wrapped key", stored(model + ".key"),
+                 [&](const std::vector<uint8_t>& b) {
+                   TZLLM_RETURN_IF_ERROR(flash.CreateFile(model + ".key", b));
+                   auto wrapped = Tzguf::ReadWrappedKey(&flash, model);
+                   if (!wrapped.ok()) {
+                     return wrapped.status();
+                   }
+                   return keys.UnwrapModelKey(*wrapped).status();
+                 });
+  SweepMutations("meta", stored(model + ".meta"),
+                 [&](const std::vector<uint8_t>& b) {
+                   TZLLM_RETURN_IF_ERROR(flash.CreateFile(model + ".meta", b));
+                   return Tzguf::ReadMeta(&flash, model, model_key).status();
+                 });
+  for (const std::string& id : {model + ".sess.1", model + ".serve"}) {
+    SweepMutations(id, stored(id + ".ckpt"),
+                   [&](const std::vector<uint8_t>& b) {
+                     TZLLM_RETURN_IF_ERROR(flash.CreateFile(id + ".ckpt", b));
+                     return CheckpointService(&flash)
+                         .Restore(id, model_key)
+                         .status();
+                   });
+  }
+
+  // A one-frame pool under the model key, as the TA builds it: page 0
+  // spills when page 1 takes the frame, and page 1's release leaves the
+  // frame free, so every restore attempt below is the open alone.
+  KvPagePoolOptions opts;
+  opts.pool_bytes = KvPagePool::PageBytes(runtime.spec(), KvStorage::kF16,
+                                          opts.page_positions);
+  opts.spill_key = model_key;
+  KvPagePool pool(runtime.spec(), KvStorage::kF16, opts);
+  auto page = pool.Alloc(false);
+  ASSERT_TRUE(page.ok());
+  Rng(7).FillBytes(reinterpret_cast<uint8_t*>(pool.Data16(*page)),
+                   pool.page_bytes());
+  auto other = pool.Alloc(false);
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE(pool.Unref(*other).ok());
+  ASSERT_NE(pool.ree_blob(*page), nullptr);
+  const std::vector<uint8_t> spill = *pool.ree_blob(*page);
+  SweepMutations("kv page", spill,
+                 [&](const std::vector<uint8_t>& b) {
+                   std::vector<uint8_t>* spilled = pool.ree_blob(*page);
+                   if (spilled == nullptr) {
+                     return Internal("page is no longer spilled");
+                   }
+                   *spilled = b;
+                   return pool.EnsureResident(*page);
+                 });
+  EXPECT_TRUE(pool.resident(*page));
+  EXPECT_EQ(pool.stats().restores, 1u);
 }
 
 }  // namespace

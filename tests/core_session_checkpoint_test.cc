@@ -2,9 +2,10 @@
 // cache contents, sampler RNG words, position and token budget) can be
 // sealed to flash mid-generation, evicted from secure memory, and restored
 // — on the same TA or a freshly booted one — resuming with exactly the
-// tokens the uninterrupted run would have produced. The sealed blob rides
-// the CheckpointService (AES-CTR under the model key + SHA-256 tag), so a
-// tampered checkpoint is detected, not silently resumed.
+// tokens the uninterrupted run would have produced. The blob is sealed by
+// the CheckpointService (src/crypto/seal.h, under the model key, bound to
+// the checkpoint id), so a tampered checkpoint is detected, not silently
+// resumed.
 
 #include <gtest/gtest.h>
 

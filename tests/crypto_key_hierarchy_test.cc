@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <algorithm>
+
+#include "src/crypto/seal.h"
 
 namespace tzllm {
 namespace {
@@ -29,8 +31,10 @@ TEST(KeyHierarchyTest, WrapUnwrapRoundTrip) {
   KeyHierarchy keys(42);
   const AesKey128 model_key = keys.DeriveModelKey("llama");
   const WrappedModelKey wrapped = keys.WrapModelKey("llama", model_key);
-  // The wrapped ciphertext must not equal the plaintext key.
-  EXPECT_NE(0, std::memcmp(wrapped.ciphertext.data(), model_key.data(), 16));
+  // The key's bytes appear nowhere in the wrapped blob.
+  EXPECT_EQ(std::search(wrapped.sealed.begin(), wrapped.sealed.end(),
+                        model_key.begin(), model_key.end()),
+            wrapped.sealed.end());
   auto unwrapped = keys.UnwrapModelKey(wrapped);
   ASSERT_TRUE(unwrapped.ok());
   EXPECT_EQ(*unwrapped, model_key);
@@ -49,7 +53,7 @@ TEST(KeyHierarchyTest, TamperedBlobRejected) {
   KeyHierarchy keys(42);
   WrappedModelKey wrapped =
       keys.WrapModelKey("llama", keys.DeriveModelKey("llama"));
-  wrapped.ciphertext[3] ^= 0x80;
+  wrapped.sealed[kSealHeaderBytes + 3] ^= 0x80;  // A ciphertext byte.
   EXPECT_FALSE(keys.UnwrapModelKey(wrapped).ok());
 }
 

@@ -194,7 +194,7 @@ TEST_F(PagedKvTest, TamperedSpillBlobFailsClosed) {
   ASSERT_FALSE(pool.resident(*a));
 
   // Flip one ciphertext byte: the decrypted page no longer matches its
-  // SHA-256 digest — kDataCorruption, never silently wrong KV.
+  // seal's tag — kDataCorruption, never silently wrong KV.
   uint8_t* blob = pool.ree_blob_data(*a);
   ASSERT_NE(blob, nullptr);
   const size_t last = pool.ree_blob_size(*a) - 1;
@@ -208,11 +208,43 @@ TEST_F(PagedKvTest, TamperedSpillBlobFailsClosed) {
   EXPECT_TRUE(pool.EnsureResident(*a).ok());
   EXPECT_EQ(F16ToF32(pool.Data16(*a)[7]), F16ToF32(0x1234));
 
-  // A relabeled blob (page-id bytes follow the 8-byte magic) is rejected on
-  // its labels — substituting another page's spill is tampering too.
+  // A flipped tag byte (the tag follows the 8-byte magic; the page id and
+  // spill generation it binds are never stored) is rejected too.
   ASSERT_FALSE(pool.resident(*b));
   pool.ree_blob_data(*b)[8] ^= 0xFF;
   EXPECT_EQ(pool.EnsureResident(*b).code(), ErrorCode::kDataCorruption);
+}
+
+// Page 0's first spill is the same (page id, generation) in every pool, so
+// two pools under one key — two boots of one model — must still not share
+// a keystream: the XOR of the two ciphertexts may match the XOR of the two
+// pages only at chance rate (1 offset in 256), not everywhere.
+TEST_F(PagedKvTest, FirstSpillsOfTwoPoolsShareNoKeystream) {
+  std::vector<std::vector<uint8_t>> plain, cipher;
+  for (uint32_t salt : {1u, 2u}) {
+    KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(1));
+    auto a = pool.Alloc(false);
+    ASSERT_TRUE(a.ok());
+    ASSERT_EQ(*a, 0u);
+    uint16_t* data = pool.Data16(*a);
+    const size_t elems = pool.page_bytes() / sizeof(uint16_t);
+    for (size_t i = 0; i < elems; ++i) {
+      data[i] = static_cast<uint16_t>((i + salt) * 2654435761u >> 7);
+    }
+    const uint8_t* bytes = reinterpret_cast<const uint8_t*>(data);
+    plain.emplace_back(bytes, bytes + pool.page_bytes());
+    ASSERT_TRUE(pool.Alloc(false).ok());  // Spills page 0.
+    const uint8_t* blob = pool.ree_blob_data(*a);
+    ASSERT_NE(blob, nullptr);
+    const uint8_t* blob_end = blob + pool.ree_blob_size(*a);
+    cipher.emplace_back(blob_end - pool.page_bytes(), blob_end);
+  }
+  ASSERT_NE(plain[0], plain[1]);
+  size_t reused = 0;
+  for (size_t i = 0; i < plain[0].size(); ++i) {
+    reused += (cipher[0][i] ^ cipher[1][i]) == (plain[0][i] ^ plain[1][i]);
+  }
+  EXPECT_LE(reused, plain[0].size() / 50);  // <= 2%.
 }
 
 TEST_F(PagedKvTest, PinnedPagesAreNeverEvicted) {

@@ -125,7 +125,6 @@ TEST(SimdDispatchTest, TablesAreFullyPopulated) {
       continue;
     }
     EXPECT_NE(t->dot_row_q8, nullptr);
-    EXPECT_NE(t->dot_row_q8_ws, nullptr);
     EXPECT_NE(t->dot_rows4_q8, nullptr);
     EXPECT_NE(t->dot_qk_f16, nullptr);
     EXPECT_NE(t->dot_qk_f32, nullptr);

@@ -329,39 +329,59 @@ TEST(ServeChaosTest, QueueBoundRejectsWithUnavailable) {
 }
 
 TEST(ServeChaosTest, DeadlineTicksShedsQueuedRequest) {
-  SocPlatform plat;
-  SystemRuntime runtime(&plat, ResidentConfig(1, ServeEvictPolicy::kNone));
-  ASSERT_TRUE(runtime.Setup().ok());
-  auto ta = runtime.CreateFunctionalTa();
-  ASSERT_TRUE(ta.ok());
-  ASSERT_TRUE((*ta)->LoadModel(runtime.spec().config().name).ok());
+  // A shed request leaves no trace on the admitted session: under kPriority
+  // an urgent arrival shed at its deadline must not preempt the prefilled
+  // head it would have displaced (a checkpoint and restore for nothing).
+  struct Input {
+    ServeEvictPolicy eviction;
+    double head_priority;
+    double impatient_priority;
+    uint64_t deadline_ticks;
+  };
+  for (const Input& in :
+       {Input{ServeEvictPolicy::kNone, 1.0, 5.0, 3},
+        Input{ServeEvictPolicy::kPriority, 5.0, 1.0, 1}}) {
+    SCOPED_TRACE(in.eviction == ServeEvictPolicy::kNone ? "kNone"
+                                                        : "kPriority");
+    SocPlatform plat;
+    SystemRuntime runtime(&plat, ResidentConfig(1, in.eviction));
+    ASSERT_TRUE(runtime.Setup().ok());
+    auto ta = runtime.CreateFunctionalTa();
+    ASSERT_TRUE(ta.ok());
+    ASSERT_TRUE((*ta)->LoadModel(runtime.spec().config().name).ok());
 
-  ServingRuntime serve(ta->get(), &plat.sim());
-  ServeRequest head;
-  head.prompt = Prompts()[0];
-  head.max_new_tokens = kBudget;
-  head.priority = 1.0;
-  auto head_id = serve.Enqueue(head);
-  ASSERT_TRUE(head_id.ok());
-  // Admit the head onto the only slot before the impatient arrival.
-  ASSERT_TRUE(serve.Tick().ok());
-  ServeRequest impatient;
-  impatient.prompt = Prompts()[1];
-  impatient.max_new_tokens = kBudget;
-  impatient.priority = 5.0;
-  impatient.deadline_ticks = 3;
-  auto shed_id = serve.Enqueue(impatient);
-  ASSERT_TRUE(shed_id.ok());
+    ServingRuntime serve(ta->get(), &plat.sim());
+    ServeRequest head;
+    head.prompt = Prompts()[0];
+    head.max_new_tokens = kBudget;
+    head.priority = in.head_priority;
+    auto head_id = serve.Enqueue(head);
+    ASSERT_TRUE(head_id.ok());
+    // Admit and prefill the head on the only slot before the impatient
+    // arrival: a session still mid-prefill is never a preemption victim.
+    for (int i = 0; i < 8 && serve.stats().decode_tokens == 0; ++i) {
+      ASSERT_TRUE(serve.Tick().ok());
+    }
+    ASSERT_GT(serve.stats().decode_tokens, 0u);
+    ServeRequest impatient;
+    impatient.prompt = Prompts()[1];
+    impatient.max_new_tokens = kBudget;
+    impatient.priority = in.impatient_priority;
+    impatient.deadline_ticks = in.deadline_ticks;
+    auto shed_id = serve.Enqueue(impatient);
+    ASSERT_TRUE(shed_id.ok());
 
-  ASSERT_TRUE(serve.RunToCompletion().ok());
-  ASSERT_EQ(serve.results().size(), 2u);
-  EXPECT_EQ(serve.stats().requests_shed, 1u);
-  const auto by_id = ById(serve.results());
-  ASSERT_TRUE(by_id.count(*head_id));
-  ASSERT_TRUE(by_id.count(*shed_id));
-  EXPECT_TRUE(by_id.at(*head_id)->status.ok());
-  EXPECT_EQ(by_id.at(*shed_id)->status.code(), ErrorCode::kUnavailable);
-  EXPECT_TRUE(by_id.at(*shed_id)->generation.output_tokens.empty());
+    ASSERT_TRUE(serve.RunToCompletion().ok());
+    ASSERT_EQ(serve.results().size(), 2u);
+    EXPECT_EQ(serve.stats().requests_shed, 1u);
+    EXPECT_EQ(serve.stats().preemptions, 0);
+    const auto by_id = ById(serve.results());
+    ASSERT_TRUE(by_id.count(*head_id));
+    ASSERT_TRUE(by_id.count(*shed_id));
+    EXPECT_TRUE(by_id.at(*head_id)->status.ok());
+    EXPECT_EQ(by_id.at(*shed_id)->status.code(), ErrorCode::kUnavailable);
+    EXPECT_TRUE(by_id.at(*shed_id)->generation.output_tokens.empty());
+  }
 }
 
 TEST(ServeChaosTest, WatchdogSurfacesStuckScheduler) {

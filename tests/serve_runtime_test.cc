@@ -127,13 +127,16 @@ TEST(ServeRuntimeTest, PriorityOrdersAdmissionOnOneSlot) {
   const uint64_t relaxed = enqueue(0, 3.0);
   const uint64_t urgent = enqueue(1, 1.0);
   const uint64_t middle = enqueue(2, 2.0);
+  const uint64_t middle_later = enqueue(0, 2.0);
   ASSERT_TRUE(serve.RunToCompletion().ok());
 
-  // One slot, no preemption: completion order == priority order.
-  ASSERT_EQ(serve.results().size(), 3u);
+  // One slot, no preemption: completion order == priority order, first in
+  // first out among equal priorities.
+  ASSERT_EQ(serve.results().size(), 4u);
   EXPECT_EQ(serve.results()[0].request_id, urgent);
   EXPECT_EQ(serve.results()[1].request_id, middle);
-  EXPECT_EQ(serve.results()[2].request_id, relaxed);
+  EXPECT_EQ(serve.results()[2].request_id, middle_later);
+  EXPECT_EQ(serve.results()[3].request_id, relaxed);
   EXPECT_EQ(serve.stats().preemptions, 0);
 }
 

@@ -56,88 +56,6 @@ TEST(ServerPoolTest, TracksUtilizationAndCounts) {
   EXPECT_TRUE(pool.idle());
 }
 
-TEST(ServerPoolTest, HeldJobsAreNeverAutoDispatched) {
-  Simulator sim;
-  ServerPool pool(&sim, "admit", 2);
-  int ran = 0;
-  ServerPool::Job job;
-  job.duration = 10;
-  job.on_complete = [&] { ++ran; };
-  pool.SubmitHeld(std::move(job));
-  sim.Run();
-  // Both units free, yet the held job sits in the queue.
-  EXPECT_EQ(ran, 0);
-  EXPECT_EQ(pool.queued(), 1u);
-  EXPECT_EQ(pool.busy(), 0);
-}
-
-TEST(ServerPoolTest, TopPriorityAndTakeTopFollowPriorityOrder) {
-  Simulator sim;
-  ServerPool pool(&sim, "admit", 1);
-  double top = 0.0;
-  EXPECT_FALSE(pool.TopPriority(&top));
-  ServerPool::Job out;
-  EXPECT_FALSE(pool.TakeTop(&out));
-
-  auto held = [&](double priority, std::string label) {
-    ServerPool::Job j;
-    j.priority = priority;
-    j.label = std::move(label);
-    pool.SubmitHeld(std::move(j));
-  };
-  held(5.0, "low");
-  held(1.0, "high");
-  held(5.0, "low-later");  // FIFO among equal priorities.
-
-  ASSERT_TRUE(pool.TopPriority(&top));
-  EXPECT_EQ(top, 1.0);
-  ASSERT_TRUE(pool.TakeTop(&out));
-  EXPECT_EQ(out.label, "high");
-  ASSERT_TRUE(pool.TakeTop(&out));
-  EXPECT_EQ(out.label, "low");
-  ASSERT_TRUE(pool.TakeTop(&out));
-  EXPECT_EQ(out.label, "low-later");
-  EXPECT_TRUE(pool.idle());
-}
-
-TEST(ServerPoolTest, HeldHeadBlocksAutoDispatchBehindIt) {
-  Simulator sim;
-  ServerPool pool(&sim, "admit", 1);
-  std::vector<int> order;
-  ServerPool::Job urgent;
-  urgent.priority = 1.0;
-  urgent.duration = 10;
-  urgent.on_complete = [&] { order.push_back(1); };
-  pool.SubmitHeld(std::move(urgent));
-  // A less urgent normal job must not jump the more urgent held one.
-  pool.Submit(ServerPool::Job{5.0, 10, [&] { order.push_back(2); }, ""});
-  sim.Run();
-  EXPECT_TRUE(order.empty());
-  EXPECT_EQ(pool.queued(), 2u);
-
-  // ReleaseOne dispatches the held head, unblocking the job behind it.
-  EXPECT_TRUE(pool.ReleaseOne());
-  sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_TRUE(pool.idle());
-}
-
-TEST(ServerPoolTest, ReleaseOneRespectsCapacity) {
-  Simulator sim;
-  ServerPool pool(&sim, "admit", 1);
-  // Occupy the only unit with a normal job.
-  pool.Submit(100, nullptr);
-  ServerPool::Job held;
-  held.duration = 10;
-  pool.SubmitHeld(std::move(held));
-  EXPECT_FALSE(pool.ReleaseOne());  // Unit busy.
-  sim.Run();
-  EXPECT_TRUE(pool.ReleaseOne());  // Unit free now.
-  sim.Run();
-  EXPECT_TRUE(pool.idle());
-  EXPECT_FALSE(pool.ReleaseOne());  // Queue empty.
-}
-
 TEST(ServerPoolTest, CompletionCanSubmitMore) {
   Simulator sim;
   ServerPool pool(&sim, "loop", 1);
