@@ -99,7 +99,10 @@ BENCHMARK(BM_MatVecQ8Threaded)
     ->Args({512, 4});
 
 void BM_MatMatQ8(benchmark::State& state) {
-  // Batched-prefill shape: dim x dim weights against m positions.
+  // dim x dim weights against m positions: m = 1..8 are batched decode
+  // steps (one dot_rows_q8 group), 16 a prefill chunk, 32 a full prefill
+  // batch. Time per call against m is the per-batch cost curve; items/s
+  // counts multiply-accumulates.
   const uint64_t dim = state.range(0);
   const uint64_t m = state.range(1);
   Tensor w = MakeRandomTensor("w", DType::kQ8_0, dim, dim, 3);
@@ -112,7 +115,18 @@ void BM_MatMatQ8(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * dim * dim * m);
 }
-BENCHMARK(BM_MatMatQ8)->Args({256, 32})->Args({512, 32});
+BENCHMARK(BM_MatMatQ8)
+    ->Args({256, 32})
+    ->Args({512, 1})
+    ->Args({512, 2})
+    ->Args({512, 3})
+    ->Args({512, 4})
+    ->Args({512, 5})
+    ->Args({512, 6})
+    ->Args({512, 7})
+    ->Args({512, 8})
+    ->Args({512, 16})
+    ->Args({512, 32});
 
 void BM_BuddyAllocFree(benchmark::State& state) {
   BuddyAllocator buddy(0, 1 << 18);

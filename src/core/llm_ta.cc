@@ -663,11 +663,6 @@ Status LlmTa::DecodeSessions(const std::vector<SessionId>& sids) {
     }
     batch.push_back(s);
   }
-  // Groups of decode_batch sessions (0 = everything at once). Sessions are
-  // independent, so the grouping changes scheduling only, never a logit.
-  const int group = engine_options_.decode_batch > 0
-                        ? engine_options_.decode_batch
-                        : static_cast<int>(batch.size());
   std::vector<ForwardRow> rows;
   auto run_group = [&](size_t off, int n) -> Status {
     rows.resize(n);
@@ -704,7 +699,7 @@ Status LlmTa::DecodeSessions(const std::vector<SessionId>& sids) {
   while (off < batch.size()) {
     int n = 0;
     uint64_t need_sum = 0;
-    while (off + n < batch.size() && n < group) {
+    while (off + n < batch.size()) {
       const uint64_t need = static_cast<uint64_t>(
           kv_arena_->cache(batch[off + n]->slot)->PageCount() + 2);
       if (n > 0 && need_sum + need > frames) {

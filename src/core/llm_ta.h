@@ -110,9 +110,8 @@ class LlmTa {
   // One batched decode step advancing EVERY listed session by one token:
   // per layer one MatMatQ8 over all their current positions (weights stream
   // once per step) with per-session attention — per-session bit-identical
-  // to stepping each alone. Groups of EngineOptions::decode_batch (0 = all
-  // at once). Every listed session must be prefilled and not done; sessions
-  // must be distinct.
+  // to stepping each alone. Every listed session must be prefilled and not
+  // done; sessions must be distinct.
   Status DecodeSessions(const std::vector<SessionId>& sids);
 
   // Advances one session by up to `max_steps` decode steps (capped by the

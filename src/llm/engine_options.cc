@@ -13,11 +13,6 @@ Status EngineOptions::Validate() const {
         "EngineOptions::max_sessions must be >= 1 (the KV arena needs at "
         "least one session slot)");
   }
-  if (decode_batch < 0) {
-    return InvalidArgument(
-        "EngineOptions::decode_batch must be >= 0 (0 = all running sessions "
-        "in one batch)");
-  }
   if (serve_queue_max < 0) {
     return InvalidArgument(
         "EngineOptions::serve_queue_max must be >= 0 (0 = unbounded "

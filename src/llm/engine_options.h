@@ -126,11 +126,6 @@ struct EngineOptions {
   // kResourceExhausted. 1 keeps the single-session footprint and the
   // legacy "exactly one open session" semantics.
   int max_sessions = 1;
-  // Sessions per batched decode step (one MatMatQ8 over all their current
-  // positions per layer, so weights stream once per step regardless of
-  // batch size). 0 = all running sessions in one batch. The scheduler
-  // splits larger running sets into groups of this size.
-  int decode_batch = 0;
   // Under-pressure eviction policy for the serving runtime's admission
   // queue.
   ServeEvictPolicy serve_eviction = ServeEvictPolicy::kPriority;

@@ -11,11 +11,18 @@
 // (the rest of the codebase stays portable baseline code).
 //
 // Numerics contract per slot:
-//  - dot_row_q8 / dot_rows4_q8 are BIT-IDENTICAL across all backends: the
-//    32-wide int8 MACs reduce in exact integer arithmetic and the per-block
-//    float combine runs serially in block order (one independent serial
-//    accumulator per position in the rows4 variant), so vectorizing the
-//    integer dot cannot change a single bit of the output.
+//  - dot_rows_q8 is BIT-IDENTICAL across all backends and across group
+//    sizes: out[p] equals the scalar table's n = 1 result for position p
+//    alone. Each block dot is an exact int32 (integer adds reorder freely),
+//    and each position's float accumulator advances serially in block order
+//    as acc += (wscale * xscale) * dot, with no FMA — one independent
+//    accumulator per position, never mixed with another position's.
+//    The AVX2 table multiplies through the sign trick: |w| as u8 times
+//    sign(w)*x as s8 via maddubs. Activations are clamped to [-127, 127]
+//    (Q8Acts::QuantizeRows) and |w| <= 128 (a 0x80 byte is -128), so a
+//    maddubs pair sum is at most 2 * 128 * 127 = 32512 < 2^15 and never
+//    saturates. Lanes of positions >= n are masked: their scales are
+//    never loaded and their outputs never stored.
 //  - f32_to_f16 is bit-identical across backends for FINITE inputs (the
 //    AVX2 path reproduces the scalar converter's flush-subnormals-to-zero
 //    behavior; NaN diverges — scalar emits inf, AVX2 flushes to zero — but
@@ -44,36 +51,30 @@ enum class SimdIsa : uint8_t {
 
 const char* SimdIsaName(SimdIsa isa);
 
+// Largest group of positions one dot_rows_q8 call takes.
+inline constexpr int kMaxDotRows = 8;
+
 // One function pointer per hot inner loop. `nblocks` counts 34-byte Q8_0
 // blocks (tensor.h geometry); `row` points at a row of such blocks.
 struct KernelDispatch {
   SimdIsa isa;
 
-  // acc over blocks of (wscale_b * xscale_b) * <wq_b, xq_b>, wscale read
-  // from the f16 header of each block. The MatVecQ8Pre row kernel.
-  float (*dot_row_q8)(const uint8_t* row, const int8_t* xq,
-                      const float* xscale, uint64_t nblocks);
-  // Four positions against one weight row in a single pass — the MatMatQ8
-  // group kernel behind batched multi-session decode. Each weight block is
-  // loaded and widened ONCE and all four positions' activations dot
-  // against it, so a batch streams the weight bytes (and converts each f16
-  // scale header) once instead of four times; reading the header in-kernel
-  // rather than via a pre-expanded wscales pass keeps the converts fused
-  // into the weight stream, where they hide in the DRAM latency instead of
-  // serializing against the dots. out4[j] is BIT-IDENTICAL to dot_row_q8
-  // over position j: the block dots reduce in exact integer arithmetic (a
-  // 4-wide horizontal add only reorders integer adds) and the per-position
-  // float combine runs serially in block order with the same
-  // (wscale * xscale) * dot association — four independent accumulators,
-  // one per position, never mixed.
-  //   xq:        position 0's quantized row; position j at xq+j*x_stride.
-  //   xs_t:      activation scales TRANSPOSED to [block][position] — block
-  //              b's four scales are xs_t[b*xs_stride + 0..3] — so backends
-  //              load them as one vector (the caller builds the transpose
-  //              once per matmul and reuses it across every row).
-  void (*dot_rows4_q8)(const uint8_t* row, const int8_t* xq,
-                       uint64_t x_stride, const float* xs_t,
-                       uint64_t xs_stride, uint64_t nblocks, float* out4);
+  // One weight row against n positions (1 <= n <= kMaxDotRows) in a single
+  // pass: for each position p, out[p] = sum over blocks b of
+  // (wscale_b * xs[b*xs_stride + p]) * <wq_b, xq_p,b>, wscale_b read from
+  // block b's f16 header. Each weight block is loaded (and its header
+  // converted) ONCE for all n positions, so a batch streams the weight
+  // bytes once instead of once per position — MatMatQ8 runs every batched
+  // decode step and prefill chunk through this slot in groups of up to
+  // kMaxDotRows positions.
+  //   xq:        position 0's quantized row; position p at xq + p*x_stride.
+  //   xs:        activation scales BLOCK-MAJOR — block b's n scales are
+  //              xs[b*xs_stride + 0..n-1] — so backends load them as one
+  //              vector (the Q8Acts::scale layout, xs_stride = its m).
+  //   out:       n floats; only out[0..n-1] is written.
+  void (*dot_rows_q8)(const uint8_t* row, const int8_t* xq, uint64_t x_stride,
+                      const float* xs, uint64_t xs_stride, uint64_t nblocks,
+                      int n, float* out);
 
   // Attention primitives over one head row of `n` floats.
   float (*dot_qk_f16)(const float* q, const uint16_t* k, int n);

@@ -4,10 +4,11 @@
 // so nothing here may be called on a lesser CPU.
 //
 // Bit-exactness notes (the contract kernels.h states):
-//  - DotRowQ8*: the 32-wide int8 dot reduces in exact integer arithmetic
-//    (madd_epi16 pairs fit int32 with huge margin: 32 * 127 * 127 < 2^19 per
-//    lane pair), and the per-block float combine stays serial in block
-//    order — so the result is bit-identical to the scalar table.
+//  - DotRowsQ8: the 32-wide int8 dot goes through the sign trick (|w| as
+//    u8 times sign(w)*x as s8 in maddubs; a pair sum is at most
+//    2 * 128 * 127 = 32512 < 2^15, so nothing saturates), reduces in exact
+//    integer arithmetic, and each position's float combine stays serial in
+//    block order — so the result is bit-identical to the scalar table.
 //  - F32ToF16: vcvtps2ph rounds to nearest-even like the scalar converter,
 //    and a pre-mask reproduces its flush-subnormals-to-zero behavior, so
 //    the f16 KV arena holds identical bytes whichever table filled it
@@ -45,93 +46,99 @@ inline double Hsum4d(__m256d v) {
   return _mm_cvtsd_f64(s);
 }
 
-// Exact int32 dot of one 32-element int8 block pair: widen to int16, madd
-// to int32 pairs, reduce. Integer adds are associative, so the horizontal
-// reduction order cannot change the value.
-inline int32_t DotBlock32(const int8_t* w, const int8_t* x) {
-  const __m256i w16a = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(w)));
-  const __m256i w16b = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + 16)));
-  const __m256i x16a = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(x)));
-  const __m256i x16b = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + 16)));
-  const __m256i s = _mm256_add_epi32(_mm256_madd_epi16(w16a, x16a),
-                                     _mm256_madd_epi16(w16b, x16b));
-  __m128i s4 = _mm_add_epi32(_mm256_castsi256_si128(s),
-                             _mm256_extracti128_si256(s, 1));
-  s4 = _mm_add_epi32(s4, _mm_shuffle_epi32(s4, _MM_SHUFFLE(1, 0, 3, 2)));
-  s4 = _mm_add_epi32(s4, _mm_shuffle_epi32(s4, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(s4);
-}
-
-float DotRowQ8Avx2(const uint8_t* row, const int8_t* xq, const float* xscale,
-                   uint64_t nblocks) {
-  float acc = 0.0f;
-  for (uint64_t b = 0; b < nblocks; ++b) {
-    const uint8_t* blk = row + b * kQ8BlockBytes;
-    const float wscale =
-        F16ToF32(static_cast<uint16_t>(blk[0] | (blk[1] << 8)));
-    const int32_t dot = DotBlock32(reinterpret_cast<const int8_t*>(blk + 2),
-                                   xq + b * kQ8BlockElems);
-    acc += (wscale * xscale[b]) * static_cast<float>(dot);
-  }
-  return acc;
-}
-
-void DotRows4Q8Avx2(const uint8_t* row, const int8_t* xq, uint64_t x_stride,
-                    const float* xs_t, uint64_t xs_stride, uint64_t nblocks,
-                    float* out4) {
-  // Block-outer: each weight block is loaded and widened ONCE, then all
-  // four positions madd against the shared registers — the whole point of
-  // the batched decode path (the single-row kernel re-streams the row per
-  // position). The f16 scale header converts in-loop through vcvtsh2ss
-  // (exact IEEE f16->f32, bit-identical to the scalar F16ToF32 for every
-  // input), fused into the weight stream. Exactness of the rest: the three
-  // hadds only reorder exact int32 adds; the float combine is one mul +
-  // one mul + one add PER LANE, lane p carrying position p's serial
-  // block-order accumulator with the same (wscale * xscale) * dot
-  // association as the scalar loop — no FMA, which would skip the
-  // intermediate rounding the scalar table performs.
-  __m128 acc = _mm_setzero_ps();
+// One weight row against N positions. Block-outer: each 32-byte weight
+// block is loaded once and |w| = sign(w, w) formed once; per position one
+// sign(x, w), one maddubs (u8 |w| times s8 sign(w)*x, exact pair sums) and
+// one madd against ones widen the block's 32 products into 8 int32 lanes.
+// The f16 header converts through vcvtsh2ss (exact, like the scalar
+// F16ToF32). N = 1 folds its 8 lanes into one scalar dot and accumulates
+// in a scalar float; N >= 2 folds up to 8 positions through an hadd tree
+// into one 8-lane vector, lane p holding position p's exact block dot, and
+// combines with one mul + one mul + one add per lane (no FMA, which would
+// skip the rounding the scalar table performs). Lanes >= N load no scale
+// (masked) and are never stored.
+template <int N>
+void DotRowsQ8Avx2N(const uint8_t* row, const int8_t* xq, uint64_t x_stride,
+                    const float* xs, uint64_t xs_stride, uint64_t nblocks,
+                    float* out) {
+  const __m256i ones = _mm256_set1_epi16(1);
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i mask = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(N), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  __m256 acc = _mm256_setzero_ps();
+  float acc1 = 0.0f;
   for (uint64_t b = 0; b < nblocks; ++b) {
     const uint8_t* blk = row + b * kQ8BlockBytes;
     const float wscale =
         _cvtsh_ss(static_cast<uint16_t>(blk[0] | (blk[1] << 8)));
-    const int8_t* wq = reinterpret_cast<const int8_t*>(blk + 2);
-    const __m256i w16a = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(wq)));
-    const __m256i w16b = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(wq + 16)));
-    __m256i part[4];
-    for (int p = 0; p < 4; ++p) {
-      const int8_t* xb =
-          xq + static_cast<uint64_t>(p) * x_stride + b * kQ8BlockElems;
-      const __m256i x16a = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(xb)));
-      const __m256i x16b = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(xb + 16)));
-      part[p] = _mm256_add_epi32(_mm256_madd_epi16(w16a, x16a),
-                                 _mm256_madd_epi16(w16b, x16b));
+    const __m256i w =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(blk + 2));
+    const __m256i abs_w = _mm256_sign_epi8(w, w);
+    __m256i part[kMaxDotRows] = {};
+    for (int p = 0; p < N; ++p) {
+      const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+          xq + static_cast<uint64_t>(p) * x_stride + b * kQ8BlockElems));
+      part[p] = _mm256_madd_epi16(
+          _mm256_maddubs_epi16(abs_w, _mm256_sign_epi8(x, w)), ones);
     }
-    // Cross-position reduction: fold each 8-lane partial to 4 lanes, then
-    // hadd pairs so lane p of `dots` holds position p's exact block dot.
-    const __m128i r0 = _mm_add_epi32(_mm256_castsi256_si128(part[0]),
-                                     _mm256_extracti128_si256(part[0], 1));
-    const __m128i r1 = _mm_add_epi32(_mm256_castsi256_si128(part[1]),
-                                     _mm256_extracti128_si256(part[1], 1));
-    const __m128i r2 = _mm_add_epi32(_mm256_castsi256_si128(part[2]),
-                                     _mm256_extracti128_si256(part[2], 1));
-    const __m128i r3 = _mm_add_epi32(_mm256_castsi256_si128(part[3]),
-                                     _mm256_extracti128_si256(part[3], 1));
-    const __m128i dots =
-        _mm_hadd_epi32(_mm_hadd_epi32(r0, r1), _mm_hadd_epi32(r2, r3));
-    const __m128 scales = _mm_mul_ps(_mm_set1_ps(wscale),
-                                     _mm_loadu_ps(xs_t + b * xs_stride));
-    acc = _mm_add_ps(acc, _mm_mul_ps(scales, _mm_cvtepi32_ps(dots)));
+    if constexpr (N == 1) {
+      __m128i s = _mm_add_epi32(_mm256_castsi256_si128(part[0]),
+                                _mm256_extracti128_si256(part[0], 1));
+      s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
+      s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 1, 1, 1)));
+      acc1 += (wscale * xs[b * xs_stride]) *
+              static_cast<float>(_mm_cvtsi128_si32(s));
+    } else {
+      // hadd works within 128-bit halves: after two levels, half h of
+      // h0123 holds positions 0..3's sums over lanes 4h..4h+3 (h4567 the
+      // same for positions 4..7); adding the halves completes each dot.
+      auto at = [&](int p) { return p < N ? part[p] : zero; };
+      const __m256i h0123 =
+          _mm256_hadd_epi32(_mm256_hadd_epi32(at(0), at(1)),
+                            N > 2 ? _mm256_hadd_epi32(at(2), at(3)) : zero);
+      __m256i h4567 = zero;
+      if constexpr (N > 4) {
+        h4567 =
+            _mm256_hadd_epi32(_mm256_hadd_epi32(at(4), at(5)),
+                              N > 6 ? _mm256_hadd_epi32(at(6), at(7)) : zero);
+      }
+      const __m256i dots =
+          _mm256_add_epi32(_mm256_permute2x128_si256(h0123, h4567, 0x20),
+                           _mm256_permute2x128_si256(h0123, h4567, 0x31));
+      const __m256 scales =
+          _mm256_mul_ps(_mm256_set1_ps(wscale),
+                        _mm256_maskload_ps(xs + b * xs_stride, mask));
+      acc = _mm256_add_ps(acc, _mm256_mul_ps(scales, _mm256_cvtepi32_ps(dots)));
+    }
   }
-  _mm_storeu_ps(out4, acc);
+  if constexpr (N == 1) {
+    out[0] = acc1;
+  } else {
+    _mm256_maskstore_ps(out, mask, acc);
+  }
+}
+
+void DotRowsQ8Avx2(const uint8_t* row, const int8_t* xq, uint64_t x_stride,
+                   const float* xs, uint64_t xs_stride, uint64_t nblocks,
+                   int n, float* out) {
+  switch (n) {
+    case 1:
+      return DotRowsQ8Avx2N<1>(row, xq, x_stride, xs, xs_stride, nblocks, out);
+    case 2:
+      return DotRowsQ8Avx2N<2>(row, xq, x_stride, xs, xs_stride, nblocks, out);
+    case 3:
+      return DotRowsQ8Avx2N<3>(row, xq, x_stride, xs, xs_stride, nblocks, out);
+    case 4:
+      return DotRowsQ8Avx2N<4>(row, xq, x_stride, xs, xs_stride, nblocks, out);
+    case 5:
+      return DotRowsQ8Avx2N<5>(row, xq, x_stride, xs, xs_stride, nblocks, out);
+    case 6:
+      return DotRowsQ8Avx2N<6>(row, xq, x_stride, xs, xs_stride, nblocks, out);
+    case 7:
+      return DotRowsQ8Avx2N<7>(row, xq, x_stride, xs, xs_stride, nblocks, out);
+    default:  // kMaxDotRows.
+      return DotRowsQ8Avx2N<8>(row, xq, x_stride, xs, xs_stride, nblocks, out);
+  }
 }
 
 float DotQkF16Avx2(const float* q, const uint16_t* k, int n) {
@@ -306,8 +313,7 @@ void SoftmaxAvx2(float* x, int n) {
 
 const KernelDispatch kAvx2Table = {
     SimdIsa::kAvx2F16c,
-    DotRowQ8Avx2,
-    DotRows4Q8Avx2,
+    DotRowsQ8Avx2,
     DotQkF16Avx2,
     DotQkF32Avx2,
     AxpyF16Avx2,

@@ -21,45 +21,15 @@
 namespace tzllm {
 namespace {
 
-// Exact int32 dot of one 32-element int8 block pair.
-inline int32_t DotBlock32(const int8_t* w, const int8_t* x) {
-  int32x4_t acc = vdupq_n_s32(0);
-  for (int off = 0; off < 32; off += 16) {
-    const int8x16_t wv = vld1q_s8(w + off);
-    const int8x16_t xv = vld1q_s8(x + off);
-    const int16x8_t lo = vmull_s8(vget_low_s8(wv), vget_low_s8(xv));
-    const int16x8_t hi = vmull_s8(vget_high_s8(wv), vget_high_s8(xv));
-    acc = vpadalq_s16(acc, lo);
-    acc = vpadalq_s16(acc, hi);
-  }
-  return vaddvq_s32(acc);
-}
-
-float DotRowQ8Neon(const uint8_t* row, const int8_t* xq, const float* xscale,
-                   uint64_t nblocks) {
-  float acc = 0.0f;
-  for (uint64_t b = 0; b < nblocks; ++b) {
-    const uint8_t* blk = row + b * kQ8BlockBytes;
-    const float wscale =
-        F16ToF32(static_cast<uint16_t>(blk[0] | (blk[1] << 8)));
-    const int32_t dot = DotBlock32(reinterpret_cast<const int8_t*>(blk + 2),
-                                   xq + b * kQ8BlockElems);
-    acc += (wscale * xscale[b]) * static_cast<float>(dot);
-  }
-  return acc;
-}
-
-void DotRows4Q8Neon(const uint8_t* row, const int8_t* xq, uint64_t x_stride,
-                    const float* xs_t, uint64_t xs_stride, uint64_t nblocks,
-                    float* out4) {
+void DotRowsQ8Neon(const uint8_t* row, const int8_t* xq, uint64_t x_stride,
+                   const float* xs, uint64_t xs_stride, uint64_t nblocks,
+                   int n, float* out) {
   // Block-outer so each weight block's two int8x16 loads (and the f16
-  // header convert, done through F16ToF32 — the exact software path, as
-  // this table's single-row dots use) are shared by all four positions.
-  // Each position's block dot is the exact DotBlock32 reduction and its
-  // float accumulator advances serially in block order with the scalar
-  // table's association — bit-identical per position.
-  float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-  float* accs[4] = {&acc0, &acc1, &acc2, &acc3};
+  // header convert, done through F16ToF32 — the exact software path) are
+  // shared by all n positions. Each position's block dot is an exact int32
+  // reduction and its float accumulator advances serially in block order
+  // with the scalar table's association — bit-identical per position.
+  float acc[kMaxDotRows] = {};
   for (uint64_t b = 0; b < nblocks; ++b) {
     const uint8_t* blk = row + b * kQ8BlockBytes;
     const float wscale =
@@ -67,25 +37,23 @@ void DotRows4Q8Neon(const uint8_t* row, const int8_t* xq, uint64_t x_stride,
     const int8_t* wq = reinterpret_cast<const int8_t*>(blk + 2);
     const int8x16_t w0 = vld1q_s8(wq);
     const int8x16_t w1 = vld1q_s8(wq + 16);
-    for (int p = 0; p < 4; ++p) {
+    for (int p = 0; p < n; ++p) {
       const int8_t* xb =
           xq + static_cast<uint64_t>(p) * x_stride + b * kQ8BlockElems;
-      int32x4_t acc = vdupq_n_s32(0);
+      int32x4_t dots = vdupq_n_s32(0);
       const int8x16_t x0 = vld1q_s8(xb);
       const int8x16_t x1 = vld1q_s8(xb + 16);
-      acc = vpadalq_s16(acc, vmull_s8(vget_low_s8(w0), vget_low_s8(x0)));
-      acc = vpadalq_s16(acc, vmull_s8(vget_high_s8(w0), vget_high_s8(x0)));
-      acc = vpadalq_s16(acc, vmull_s8(vget_low_s8(w1), vget_low_s8(x1)));
-      acc = vpadalq_s16(acc, vmull_s8(vget_high_s8(w1), vget_high_s8(x1)));
-      const int32_t dot = vaddvq_s32(acc);
-      *accs[p] += (wscale * xs_t[b * xs_stride + p]) *
-                  static_cast<float>(dot);
+      dots = vpadalq_s16(dots, vmull_s8(vget_low_s8(w0), vget_low_s8(x0)));
+      dots = vpadalq_s16(dots, vmull_s8(vget_high_s8(w0), vget_high_s8(x0)));
+      dots = vpadalq_s16(dots, vmull_s8(vget_low_s8(w1), vget_low_s8(x1)));
+      dots = vpadalq_s16(dots, vmull_s8(vget_high_s8(w1), vget_high_s8(x1)));
+      acc[p] += (wscale * xs[b * xs_stride + p]) *
+                static_cast<float>(vaddvq_s32(dots));
     }
   }
-  out4[0] = acc0;
-  out4[1] = acc1;
-  out4[2] = acc2;
-  out4[3] = acc3;
+  for (int p = 0; p < n; ++p) {
+    out[p] = acc[p];
+  }
 }
 
 float DotQkF16Neon(const float* q, const uint16_t* k, int n) {
@@ -207,8 +175,7 @@ void SoftmaxNeon(float* x, int n) {
 
 const KernelDispatch kNeonTable = {
     SimdIsa::kNeon,
-    DotRowQ8Neon,
-    DotRows4Q8Neon,
+    DotRowsQ8Neon,
     DotQkF16Neon,
     DotQkF32Neon,
     AxpyF16Neon,

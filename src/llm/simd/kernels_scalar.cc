@@ -12,48 +12,31 @@
 namespace tzllm {
 namespace {
 
-float DotRowQ8Scalar(const uint8_t* row, const int8_t* xq,
-                     const float* xscale, uint64_t nblocks) {
-  float acc = 0.0f;
-  for (uint64_t b = 0; b < nblocks; ++b) {
-    const uint8_t* blk = row + b * kQ8BlockBytes;
-    const float wscale =
-        F16ToF32(static_cast<uint16_t>(blk[0] | (blk[1] << 8)));
-    const int8_t* wq = reinterpret_cast<const int8_t*>(blk + 2);
-    const int8_t* xb = xq + b * kQ8BlockElems;
-    int32_t dot = 0;
-    for (uint64_t i = 0; i < kQ8BlockElems; ++i) {
-      dot += static_cast<int32_t>(wq[i]) * static_cast<int32_t>(xb[i]);
-    }
-    acc += (wscale * xscale[b]) * static_cast<float>(dot);
-  }
-  return acc;
-}
-
-void DotRows4Q8Scalar(const uint8_t* row, const int8_t* xq,
-                      uint64_t x_stride, const float* xs_t,
-                      uint64_t xs_stride, uint64_t nblocks, float* out4) {
+void DotRowsQ8Scalar(const uint8_t* row, const int8_t* xq, uint64_t x_stride,
+                     const float* xs, uint64_t xs_stride, uint64_t nblocks,
+                     int n, float* out) {
   // Block-outer so the header convert happens once per block (shared by
-  // all four positions, like the SIMD tables); each position's accumulator
-  // advances serially in block order with DotRowQ8Scalar's association.
-  float acc[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+  // all n positions, like the SIMD tables); each position's accumulator
+  // advances serially in block order, so a position's result does not
+  // depend on which group it rides in.
+  float acc[kMaxDotRows] = {};
   for (uint64_t b = 0; b < nblocks; ++b) {
     const uint8_t* blk = row + b * kQ8BlockBytes;
     const float wscale =
         F16ToF32(static_cast<uint16_t>(blk[0] | (blk[1] << 8)));
     const int8_t* wq = reinterpret_cast<const int8_t*>(blk + 2);
-    for (int p = 0; p < 4; ++p) {
+    for (int p = 0; p < n; ++p) {
       const int8_t* xb =
           xq + static_cast<uint64_t>(p) * x_stride + b * kQ8BlockElems;
       int32_t dot = 0;
       for (uint64_t i = 0; i < kQ8BlockElems; ++i) {
         dot += static_cast<int32_t>(wq[i]) * static_cast<int32_t>(xb[i]);
       }
-      acc[p] += (wscale * xs_t[b * xs_stride + p]) * static_cast<float>(dot);
+      acc[p] += (wscale * xs[b * xs_stride + p]) * static_cast<float>(dot);
     }
   }
-  for (int p = 0; p < 4; ++p) {
-    out4[p] = acc[p];
+  for (int p = 0; p < n; ++p) {
+    out[p] = acc[p];
   }
 }
 
@@ -147,8 +130,7 @@ void SoftmaxScalar(float* x, int n) {
 
 const KernelDispatch kScalarTable = {
     SimdIsa::kScalar,
-    DotRowQ8Scalar,
-    DotRows4Q8Scalar,
+    DotRowsQ8Scalar,
     DotQkF16Scalar,
     DotQkF32Scalar,
     AxpyF16Scalar,

@@ -131,7 +131,6 @@ void Q8Acts::QuantizeRows(const float* x, uint64_t m_rows, uint64_t n) {
   for (uint64_t row = 0; row < m_rows; ++row) {
     const float* src = x + row * n;
     int8_t* out = q.data() + row * n;
-    float* sc = scale.data() + row * blocks;
     for (uint64_t b = 0; b < blocks; ++b) {
       const float* xb = src + b * kQ8BlockElems;
       float amax = 0.0f;
@@ -140,7 +139,7 @@ void Q8Acts::QuantizeRows(const float* x, uint64_t m_rows, uint64_t n) {
       }
       const float s = amax / 127.0f;
       const float inv = s > 0.0f ? 1.0f / s : 0.0f;
-      sc[b] = s;
+      scale[b * m_rows + row] = s;
       int8_t* qb = out + b * kQ8BlockElems;
       for (uint64_t i = 0; i < kQ8BlockElems; ++i) {
         // lrintf (round-to-nearest-even) compiles to one cvtss2si; round()
@@ -162,29 +161,11 @@ constexpr uint64_t kParallelMinWork = 48 * 1024;
 
 }  // namespace
 
-void MatVecQ8Pre(const uint8_t* w, uint64_t rows, uint64_t cols,
-                 const Q8Acts& x, float* y, ThreadPool* pool,
-                 const KernelDispatch* kernels) {
-  const KernelDispatch* k = kernels != nullptr ? kernels : ActiveKernels();
-  const uint64_t blocks_per_row = cols / kQ8BlockElems;
-  auto run = [&](uint64_t r0, uint64_t r1) {
-    for (uint64_t r = r0; r < r1; ++r) {
-      y[r] = k->dot_row_q8(w + r * blocks_per_row * kQ8BlockBytes,
-                           x.q.data(), x.scale.data(), blocks_per_row);
-    }
-  };
-  if (pool != nullptr && rows * cols >= kParallelMinWork) {
-    pool->ParallelFor(0, rows, run);
-  } else {
-    run(0, rows);
-  }
-}
-
 void MatVecQ8(const uint8_t* w, uint64_t rows, uint64_t cols, const float* x,
               float* y, ThreadPool* pool, const KernelDispatch* kernels) {
   thread_local Q8Acts acts;
   acts.Quantize(x, cols);
-  MatVecQ8Pre(w, rows, cols, acts, y, pool, kernels);
+  MatMatQ8(w, rows, cols, acts, y, pool, kernels);
 }
 
 void MatMatQ8(const uint8_t* w, uint64_t rows, uint64_t cols, const Q8Acts& x,
@@ -192,40 +173,18 @@ void MatMatQ8(const uint8_t* w, uint64_t rows, uint64_t cols, const Q8Acts& x,
   const KernelDispatch* k = kernels != nullptr ? kernels : ActiveKernels();
   const uint64_t blocks_per_row = cols / kQ8BlockElems;
   const uint64_t m = x.m;
-  // Groups of four positions take the rows4 kernel: one weight-block widen
-  // (and one f16 header convert) is shared by four positions, which is
-  // where batched decode recovers the weight-streaming bandwidth a
-  // per-position loop re-pays. It wants the activation scales transposed
-  // to [block][position]; build that once here and reuse it across every
-  // row (and every worker thread — read-only). Remainder positions go
-  // through dot_row_q8, which reads the same headers in-kernel, so no
-  // pre-expanded wscales pass runs at all — that separate walk serialized
-  // ~one F16ToF32 per 34 streamed bytes against the dot loop.
-  std::vector<float> xs_t;
-  if (m >= 4) {
-    xs_t.resize(blocks_per_row * m);
-    for (uint64_t p = 0; p < m; ++p) {
-      for (uint64_t b = 0; b < blocks_per_row; ++b) {
-        xs_t[b * m + p] = x.scale[p * blocks_per_row + b];
-      }
-    }
-  }
   auto run = [&](uint64_t r0, uint64_t r1) {
-    float out4[4];
+    float out[kMaxDotRows];
     for (uint64_t r = r0; r < r1; ++r) {
       const uint8_t* row = w + r * blocks_per_row * kQ8BlockBytes;
-      uint64_t p = 0;
-      for (; p + 4 <= m; p += 4) {
-        k->dot_rows4_q8(row, x.q.data() + p * cols, cols, xs_t.data() + p, m,
-                        blocks_per_row, out4);
-        for (int j = 0; j < 4; ++j) {
-          y[(p + j) * rows + r] = out4[j];
+      for (uint64_t p = 0; p < m; p += kMaxDotRows) {
+        const int n = static_cast<int>(
+            std::min<uint64_t>(kMaxDotRows, m - p));
+        k->dot_rows_q8(row, x.q.data() + p * cols, cols, x.scale.data() + p,
+                       m, blocks_per_row, n, out);
+        for (int j = 0; j < n; ++j) {
+          y[(p + j) * rows + r] = out[j];
         }
-      }
-      for (; p < m; ++p) {
-        y[p * rows + r] = k->dot_row_q8(row, x.q.data() + p * cols,
-                                        x.scale.data() + p * blocks_per_row,
-                                        blocks_per_row);
       }
     }
   };

@@ -68,41 +68,44 @@ struct KernelDispatch;
 // loop is an int8xint8 integer dot instead of int8->float converts. Holds
 // one or more rows; reusable scratch so hot loops don't allocate.
 struct Q8Acts {
-  std::vector<int8_t> q;     // [m * cols].
-  std::vector<float> scale;  // [m * cols/32].
+  std::vector<int8_t> q;     // [m][cols], row-major.
+  // [cols/32][m], BLOCK-MAJOR: block b of position p at scale[b*m + p], so
+  // a group of positions' scales for one block are contiguous — the layout
+  // KernelDispatch::dot_rows_q8 reads (with m = 1 it is simply per-block).
+  std::vector<float> scale;
   uint64_t cols = 0;
   uint64_t m = 0;
 
   void Quantize(const float* x, uint64_t n) { QuantizeRows(x, 1, n); }
-  // Quantizes m rows of n floats each (n a multiple of 32).
+  // Quantizes m rows of n floats each (n a multiple of 32). Values are
+  // clamped to [-127, 127], which the SIMD dot kernels rely on.
   void QuantizeRows(const float* x, uint64_t m_rows, uint64_t n);
 };
 
 // y[r] = sum_c W[r,c] * x[c] for a Q8_0 row-major weight matrix W
 // (rows x cols, cols a multiple of 32); overwrites y. Quantizes x to Q8
-// internally; `pool` (optional) splits the rows across threads when the
-// matrix is large enough to amortize the fork/join. The workhorse of the
-// functional CPU/NPU backends.
+// internally (thread-local scratch) and runs MatMatQ8 at m = 1; `pool`
+// (optional) splits the rows across threads when the matrix is large
+// enough to amortize the fork/join. The workhorse of the functional CPU/NPU
+// backends.
 //
 // `kernels` selects the SIMD backend for the row dots (nullptr = the
 // process-wide ActiveKernels() table). Threading partitions rows while the
-// backend vectorizes within a row, and the integer-dot row kernels are
+// backend vectorizes within a row, and the integer-dot row kernel is
 // bit-identical across backends (simd/kernels.h), so the output never
 // depends on either choice.
 void MatVecQ8(const uint8_t* w, uint64_t rows, uint64_t cols, const float* x,
               float* y, ThreadPool* pool = nullptr,
               const KernelDispatch* kernels = nullptr);
 
-// MatVecQ8 over pre-quantized activations (x.m == 1).
-void MatVecQ8Pre(const uint8_t* w, uint64_t rows, uint64_t cols,
-                 const Q8Acts& x, float* y, ThreadPool* pool = nullptr,
-                 const KernelDispatch* kernels = nullptr);
-
-// Batched-prefill matmul: y[p*rows + r] = sum_c W[r,c] * X[p,c] for all
-// x.m positions. Row-blocked with positions innermost so each weight row is
-// streamed once per batch instead of once per position. Per-(row, position)
-// summation order matches MatVecQ8Pre exactly, so batched prefill and
-// incremental decode produce bit-identical activations.
+// Batched matmul: y[p*rows + r] = sum_c W[r,c] * X[p,c] for all x.m
+// positions. Row-outer: each weight row is streamed once and dotted
+// against the positions in groups of up to kMaxDotRows (simd/kernels.h)
+// through one dot_rows_q8 call per group, so batched decode and prefill
+// chunks pay one weight stream however many positions they carry. A
+// position's result does not depend on its group, so batched prefill and
+// incremental decode (m = 1) produce bit-identical activations. Without a
+// pool it makes no heap allocation.
 void MatMatQ8(const uint8_t* w, uint64_t rows, uint64_t cols, const Q8Acts& x,
               float* y, ThreadPool* pool = nullptr,
               const KernelDispatch* kernels = nullptr);

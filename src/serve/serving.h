@@ -138,9 +138,8 @@ class ServingRuntime {
  public:
   // `ta` must outlive the runtime and have a model loaded; its
   // EngineOptions supply the session capacity (max_sessions), the prefill
-  // quantum (prefill_batch), the decode grouping (decode_batch) and the
-  // eviction policy (serve_eviction). `sim` is unused; the parameter stays
-  // until its callers drop it.
+  // quantum (prefill_batch) and the eviction policy (serve_eviction). `sim`
+  // is unused; the parameter stays until its callers drop it.
   ServingRuntime(LlmTa* ta, Simulator* sim);
 
   // Queues a request; returns its id. Admission happens inside Tick.

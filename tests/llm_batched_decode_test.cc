@@ -4,7 +4,7 @@
 // on an otherwise identical engine. That identity is what lets the serving
 // runtime batch sessions freely: batching is a throughput decision, never a
 // quality decision. Covered across the kernel matrix (threads 1/auto x SIMD
-// auto/forced-scalar) and across decode_batch groupings.
+// auto/forced-scalar).
 
 #include <gtest/gtest.h>
 
@@ -57,11 +57,9 @@ std::vector<GenerationResult> SoloRuns(int n_threads, bool force_scalar) {
 }
 
 // All prompts live on one TA, advanced in lockstep through DecodeSessions.
-std::vector<GenerationResult> ConcurrentRun(int n_threads, bool force_scalar,
-                                            int decode_batch) {
+std::vector<GenerationResult> ConcurrentRun(int n_threads, bool force_scalar) {
   RuntimeConfig config =
       Config(static_cast<int>(Prompts().size()), n_threads, force_scalar);
-  config.engine.decode_batch = decode_batch;
   SocPlatform plat;
   SystemRuntime runtime(&plat, config);
   EXPECT_TRUE(runtime.Setup().ok());
@@ -120,8 +118,7 @@ class BatchedDecodeParityTest
 TEST_P(BatchedDecodeParityTest, ConcurrentSessionsMatchSoloBitIdentically) {
   const auto [n_threads, force_scalar] = GetParam();
   const auto solo = SoloRuns(n_threads, force_scalar);
-  const auto batched = ConcurrentRun(n_threads, force_scalar,
-                                     /*decode_batch=*/0);
+  const auto batched = ConcurrentRun(n_threads, force_scalar);
   ExpectIdentical(solo, batched);
 }
 
@@ -135,14 +132,6 @@ INSTANTIATE_TEST_SUITE_P(
                                     : std::to_string(info.param.first)) +
              (info.param.second ? "_scalar" : "_simd");
     });
-
-TEST(BatchedDecodeTest, DecodeBatchGroupingDoesNotChangeTokens) {
-  // decode_batch splits one step into groups of that size; the grouping is
-  // a scheduling knob and must not perturb a single token.
-  const auto all_at_once = ConcurrentRun(1, false, /*decode_batch=*/0);
-  const auto grouped = ConcurrentRun(1, false, /*decode_batch=*/2);
-  ExpectIdentical(all_at_once, grouped);
-}
 
 TEST(BatchedDecodeTest, DecodeSessionsRejectsMisuse) {
   SocPlatform plat;

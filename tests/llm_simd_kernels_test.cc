@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -124,8 +126,7 @@ TEST(SimdDispatchTest, TablesAreFullyPopulated) {
     if (t == nullptr) {
       continue;
     }
-    EXPECT_NE(t->dot_row_q8, nullptr);
-    EXPECT_NE(t->dot_rows4_q8, nullptr);
+    EXPECT_NE(t->dot_rows_q8, nullptr);
     EXPECT_NE(t->dot_qk_f16, nullptr);
     EXPECT_NE(t->dot_qk_f32, nullptr);
     EXPECT_NE(t->axpy_f16, nullptr);
@@ -139,10 +140,21 @@ TEST(SimdDispatchTest, TablesAreFullyPopulated) {
 
 // --- Integer-dot path: bit-identical across backends. ---
 
+// The scalar table's single-position dot of position p of `x` — the oracle
+// every grouped call, on every table, must reproduce bit for bit.
+float ScalarSingle(const uint8_t* row, const Q8Acts& x, uint64_t p,
+                   uint64_t nblocks) {
+  float out = 0.0f;
+  ScalarKernels()->dot_rows_q8(row, x.q.data() + p * x.cols, x.cols,
+                               x.scale.data() + p, x.m, nblocks, 1, &out);
+  return out;
+}
+
 class SimdKernelTest : public ::testing::Test {
  protected:
   static constexpr uint64_t kRows = 48;
   static constexpr uint64_t kCols = 256;  // 8 blocks per row.
+  static constexpr uint64_t kBlocks = kCols / kQ8BlockElems;
 
   SimdKernelTest() {
     const auto wf = RandomFloats(kRows * kCols, 11);
@@ -161,9 +173,9 @@ TEST_F(SimdKernelTest, MatVecQ8BitIdenticalSimdVsScalar) {
     GTEST_SKIP() << "host has no SIMD backend; scalar-only";
   }
   std::vector<float> ys(kRows), yv(kRows);
-  MatVecQ8Pre(w_.data(), kRows, kCols, acts_, ys.data(), nullptr,
-              ScalarKernels());
-  MatVecQ8Pre(w_.data(), kRows, kCols, acts_, yv.data(), nullptr, simd);
+  MatMatQ8(w_.data(), kRows, kCols, acts_, ys.data(), nullptr,
+           ScalarKernels());
+  MatMatQ8(w_.data(), kRows, kCols, acts_, yv.data(), nullptr, simd);
   // Bit-identical, not just close: the integer dot reduces exactly and the
   // float combine runs in the same block order on every backend.
   EXPECT_EQ(0, std::memcmp(ys.data(), yv.data(), kRows * sizeof(float)));
@@ -174,66 +186,139 @@ TEST_F(SimdKernelTest, MatMatQ8BitIdenticalSimdVsScalar) {
   if (simd == nullptr) {
     GTEST_SKIP() << "host has no SIMD backend; scalar-only";
   }
-  constexpr uint64_t kPositions = 5;
-  Q8Acts rows;
-  rows.QuantizeRows(RandomFloats(kPositions * kCols, 33).data(), kPositions,
-                    kCols);
-  std::vector<float> ys(kPositions * kRows), yv(kPositions * kRows);
-  MatMatQ8(w_.data(), kRows, kCols, rows, ys.data(), nullptr,
-           ScalarKernels());
-  MatMatQ8(w_.data(), kRows, kCols, rows, yv.data(), nullptr, simd);
-  EXPECT_EQ(0, std::memcmp(ys.data(), yv.data(), ys.size() * sizeof(float)));
+  // Every m from 1 to 17: each group size 1..8 as a whole batch or as the
+  // tail after one or two full groups.
+  for (uint64_t m = 1; m <= 17; ++m) {
+    const auto x = RandomFloats(m * kCols, 33 + static_cast<uint32_t>(m));
+    Q8Acts rows;
+    rows.QuantizeRows(x.data(), m, kCols);
+    std::vector<float> ys(m * kRows), yv(m * kRows);
+    MatMatQ8(w_.data(), kRows, kCols, rows, ys.data(), nullptr,
+             ScalarKernels());
+    MatMatQ8(w_.data(), kRows, kCols, rows, yv.data(), nullptr, simd);
+    EXPECT_EQ(0, std::memcmp(ys.data(), yv.data(), ys.size() * sizeof(float)))
+        << "m=" << m;
+  }
 }
 
-TEST_F(SimdKernelTest, DotRows4MatchesFourSingleRowDotsBitIdentically) {
-  // The grouped kernel's contract: out4[p] is the single-row dot of
-  // position p, bit-for-bit, on EVERY backend — that identity is what lets
-  // MatMatQ8 (and through it batched multi-session decode) group positions
-  // purely for weight-streaming bandwidth.
-  constexpr uint64_t kPositions = 4;
-  const uint64_t blocks = kCols / kQ8BlockElems;
+TEST_F(SimdKernelTest, DotRowsMatchesSingleScalarDotsBitIdentically) {
+  // The slot's contract: out[p] is the scalar table's single-position dot
+  // of position p, bit-for-bit, for every group size n on EVERY table —
+  // that identity is what lets MatMatQ8 (and through it batched
+  // multi-session decode) group positions purely for weight-streaming
+  // bandwidth. Groups start at position 0 and end at the last position,
+  // so the block-major scale reads run to the end of Q8Acts::scale.
+  constexpr uint64_t kPositions = 2 * kMaxDotRows;
   Q8Acts rows;
   rows.QuantizeRows(RandomFloats(kPositions * kCols, 44).data(), kPositions,
                     kCols);
-  // Transposed [block][position] scales, as MatMatQ8 hands them over.
-  std::vector<float> xs_t(blocks * kPositions);
-  for (uint64_t p = 0; p < kPositions; ++p) {
-    for (uint64_t b = 0; b < blocks; ++b) {
-      xs_t[b * kPositions + p] = rows.scale[p * blocks + b];
-    }
-  }
   for (const KernelDispatch* t : {ScalarKernels(), HostSimdTable()}) {
     if (t == nullptr) {
       continue;
     }
-    for (uint64_t r = 0; r < kRows; ++r) {
-      const uint8_t* row = w_.data() + r * blocks * kQ8BlockBytes;
-      float grouped[4];
-      t->dot_rows4_q8(row, rows.q.data(), kCols, xs_t.data(), kPositions,
-                      blocks, grouped);
-      for (uint64_t p = 0; p < kPositions; ++p) {
-        const float single =
-            t->dot_row_q8(row, rows.q.data() + p * kCols,
-                          rows.scale.data() + p * blocks, blocks);
-        EXPECT_EQ(0, std::memcmp(&grouped[p], &single, sizeof(float)))
-            << SimdIsaName(t->isa) << " row " << r << " position " << p;
+    for (int n = 1; n <= kMaxDotRows; ++n) {
+      for (uint64_t p0 : {uint64_t{0}, kPositions - n}) {
+        for (uint64_t r = 0; r < kRows; ++r) {
+          const uint8_t* row = w_.data() + r * kBlocks * kQ8BlockBytes;
+          // Sentinels past out[n - 1] catch a store of a masked lane.
+          float grouped[kMaxDotRows];
+          std::fill(std::begin(grouped), std::end(grouped), -1234.5f);
+          t->dot_rows_q8(row, rows.q.data() + p0 * kCols, kCols,
+                         rows.scale.data() + p0, kPositions, kBlocks, n,
+                         grouped);
+          for (int p = 0; p < n; ++p) {
+            const float single = ScalarSingle(row, rows, p0 + p, kBlocks);
+            EXPECT_EQ(0, std::memcmp(&grouped[p], &single, sizeof(float)))
+                << SimdIsaName(t->isa) << " n " << n << " p0 " << p0
+                << " row " << r << " position " << p;
+          }
+          for (int p = n; p < kMaxDotRows; ++p) {
+            EXPECT_EQ(grouped[p], -1234.5f)
+                << SimdIsaName(t->isa) << " n " << n << " wrote lane " << p;
+          }
+        }
       }
     }
   }
 }
 
-TEST_F(SimdKernelTest, DotRowHandlesRaggedBlockCounts) {
-  // 1..8 blocks exercises every vector-tail combination of the row kernel.
+TEST_F(SimdKernelTest, DotRowsHandlesRaggedBlockCounts) {
+  // 1..8 blocks exercises every loop-trip count, at the shortest (n = 1)
+  // and widest (n = 8) group.
   const KernelDispatch* simd = HostSimdTable();
   if (simd == nullptr) {
     GTEST_SKIP() << "host has no SIMD backend; scalar-only";
   }
-  for (uint64_t nblocks = 1; nblocks <= 8; ++nblocks) {
-    const float a = ScalarKernels()->dot_row_q8(w_.data(), acts_.q.data(),
-                                                acts_.scale.data(), nblocks);
-    const float b = simd->dot_row_q8(w_.data(), acts_.q.data(),
-                                     acts_.scale.data(), nblocks);
-    EXPECT_EQ(a, b) << "nblocks=" << nblocks;
+  Q8Acts rows;
+  rows.QuantizeRows(RandomFloats(kMaxDotRows * kCols, 45).data(), kMaxDotRows,
+                    kCols);
+  for (int n : {1, kMaxDotRows}) {
+    for (uint64_t nblocks = 1; nblocks <= kBlocks; ++nblocks) {
+      float a[kMaxDotRows], b[kMaxDotRows];
+      ScalarKernels()->dot_rows_q8(w_.data(), rows.q.data(), kCols,
+                                   rows.scale.data(), rows.m, nblocks, n, a);
+      simd->dot_rows_q8(w_.data(), rows.q.data(), kCols, rows.scale.data(),
+                        rows.m, nblocks, n, b);
+      EXPECT_EQ(0, std::memcmp(a, b, n * sizeof(float)))
+          << "n=" << n << " nblocks=" << nblocks;
+    }
+  }
+}
+
+TEST(SimdDotRowsEdgeTest, MinusOneTwentyEightWeightsAgainstFullScaleActs) {
+  // QuantizeQ8 never emits a 0x80 (-128) weight, but a weight file could
+  // hold one, and it is the sign trick's edge: |-128| only fits as u8 128.
+  // Against activations of -127 every maddubs pair sum is +32512 (the
+  // largest, still < 2^15), against +127 it is -32512. Every table must
+  // agree with the scalar oracle bit for bit.
+  constexpr uint64_t kBlocks = 4;
+  constexpr uint64_t kCols = kBlocks * kQ8BlockElems;
+  std::vector<uint8_t> row(kBlocks * kQ8BlockBytes);
+  for (uint64_t b = 0; b < kBlocks; ++b) {
+    uint8_t* blk = row.data() + b * kQ8BlockBytes;
+    const uint16_t h = F32ToF16(0.01f * static_cast<float>(b + 1));
+    blk[0] = static_cast<uint8_t>(h);
+    blk[1] = static_cast<uint8_t>(h >> 8);
+    for (uint64_t i = 0; i < kQ8BlockElems; ++i) {
+      // Blocks 0 and 1 all -128; blocks 2 and 3 alternate -128 and 127.
+      blk[2 + i] = (b < 2 || i % 2 == 0) ? 0x80 : 0x7F;
+    }
+  }
+  // Position p: all -127, all +127, or alternating, by p % 3.
+  Q8Acts x;
+  x.cols = kCols;
+  x.m = kMaxDotRows;
+  x.q.resize(x.m * kCols);
+  x.scale.resize(kBlocks * x.m);
+  for (uint64_t p = 0; p < x.m; ++p) {
+    for (uint64_t c = 0; c < kCols; ++c) {
+      const int8_t v = p % 3 == 0   ? -127
+                       : p % 3 == 1 ? 127
+                                    : (c % 2 == 0 ? 127 : -127);
+      x.q[p * kCols + c] = v;
+    }
+    for (uint64_t b = 0; b < kBlocks; ++b) {
+      x.scale[b * x.m + p] = 0.5f + 0.125f * static_cast<float>(p);
+    }
+  }
+  // The oracle itself: all -128 weights against all -127 activations is
+  // 32 * 128 * 127 per block, exactly.
+  EXPECT_EQ(ScalarSingle(row.data(), x, 0, 1),
+            (F16ToF32(F32ToF16(0.01f)) * 0.5f) * 520192.0f);
+  for (const KernelDispatch* t : {ScalarKernels(), HostSimdTable()}) {
+    if (t == nullptr) {
+      continue;
+    }
+    for (int n = 1; n <= kMaxDotRows; ++n) {
+      float grouped[kMaxDotRows];
+      t->dot_rows_q8(row.data(), x.q.data(), kCols, x.scale.data(), x.m,
+                     kBlocks, n, grouped);
+      for (int p = 0; p < n; ++p) {
+        const float single = ScalarSingle(row.data(), x, p, kBlocks);
+        EXPECT_EQ(0, std::memcmp(&grouped[p], &single, sizeof(float)))
+            << SimdIsaName(t->isa) << " n " << n << " position " << p;
+      }
+    }
   }
 }
 

@@ -3,10 +3,93 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
+#include "src/llm/simd/kernels.h"
+
+// Heap allocations made by the current thread, counted by replacing the
+// whole global operator new/delete family: every form allocates with
+// malloc (or aligned_alloc) and frees with free, so a sanitizer still sees
+// each allocation paired with its matching release.
+namespace {
+thread_local uint64_t t_heap_allocs = 0;
+
+void* CountedAlloc(std::size_t size) {
+  ++t_heap_allocs;
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
+  ++t_heap_allocs;
+  const std::size_t a = static_cast<std::size_t>(align);
+  // aligned_alloc wants a nonzero multiple of the alignment.
+  return std::aligned_alloc(a, size == 0 ? a : (size + a - 1) / a * a);
+}
+
+void* OrThrow(void* p) {
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+
+// Out of line so gcc's -Wmismatched-new-delete, which sees an inlined
+// operator new behind a container's pointer, cannot pair it with free().
+[[gnu::noinline]] void CountedFree(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t size) { return OrThrow(CountedAlloc(size)); }
+void* operator new[](std::size_t size) { return OrThrow(CountedAlloc(size)); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  return OrThrow(CountedAlignedAlloc(size, align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return OrThrow(CountedAlignedAlloc(size, align));
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return CountedAlignedAlloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return CountedAlignedAlloc(size, align);
+}
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  CountedFree(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  CountedFree(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
 
 namespace tzllm {
 namespace {
@@ -180,7 +263,8 @@ TEST(MatVecQ8Test, QuantizedPathTracksReferenceKernel) {
 }
 
 TEST(MatMatQ8Test, MatchesPerPositionMatVec) {
-  const uint64_t rows = 24, cols = 96, m = 7;
+  // 17 positions: two full groups of kMaxDotRows and a tail of one.
+  const uint64_t rows = 24, cols = 96, m = 17;
   Tensor w = MakeRandomTensor("w", DType::kQ8_0, rows, cols, 21);
   Rng rng(22);
   std::vector<float> x(m * cols);
@@ -196,7 +280,7 @@ TEST(MatMatQ8Test, MatchesPerPositionMatVec) {
   for (uint64_t p = 0; p < m; ++p) {
     one.Quantize(x.data() + p * cols, cols);
     std::vector<float> y(rows);
-    MatVecQ8Pre(w.data.data(), rows, cols, one, y.data());
+    MatMatQ8(w.data.data(), rows, cols, one, y.data());
     for (uint64_t r = 0; r < rows; ++r) {
       // Bit-identical: same per-(row, position) summation order.
       EXPECT_EQ(batched[p * rows + r], y[r]) << "p=" << p << " r=" << r;
@@ -224,6 +308,49 @@ TEST(MatVecQ8Test, ThreadedMatchesSingleThread) {
   std::vector<float> batched(rows);
   MatMatQ8(w.data.data(), rows, cols, acts, batched.data(), &pool);
   EXPECT_EQ(serial, batched);
+
+  // Batched: the pool partitions rows, each worker runs every group of
+  // positions over its rows, so threading never changes a float.
+  for (uint64_t m = 2; m <= 17; ++m) {
+    std::vector<float> xm(m * cols);
+    for (auto& v : xm) {
+      v = static_cast<float>(rng.NextGaussian(0.0, 0.5));
+    }
+    acts.QuantizeRows(xm.data(), m, cols);
+    std::vector<float> one_thread(m * rows), four_threads(m * rows);
+    MatMatQ8(w.data.data(), rows, cols, acts, one_thread.data());
+    MatMatQ8(w.data.data(), rows, cols, acts, four_threads.data(), &pool);
+    EXPECT_EQ(one_thread, four_threads) << "m=" << m;
+  }
+}
+
+TEST(MatMatQ8Test, MakesNoHeapAllocation) {
+  // The allocation counter must see this binary's allocations at all.
+  {
+    const uint64_t before = t_heap_allocs;
+    int* volatile probe = new int(1);
+    delete probe;
+    ASSERT_EQ(t_heap_allocs, before + 1);
+  }
+  const uint64_t rows = 40, cols = 128;
+  Tensor w = MakeRandomTensor("w", DType::kQ8_0, rows, cols, 41);
+  Rng rng(42);
+  std::vector<Q8Acts> acts(17);
+  std::vector<std::vector<float>> ys(17);
+  for (uint64_t m = 1; m <= 17; ++m) {
+    std::vector<float> x(m * cols);
+    for (auto& v : x) {
+      v = static_cast<float>(rng.NextGaussian(0.0, 0.5));
+    }
+    acts[m - 1].QuantizeRows(x.data(), m, cols);
+    ys[m - 1].resize(m * rows);
+  }
+  (void)ActiveKernels();  // Resolved once per process; not MatMatQ8's cost.
+  for (uint64_t m = 1; m <= 17; ++m) {
+    const uint64_t before = t_heap_allocs;
+    MatMatQ8(w.data.data(), rows, cols, acts[m - 1], ys[m - 1].data());
+    EXPECT_EQ(t_heap_allocs, before) << "m=" << m;
+  }
 }
 
 TEST(TensorTest, RandomTensorDeterministicBySeedAndName) {
