@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -12,6 +13,7 @@
 #include "src/crypto/aes.h"
 #include "src/crypto/sha256.h"
 #include "src/hw/phys_mem.h"
+#include "src/llm/simd/kernels.h"
 #include "src/llm/tensor.h"
 #include "src/llm/tokenizer.h"
 #include "src/ree/buddy.h"
@@ -98,35 +100,68 @@ BENCHMARK(BM_MatVecQ8Threaded)
     ->Args({512, 2})
     ->Args({512, 4});
 
+// The dot-rows table MatMatQ8 runs when tiles are off: AVX2 (the AMX
+// table minus its tile slot) on x86, NEON on aarch64.
+const KernelDispatch* RowKernels() {
+  const KernelDispatch* active = ActiveKernels();
+  return active->matmat_rows_q8 != nullptr ? Avx2Kernels() : active;
+}
+
 void BM_MatMatQ8(benchmark::State& state) {
-  // dim x dim weights against m positions: m = 1..8 are batched decode
-  // steps (one dot_rows_q8 group), 16 a prefill chunk, 32 a full prefill
-  // batch. Time per call against m is the per-batch cost curve; items/s
-  // counts multiply-accumulates.
-  const uint64_t dim = state.range(0);
-  const uint64_t m = state.range(1);
-  Tensor w = MakeRandomTensor("w", DType::kQ8_0, dim, dim, 3);
-  std::vector<float> x(m * dim, 0.1f), y(m * dim, 0.0f);
-  Q8Acts acts;
-  acts.QuantizeRows(x.data(), m, dim);
-  for (auto _ : state) {
-    MatMatQ8(w.data.data(), dim, dim, acts, y.data());
-    benchmark::DoNotOptimize(y.data());
+  // rows x cols Q8_0 weights against m positions of random activations,
+  // through one path: tile = 0 runs MatMatQ8's dot_rows_q8 groups on the
+  // row table (AVX2 on x86); tile = 1 calls the AMX-INT8 table's
+  // matmat_rows_q8 over every row directly, so it is timed below
+  // kTileMinPositions too. m = 1..8 are batched decode steps, 16 a prefill
+  // quantum or NPU payload. Comparing the two paths per m locates the
+  // crossover kTileMinPositions records (simd/kernels.h); the shapes are
+  // bench-medium's Wq/Wo (512 x 512), gate/up (1408 x 512) and down
+  // (512 x 1408). Items/s counts multiply-accumulates.
+  const uint64_t rows = state.range(0);
+  const uint64_t cols = state.range(1);
+  const uint64_t m = state.range(2);
+  const bool tile = state.range(3) != 0;
+  const KernelDispatch* k = tile ? AmxInt8Kernels() : RowKernels();
+  if (tile && (k == nullptr || !CpuSupportsAmxInt8())) {
+    state.SkipWithError("AMX-INT8 unavailable on this host");
+    return;
   }
-  state.SetItemsProcessed(state.iterations() * dim * dim * m);
+  Tensor w = MakeRandomTensor("w", DType::kQ8_0, rows, cols, 3);
+  Rng rng(4);
+  std::vector<float> x(m * cols), y(m * rows, 0.0f);
+  for (float& v : x) {
+    v = static_cast<float>(rng.NextGaussian(0.0, 1.0));
+  }
+  Q8Acts acts;
+  acts.QuantizeRows(x.data(), m, cols);
+  const uint64_t nblocks = cols / kQ8BlockElems;
+  for (auto _ : state) {
+    if (tile) {
+      k->matmat_rows_q8(w.data.data(), rows, nblocks, acts.q.data(),
+                        acts.scale.data(), m, 0, rows, y.data());
+    } else {
+      MatMatQ8(w.data.data(), rows, cols, acts, y.data(), nullptr, k);
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * rows * cols * m);
 }
 BENCHMARK(BM_MatMatQ8)
-    ->Args({256, 32})
-    ->Args({512, 1})
-    ->Args({512, 2})
-    ->Args({512, 3})
-    ->Args({512, 4})
-    ->Args({512, 5})
-    ->Args({512, 6})
-    ->Args({512, 7})
-    ->Args({512, 8})
-    ->Args({512, 16})
-    ->Args({512, 32});
+    ->ArgNames({"rows", "cols", "m", "tile"})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      // Both paths of one (shape, m) run back to back, so host drift
+      // between them stays small.
+      for (const auto& [rows, cols] :
+           {std::pair<int64_t, int64_t>{512, 512}, {1408, 512},
+            {512, 1408}}) {
+        for (int64_t m : {1, 2, 3, 4, 5, 6, 7, 8, 16}) {
+          for (int64_t tile : {0, 1}) {
+            b->Args({rows, cols, m, tile});
+          }
+        }
+      }
+    });
 
 void BM_BuddyAllocFree(benchmark::State& state) {
   BuddyAllocator buddy(0, 1 << 18);

@@ -48,7 +48,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::WorkerLoop(int part_index) {
   uint64_t seen_epoch = 0;
   for (;;) {
-    const std::function<void(uint64_t, uint64_t)>* body;
+    RangeFn body;
     uint64_t begin, end, chunk;
     {
       MutexLock lock(&mu_);
@@ -68,7 +68,7 @@ void ThreadPool::WorkerLoop(int part_index) {
         std::min(end, begin + static_cast<uint64_t>(part_index) * chunk);
     const uint64_t part_end = std::min(end, part_begin + chunk);
     if (part_begin < part_end) {
-      (*body)(part_begin, part_end);
+      body(part_begin, part_end);
     }
     {
       MutexLock lock(&mu_);
@@ -78,9 +78,7 @@ void ThreadPool::WorkerLoop(int part_index) {
   }
 }
 
-void ThreadPool::ParallelFor(
-    uint64_t begin, uint64_t end,
-    const std::function<void(uint64_t, uint64_t)>& body) {
+void ThreadPool::Run(uint64_t begin, uint64_t end, RangeFn body) {
   if (begin >= end) {
     return;
   }
@@ -97,7 +95,7 @@ void ThreadPool::ParallelFor(
   const uint64_t chunk = (span + parts - 1) / parts;
   {
     MutexLock lock(&mu_);
-    body_ = &body;
+    body_ = body;
     begin_ = begin;
     end_ = end;
     chunk_ = chunk;

@@ -11,8 +11,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/mutex.h"
@@ -43,11 +44,36 @@ class ThreadPool {
   // concurrent) call aborts with a diagnostic instead of hanging. The
   // runtime check is two relaxed atomic ops, noise next to the fork/join
   // handoff, so it stays on in release builds.
-  void ParallelFor(uint64_t begin, uint64_t end,
-                   const std::function<void(uint64_t, uint64_t)>& body)
-      TZLLM_REQUIRES(!mu_);
+  //
+  // `body` is any callable taking (uint64_t, uint64_t). It is borrowed, not
+  // copied: the call passes a {pointer, trampoline} pair to the workers, so
+  // a fork/join makes no heap allocation however large the lambda's
+  // captures are (a std::function would allocate once they outgrow its
+  // small buffer).
+  template <typename Body>
+  void ParallelFor(uint64_t begin, uint64_t end, Body&& body)
+      TZLLM_REQUIRES(!mu_) {
+    using Fn = std::remove_reference_t<Body>;
+    Run(begin, end,
+        RangeFn{const_cast<void*>(
+                    static_cast<const void*>(std::addressof(body))),
+                [](void* ctx, uint64_t b, uint64_t e) {
+                  (*static_cast<Fn*>(ctx))(b, e);
+                }});
+  }
 
  private:
+  // Non-owning, type-erased view of a ParallelFor body.
+  struct RangeFn {
+    void* ctx = nullptr;
+    void (*call)(void* ctx, uint64_t begin, uint64_t end) = nullptr;
+
+    void operator()(uint64_t begin, uint64_t end) const {
+      call(ctx, begin, end);
+    }
+  };
+
+  void Run(uint64_t begin, uint64_t end, RangeFn body) TZLLM_REQUIRES(!mu_);
   void WorkerLoop(int part_index) TZLLM_REQUIRES(!mu_);
 
   const int n_threads_;
@@ -63,8 +89,7 @@ class ThreadPool {
   std::atomic<bool> in_parallel_for_{false};
 
   // Current epoch's task (guarded by mu_ for publication).
-  const std::function<void(uint64_t, uint64_t)>* body_ TZLLM_GUARDED_BY(mu_) =
-      nullptr;
+  RangeFn body_ TZLLM_GUARDED_BY(mu_);
   uint64_t begin_ TZLLM_GUARDED_BY(mu_) = 0;
   uint64_t end_ TZLLM_GUARDED_BY(mu_) = 0;
   uint64_t chunk_ TZLLM_GUARDED_BY(mu_) = 0;

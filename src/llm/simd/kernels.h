@@ -2,7 +2,8 @@
 // engine (llama.cpp-style per-ISA translation units).
 //
 // Every hot inner loop of the engine — the Q8xQ8 integer-dot rows behind
-// MatVecQ8/MatMatQ8, the f16/f32 attention QK dots and AV accumulates, the
+// MatVecQ8/MatMatQ8 (and, on a matrix-engine table, whole row ranges of
+// MatMatQ8), the f16/f32 attention QK dots and AV accumulates, the
 // KV-cache width converts, and the RMSNorm/softmax reductions — is a slot in
 // a KernelDispatch table. The table is resolved exactly once per process
 // from CPUID (plus the TZLLM_SIMD env override), so call sites pay one
@@ -23,6 +24,21 @@
 //    maddubs pair sum is at most 2 * 128 * 127 = 32512 < 2^15 and never
 //    saturates. Lanes of positions >= n are masked: their scales are
 //    never loaded and their outputs never stored.
+//  - matmat_rows_q8 (matrix-engine tables only) is BIT-IDENTICAL to the
+//    scalar table: y[p*rows + r] equals the scalar dot_rows_q8 n = 1 result
+//    for row r and position p, at every m, row range and tail. The AMX
+//    table's TDPBSSD multiplies signed bytes into exact int32 sums: each
+//    tile product covers one 32-element block, whose dot is at most
+//    32 * 128 * 127 = 520192 in magnitude, so nothing wraps or saturates
+//    (and 520192 < 2^24 converts to float exactly either way). The f16
+//    block headers expand through vcvtph2ps, exact for every half like
+//    F16ToF32. The AVX-512 epilogue then advances each (row, position)
+//    float accumulator serially in block order as
+//    acc += (wscale * xscale) * dot — lanes are positions, mul then mul
+//    then add, no FMA (the TU is built with -ffp-contract=off and uses no
+//    fmadd intrinsic) — the scalar table's exact operation sequence. Lanes
+//    of positions >= m and rows outside the range are masked: never
+//    loaded from the headers or scales, never stored.
 //  - f32_to_f16 is bit-identical across backends for FINITE inputs (the
 //    AVX2 path reproduces the scalar converter's flush-subnormals-to-zero
 //    behavior; NaN diverges — scalar emits inf, AVX2 flushes to zero — but
@@ -47,12 +63,22 @@ enum class SimdIsa : uint8_t {
   kScalar = 0,
   kAvx2F16c = 1,
   kNeon = 2,
+  kAmxInt8 = 3,
 };
 
 const char* SimdIsaName(SimdIsa isa);
 
 // Largest group of positions one dot_rows_q8 call takes.
 inline constexpr int kMaxDotRows = 8;
+
+// Fewest positions for which MatMatQ8 takes a table's matmat_rows_q8 slot
+// instead of dot_rows_q8 groups. Set from micro_bench's BM_MatMatQ8 (AVX2
+// row vs AMX tile at m = 1..8 and 16 on bench-medium's 512x512, 1408x512
+// and 512x1408 shapes, repetitions randomly interleaved): the tile costs
+// about the same at every m, so it ties the row at m = 1 (median time
+// ratio 0.98-1.13) and wins from m = 2 (0.77-0.87) on, 0.22-0.24 at
+// m = 16. Batch-1 decode stays on the row.
+inline constexpr uint64_t kTileMinPositions = 2;
 
 // One function pointer per hot inner loop. `nblocks` counts 34-byte Q8_0
 // blocks (tensor.h geometry); `row` points at a row of such blocks.
@@ -76,6 +102,17 @@ struct KernelDispatch {
                       const float* xs, uint64_t xs_stride, uint64_t nblocks,
                       int n, float* out);
 
+  // Rows [r0, r1) of a Q8_0 matrix `w` (`rows` rows of `nblocks` blocks)
+  // against all m positions of a Q8Acts (xq = its q, xs = its block-major
+  // scale): y[p*rows + r] for every p < m and r0 <= r < r1, nothing else
+  // written. The row range may start anywhere, so a thread pool's row
+  // partition applies unchanged. nullptr in every table without a matrix
+  // engine (scalar, AVX2, NEON); MatMatQ8 then runs dot_rows_q8 groups.
+  // The slot makes no heap allocation.
+  void (*matmat_rows_q8)(const uint8_t* w, uint64_t rows, uint64_t nblocks,
+                         const int8_t* xq, const float* xs, uint64_t m,
+                         uint64_t r0, uint64_t r1, float* y);
+
   // Attention primitives over one head row of `n` floats.
   float (*dot_qk_f16)(const float* q, const uint16_t* k, int n);
   float (*dot_qk_f32)(const float* q, const float* k, int n);
@@ -96,17 +133,32 @@ struct KernelDispatch {
 const KernelDispatch* ScalarKernels();
 const KernelDispatch* Avx2Kernels();
 const KernelDispatch* NeonKernels();
+// The AVX2 table plus an AMX-INT8 matmat_rows_q8 (kernels_amx.cc); nullptr
+// when the compiler rejected the tile TU's -m flags.
+const KernelDispatch* AmxInt8Kernels();
 
 // True when the running CPU can execute the AVX2+F16C+FMA backend.
 bool CpuSupportsAvx2F16c();
 
+// True when this process may execute the AMX-INT8 table, checked once:
+// the AVX2 table's gate, CPUID AMX-TILE + AMX-INT8 + AVX512F + AVX512BW,
+// OSXSAVE with XCR0 enabling the SSE, AVX, AVX-512 and tile state (bits
+// 1-2, 5-7, 17, 18), and the kernel granting this process the tile data
+// state (arch_prctl ARCH_REQ_XCOMP_PERM, Linux x86-64 only). The grant can
+// fail — e.g. ENOSPC when a thread's sigaltstack is too small for the
+// larger signal frame, as under some sanitizers — and any failure leaves
+// auto dispatch on the AVX2 table; no tile instruction ever runs ungated.
+bool CpuSupportsAmxInt8();
+
 // Pure resolution for a given TZLLM_SIMD value (nullptr/"" = auto): "off",
 // "scalar" or "0" force the scalar table; "avx2"/"neon" request a backend
-// (falling back to scalar when unavailable); anything else auto-selects the
-// best supported table — AVX2 behind its CPUID gate on x86, NEON on aarch64
-// (baseline there; covered by the aarch64 qemu-user CI leg that runs the
-// kernel + parity suites). Exposed separately from ActiveKernels so tests
-// can exercise every branch without mutating process env.
+// (falling back to scalar when unavailable) — "avx2" pins the AVX2 table,
+// tiles off, even on an AMX host; anything else auto-selects the best
+// supported table — AMX-INT8 behind CpuSupportsAmxInt8, else AVX2 behind
+// its CPUID gate on x86, NEON on aarch64 (baseline there; covered by the
+// aarch64 qemu-user CI leg that runs the kernel + parity suites). Exposed
+// separately from ActiveKernels so tests can exercise every branch without
+// mutating process env.
 const KernelDispatch* ResolveKernels(const char* env_value);
 
 // The process-wide table: ResolveKernels(getenv("TZLLM_SIMD")), resolved

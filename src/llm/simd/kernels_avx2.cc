@@ -314,6 +314,7 @@ void SoftmaxAvx2(float* x, int n) {
 const KernelDispatch kAvx2Table = {
     SimdIsa::kAvx2F16c,
     DotRowsQ8Avx2,
+    nullptr,  // matmat_rows_q8: no matrix engine.
     DotQkF16Avx2,
     DotQkF32Avx2,
     AxpyF16Avx2,

@@ -176,6 +176,7 @@ void SoftmaxNeon(float* x, int n) {
 const KernelDispatch kNeonTable = {
     SimdIsa::kNeon,
     DotRowsQ8Neon,
+    nullptr,  // matmat_rows_q8: no matrix engine.
     DotQkF16Neon,
     DotQkF32Neon,
     AxpyF16Neon,

@@ -131,6 +131,7 @@ void SoftmaxScalar(float* x, int n) {
 const KernelDispatch kScalarTable = {
     SimdIsa::kScalar,
     DotRowsQ8Scalar,
+    nullptr,  // matmat_rows_q8: no matrix engine.
     DotQkF16Scalar,
     DotQkF32Scalar,
     AxpyF16Scalar,

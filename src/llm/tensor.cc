@@ -173,6 +173,19 @@ void MatMatQ8(const uint8_t* w, uint64_t rows, uint64_t cols, const Q8Acts& x,
   const KernelDispatch* k = kernels != nullptr ? kernels : ActiveKernels();
   const uint64_t blocks_per_row = cols / kQ8BlockElems;
   const uint64_t m = x.m;
+  const bool parallel = pool != nullptr && rows * cols * m >= kParallelMinWork;
+  if (k->matmat_rows_q8 != nullptr && m >= kTileMinPositions) {
+    auto tile_rows = [&](uint64_t r0, uint64_t r1) {
+      k->matmat_rows_q8(w, rows, blocks_per_row, x.q.data(), x.scale.data(),
+                        m, r0, r1, y);
+    };
+    if (parallel) {
+      pool->ParallelFor(0, rows, tile_rows);
+    } else {
+      tile_rows(0, rows);
+    }
+    return;
+  }
   auto run = [&](uint64_t r0, uint64_t r1) {
     float out[kMaxDotRows];
     for (uint64_t r = r0; r < r1; ++r) {
@@ -188,7 +201,7 @@ void MatMatQ8(const uint8_t* w, uint64_t rows, uint64_t cols, const Q8Acts& x,
       }
     }
   };
-  if (pool != nullptr && rows * cols * m >= kParallelMinWork) {
+  if (parallel) {
     pool->ParallelFor(0, rows, run);
   } else {
     run(0, rows);

@@ -1,7 +1,8 @@
 // Dispatch-resolution and kernel-table tests (ISSUE 3): the scalar table is
 // selected under force_scalar / TZLLM_SIMD=off, CPUID gating never selects
-// an unsupported table, the integer-dot row kernels are bit-identical
-// across backends, and the float kernels track scalar within tight bounds.
+// an unsupported table, the integer-dot row kernels (and the AMX tile
+// slot) are bit-identical across backends, and the float kernels track
+// scalar within tight bounds.
 
 #include <gtest/gtest.h>
 
@@ -21,17 +22,47 @@
 namespace tzllm {
 namespace {
 
-// The non-scalar table this host can actually run, or nullptr. Tests that
-// compare backends skip (trivially pass) on scalar-only hosts — the CI
-// matrix provides the TZLLM_SIMD=off leg, so both outcomes stay covered.
-const KernelDispatch* HostSimdTable() {
+// Every non-scalar table this host can actually run: NEON on aarch64; AVX2
+// and, where the CPU and kernel allow tiles, AMX-INT8 on x86 (so an AMX
+// host checks both). Tests that compare backends skip on scalar-only
+// hosts — the CI matrix provides the TZLLM_SIMD=off leg, so both outcomes
+// stay covered.
+std::vector<const KernelDispatch*> HostSimdTables() {
+  std::vector<const KernelDispatch*> tables;
   if (NeonKernels() != nullptr) {
-    return NeonKernels();
+    tables.push_back(NeonKernels());
   }
   if (Avx2Kernels() != nullptr && CpuSupportsAvx2F16c()) {
-    return Avx2Kernels();
+    tables.push_back(Avx2Kernels());
   }
-  return nullptr;
+  if (AmxInt8Kernels() != nullptr && CpuSupportsAmxInt8()) {
+    tables.push_back(AmxInt8Kernels());
+  }
+  return tables;
+}
+
+// The scalar table followed by every host SIMD table.
+std::vector<const KernelDispatch*> AllHostTables() {
+  std::vector<const KernelDispatch*> tables = HostSimdTables();
+  tables.insert(tables.begin(), ScalarKernels());
+  return tables;
+}
+
+// The AMX-INT8 table when this host can run it; otherwise nullptr, with
+// `why` naming the missing piece for the skip message.
+const KernelDispatch* HostTileTable(std::string* why) {
+  if (AmxInt8Kernels() == nullptr) {
+    *why = "AMX-INT8 unavailable: the tile TU was built without "
+           "-mamx-tile/-mamx-int8 (compiler rejected the flags or non-x86)";
+    return nullptr;
+  }
+  if (!CpuSupportsAmxInt8()) {
+    *why = "AMX-INT8 unavailable: the host lacks CPUID AMX-TILE/AMX-INT8/"
+           "AVX512F/AVX512BW, XCR0 tile state, or the kernel refused "
+           "arch_prctl(ARCH_REQ_XCOMP_PERM, XTILEDATA)";
+    return nullptr;
+  }
+  return AmxInt8Kernels();
 }
 
 std::vector<float> RandomFloats(size_t n, uint32_t seed, float scale = 1.0f) {
@@ -64,9 +95,17 @@ TEST(SimdDispatchTest, AutoSelectsBestSupportedTable) {
         // NEON table (auto-selected since the qemu-user CI leg runs it) is
         // available.
         EXPECT_FALSE(Avx2Kernels() != nullptr && CpuSupportsAvx2F16c());
+        EXPECT_FALSE(AmxInt8Kernels() != nullptr && CpuSupportsAmxInt8());
         EXPECT_EQ(NeonKernels(), nullptr);
         break;
       case SimdIsa::kAvx2F16c:
+        // AVX2 is only the best table when tiles are unavailable.
+        EXPECT_TRUE(CpuSupportsAvx2F16c());
+        EXPECT_FALSE(AmxInt8Kernels() != nullptr && CpuSupportsAmxInt8());
+        break;
+      case SimdIsa::kAmxInt8:
+        EXPECT_EQ(table, AmxInt8Kernels());
+        EXPECT_TRUE(CpuSupportsAmxInt8());
         EXPECT_TRUE(CpuSupportsAvx2F16c());
         break;
       case SimdIsa::kNeon:
@@ -81,8 +120,12 @@ TEST(SimdDispatchTest, ExplicitRequestFallsBackWhenUnsupported) {
   if (Avx2Kernels() == nullptr || !CpuSupportsAvx2F16c()) {
     EXPECT_EQ(ResolveKernels("avx2"), ScalarKernels());
   } else {
+    // "avx2" pins the AVX2 table with tiles off, even on an AMX host.
     EXPECT_EQ(ResolveKernels("avx2"), Avx2Kernels());
+    EXPECT_EQ(ResolveKernels("avx2")->matmat_rows_q8, nullptr);
   }
+  // There is no TZLLM_SIMD value for tiles: "amx" is unknown, so auto.
+  EXPECT_EQ(ResolveKernels("amx"), ResolveKernels(nullptr));
   if (NeonKernels() == nullptr) {
     EXPECT_EQ(ResolveKernels("neon"), ScalarKernels());
   } else {
@@ -118,15 +161,19 @@ TEST(SimdDispatchTest, IsaNamesAreStable) {
   EXPECT_STREQ(SimdIsaName(SimdIsa::kScalar), "scalar");
   EXPECT_STREQ(SimdIsaName(SimdIsa::kAvx2F16c), "avx2_f16c");
   EXPECT_STREQ(SimdIsaName(SimdIsa::kNeon), "neon");
+  EXPECT_STREQ(SimdIsaName(SimdIsa::kAmxInt8), "amx_int8");
 }
 
 TEST(SimdDispatchTest, TablesAreFullyPopulated) {
   for (const KernelDispatch* t : {ScalarKernels(), Avx2Kernels(),
-                                  NeonKernels()}) {
+                                  NeonKernels(), AmxInt8Kernels()}) {
     if (t == nullptr) {
       continue;
     }
     EXPECT_NE(t->dot_rows_q8, nullptr);
+    // Only a matrix-engine table has the tile slot.
+    EXPECT_EQ(t->matmat_rows_q8 != nullptr, t->isa == SimdIsa::kAmxInt8)
+        << SimdIsaName(t->isa);
     EXPECT_NE(t->dot_qk_f16, nullptr);
     EXPECT_NE(t->dot_qk_f32, nullptr);
     EXPECT_NE(t->axpy_f16, nullptr);
@@ -135,6 +182,15 @@ TEST(SimdDispatchTest, TablesAreFullyPopulated) {
     EXPECT_NE(t->f16_to_f32, nullptr);
     EXPECT_NE(t->rms_norm, nullptr);
     EXPECT_NE(t->softmax, nullptr);
+  }
+  // The tile table is the AVX2 table plus the tile slot.
+  if (const KernelDispatch* amx = AmxInt8Kernels()) {
+    const KernelDispatch* avx2 = Avx2Kernels();
+    ASSERT_NE(avx2, nullptr);
+    EXPECT_EQ(amx->isa, SimdIsa::kAmxInt8);
+    EXPECT_EQ(amx->dot_rows_q8, avx2->dot_rows_q8);
+    EXPECT_EQ(amx->dot_qk_f16, avx2->dot_qk_f16);
+    EXPECT_EQ(amx->softmax, avx2->softmax);
   }
 }
 
@@ -148,6 +204,28 @@ float ScalarSingle(const uint8_t* row, const Q8Acts& x, uint64_t p,
   ScalarKernels()->dot_rows_q8(row, x.q.data() + p * x.cols, x.cols,
                                x.scale.data() + p, x.m, nblocks, 1, &out);
   return out;
+}
+
+// Random Q8_0 weights: `rows` rows of `nblocks` blocks.
+std::vector<uint8_t> RandomQ8Matrix(uint64_t rows, uint64_t nblocks,
+                                    uint32_t seed) {
+  const uint64_t n = rows * nblocks * kQ8BlockElems;
+  std::vector<uint8_t> w(DTypeByteSize(DType::kQ8_0, n));
+  QuantizeQ8(RandomFloats(n, seed).data(), n, w.data());
+  return w;
+}
+
+// The scalar table's MatMatQ8: the oracle every table's result must equal.
+std::vector<float> ScalarMatMat(const std::vector<uint8_t>& w, uint64_t rows,
+                                const Q8Acts& x) {
+  std::vector<float> y(x.m * rows);
+  MatMatQ8(w.data(), rows, x.cols, x, y.data(), nullptr, ScalarKernels());
+  return y;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 class SimdKernelTest : public ::testing::Test {
@@ -168,36 +246,59 @@ class SimdKernelTest : public ::testing::Test {
 };
 
 TEST_F(SimdKernelTest, MatVecQ8BitIdenticalSimdVsScalar) {
-  const KernelDispatch* simd = HostSimdTable();
-  if (simd == nullptr) {
+  if (HostSimdTables().empty()) {
     GTEST_SKIP() << "host has no SIMD backend; scalar-only";
   }
   std::vector<float> ys(kRows), yv(kRows);
   MatMatQ8(w_.data(), kRows, kCols, acts_, ys.data(), nullptr,
            ScalarKernels());
-  MatMatQ8(w_.data(), kRows, kCols, acts_, yv.data(), nullptr, simd);
-  // Bit-identical, not just close: the integer dot reduces exactly and the
-  // float combine runs in the same block order on every backend.
-  EXPECT_EQ(0, std::memcmp(ys.data(), yv.data(), kRows * sizeof(float)));
+  for (const KernelDispatch* simd : HostSimdTables()) {
+    MatMatQ8(w_.data(), kRows, kCols, acts_, yv.data(), nullptr, simd);
+    // Bit-identical, not just close: the integer dot reduces exactly and
+    // the float combine runs in the same block order on every backend.
+    EXPECT_EQ(0, std::memcmp(ys.data(), yv.data(), kRows * sizeof(float)))
+        << SimdIsaName(simd->isa);
+  }
 }
 
 TEST_F(SimdKernelTest, MatMatQ8BitIdenticalSimdVsScalar) {
-  const KernelDispatch* simd = HostSimdTable();
-  if (simd == nullptr) {
+  if (HostSimdTables().empty()) {
     GTEST_SKIP() << "host has no SIMD backend; scalar-only";
   }
-  // Every m from 1 to 17: each group size 1..8 as a whole batch or as the
-  // tail after one or two full groups.
-  for (uint64_t m = 1; m <= 17; ++m) {
-    const auto x = RandomFloats(m * kCols, 33 + static_cast<uint32_t>(m));
-    Q8Acts rows;
-    rows.QuantizeRows(x.data(), m, kCols);
-    std::vector<float> ys(m * kRows), yv(m * kRows);
-    MatMatQ8(w_.data(), kRows, kCols, rows, ys.data(), nullptr,
-             ScalarKernels());
-    MatMatQ8(w_.data(), kRows, kCols, rows, yv.data(), nullptr, simd);
-    EXPECT_EQ(0, std::memcmp(ys.data(), yv.data(), ys.size() * sizeof(float)))
-        << "m=" << m;
+  // Every m from 1 to 33: each dot_rows_q8 group size 1..8 as a whole
+  // batch or as the tail after full groups; on a tile table both sides of
+  // kTileMinPositions, one and two full 16-position tiles and every tail.
+  // nblocks 1..8 is every short row and 44 bench-medium's d_ff = 1408; 40
+  // rows are two full 16-row tiles plus a tail of 8. A table with a tile
+  // slot also runs it directly at every m (micro_bench times it below the
+  // threshold too).
+  constexpr uint64_t kRows = 40;
+  for (uint64_t nblocks : {1, 2, 3, 4, 5, 6, 7, 8, 44}) {
+    const uint64_t cols = nblocks * kQ8BlockElems;
+    const auto w =
+        RandomQ8Matrix(kRows, nblocks, 100 + static_cast<uint32_t>(nblocks));
+    for (uint64_t m = 1; m <= 33; ++m) {
+      Q8Acts x;
+      x.QuantizeRows(
+          RandomFloats(m * cols, 200 + static_cast<uint32_t>(m)).data(), m,
+          cols);
+      const auto want = ScalarMatMat(w, kRows, x);
+      for (const KernelDispatch* simd : HostSimdTables()) {
+        std::vector<float> got(m * kRows);
+        MatMatQ8(w.data(), kRows, cols, x, got.data(), nullptr, simd);
+        EXPECT_TRUE(SameBits(got, want)) << SimdIsaName(simd->isa)
+                                         << " nblocks " << nblocks << " m "
+                                         << m;
+        if (simd->matmat_rows_q8 != nullptr) {
+          std::vector<float> slot(m * kRows);
+          simd->matmat_rows_q8(w.data(), kRows, nblocks, x.q.data(),
+                               x.scale.data(), m, 0, kRows, slot.data());
+          EXPECT_TRUE(SameBits(slot, want))
+              << SimdIsaName(simd->isa) << " slot nblocks " << nblocks
+              << " m " << m;
+        }
+      }
+    }
   }
 }
 
@@ -212,10 +313,7 @@ TEST_F(SimdKernelTest, DotRowsMatchesSingleScalarDotsBitIdentically) {
   Q8Acts rows;
   rows.QuantizeRows(RandomFloats(kPositions * kCols, 44).data(), kPositions,
                     kCols);
-  for (const KernelDispatch* t : {ScalarKernels(), HostSimdTable()}) {
-    if (t == nullptr) {
-      continue;
-    }
+  for (const KernelDispatch* t : AllHostTables()) {
     for (int n = 1; n <= kMaxDotRows; ++n) {
       for (uint64_t p0 : {uint64_t{0}, kPositions - n}) {
         for (uint64_t r = 0; r < kRows; ++r) {
@@ -245,22 +343,25 @@ TEST_F(SimdKernelTest, DotRowsMatchesSingleScalarDotsBitIdentically) {
 TEST_F(SimdKernelTest, DotRowsHandlesRaggedBlockCounts) {
   // 1..8 blocks exercises every loop-trip count, at the shortest (n = 1)
   // and widest (n = 8) group.
-  const KernelDispatch* simd = HostSimdTable();
-  if (simd == nullptr) {
+  if (HostSimdTables().empty()) {
     GTEST_SKIP() << "host has no SIMD backend; scalar-only";
   }
   Q8Acts rows;
   rows.QuantizeRows(RandomFloats(kMaxDotRows * kCols, 45).data(), kMaxDotRows,
                     kCols);
-  for (int n : {1, kMaxDotRows}) {
-    for (uint64_t nblocks = 1; nblocks <= kBlocks; ++nblocks) {
-      float a[kMaxDotRows], b[kMaxDotRows];
-      ScalarKernels()->dot_rows_q8(w_.data(), rows.q.data(), kCols,
-                                   rows.scale.data(), rows.m, nblocks, n, a);
-      simd->dot_rows_q8(w_.data(), rows.q.data(), kCols, rows.scale.data(),
-                        rows.m, nblocks, n, b);
-      EXPECT_EQ(0, std::memcmp(a, b, n * sizeof(float)))
-          << "n=" << n << " nblocks=" << nblocks;
+  for (const KernelDispatch* simd : HostSimdTables()) {
+    for (int n : {1, kMaxDotRows}) {
+      for (uint64_t nblocks = 1; nblocks <= kBlocks; ++nblocks) {
+        float a[kMaxDotRows], b[kMaxDotRows];
+        ScalarKernels()->dot_rows_q8(w_.data(), rows.q.data(), kCols,
+                                     rows.scale.data(), rows.m, nblocks, n,
+                                     a);
+        simd->dot_rows_q8(w_.data(), rows.q.data(), kCols, rows.scale.data(),
+                          rows.m, nblocks, n, b);
+        EXPECT_EQ(0, std::memcmp(a, b, n * sizeof(float)))
+            << SimdIsaName(simd->isa) << " n=" << n
+            << " nblocks=" << nblocks;
+      }
     }
   }
 }
@@ -305,10 +406,7 @@ TEST(SimdDotRowsEdgeTest, MinusOneTwentyEightWeightsAgainstFullScaleActs) {
   // 32 * 128 * 127 per block, exactly.
   EXPECT_EQ(ScalarSingle(row.data(), x, 0, 1),
             (F16ToF32(F32ToF16(0.01f)) * 0.5f) * 520192.0f);
-  for (const KernelDispatch* t : {ScalarKernels(), HostSimdTable()}) {
-    if (t == nullptr) {
-      continue;
-    }
+  for (const KernelDispatch* t : AllHostTables()) {
     for (int n = 1; n <= kMaxDotRows; ++n) {
       float grouped[kMaxDotRows];
       t->dot_rows_q8(row.data(), x.q.data(), kCols, x.scale.data(), x.m,
@@ -322,54 +420,171 @@ TEST(SimdDotRowsEdgeTest, MinusOneTwentyEightWeightsAgainstFullScaleActs) {
   }
 }
 
+TEST(SimdDotRowsEdgeTest, ExtremeWeightsAndZeroOrSubnormalScales) {
+  // MatMatQ8 over a whole matrix on every table. 0x80 (-128) weights
+  // against +-127 activations give the largest block dots,
+  // +-32 * 128 * 127, which the tile table's TDPBSSD must keep exact, as
+  // the AVX2 sign trick must keep its pair sums. Block scales
+  // cycle through signed zeros and f16 subnormals (the f16 header convert
+  // must expand them exactly), and activation scales through zero and an
+  // f32 subnormal, so the float combine's products underflow the same way
+  // on every table. 20 rows x 17 positions leave a tail on both tile axes.
+  constexpr uint64_t kRows = 20, kBlocks = 5;
+  constexpr uint64_t kCols = kBlocks * kQ8BlockElems;
+  constexpr uint16_t kHeaders[] = {0x0000, 0x8000, 0x0001, 0x03FF,
+                                   0x8201, 0x2E66, 0xAE66};
+  std::vector<uint8_t> w(kRows * kBlocks * kQ8BlockBytes);
+  std::mt19937 rng(5);
+  for (uint64_t r = 0; r < kRows; ++r) {
+    for (uint64_t b = 0; b < kBlocks; ++b) {
+      uint8_t* blk = w.data() + (r * kBlocks + b) * kQ8BlockBytes;
+      const uint16_t h = kHeaders[(r + b) % std::size(kHeaders)];
+      blk[0] = static_cast<uint8_t>(h);
+      blk[1] = static_cast<uint8_t>(h >> 8);
+      for (uint64_t i = 0; i < kQ8BlockElems; ++i) {
+        blk[2 + i] = r % 3 == 0   ? 0x80
+                     : r % 3 == 1 ? (i % 2 == 0 ? 0x80 : 0x7F)
+                                  : static_cast<uint8_t>(rng());
+      }
+    }
+  }
+  Q8Acts x;
+  x.cols = kCols;
+  x.m = 17;
+  x.q.resize(x.m * kCols);
+  x.scale.resize(kBlocks * x.m);
+  for (uint64_t p = 0; p < x.m; ++p) {
+    for (uint64_t c = 0; c < kCols; ++c) {
+      x.q[p * kCols + c] = p % 3 == 0   ? -127
+                           : p % 3 == 1 ? 127
+                                        : (c % 2 == 0 ? 127 : -127);
+    }
+    for (uint64_t b = 0; b < kBlocks; ++b) {
+      x.scale[b * x.m + p] = (b + p) % 4 == 0   ? 0.0f
+                             : (b + p) % 4 == 1 ? 1e-40f
+                                                : 0.5f + 0.125f * p;
+    }
+  }
+  const auto want = ScalarMatMat(w, kRows, x);
+  // The oracle itself: every result is the scalar single-position dot.
+  for (uint64_t p = 0; p < x.m; ++p) {
+    for (uint64_t r = 0; r < kRows; ++r) {
+      const float single =
+          ScalarSingle(w.data() + r * kBlocks * kQ8BlockBytes, x, p, kBlocks);
+      EXPECT_EQ(0, std::memcmp(&want[p * kRows + r], &single, sizeof(float)))
+          << "p " << p << " r " << r;
+    }
+  }
+  for (const KernelDispatch* simd : HostSimdTables()) {
+    std::vector<float> got(x.m * kRows);
+    MatMatQ8(w.data(), kRows, kCols, x, got.data(), nullptr, simd);
+    EXPECT_TRUE(SameBits(got, want)) << SimdIsaName(simd->isa);
+  }
+}
+
+// --- The tile slot's row ranges. ---
+
+TEST(TileKernelTest, RowRangesWriteExactlyTheirRows) {
+  std::string why;
+  const KernelDispatch* tile = HostTileTable(&why);
+  if (tile == nullptr) {
+    GTEST_SKIP() << why;
+  }
+  // Every matrix height 1..40, split the way ThreadPool partitions rows
+  // (ceil(rows / parts) per part), so most ranges start off a multiple of
+  // 16 and end in a partial row tile. Each call must write exactly its
+  // rows, for every position, and match the oracle bit for bit.
+  constexpr float kSentinel = -1234.5f;
+  for (uint64_t rows = 1; rows <= 40; ++rows) {
+    const uint64_t nblocks = 1 + rows % 8;
+    const uint64_t cols = nblocks * kQ8BlockElems;
+    const auto w =
+        RandomQ8Matrix(rows, nblocks, 300 + static_cast<uint32_t>(rows));
+    for (uint64_t m : {uint64_t{1}, kTileMinPositions, uint64_t{16},
+                       uint64_t{17}}) {
+      Q8Acts x;
+      x.QuantizeRows(
+          RandomFloats(m * cols, 400 + static_cast<uint32_t>(rows + m)).data(),
+          m, cols);
+      const auto want = ScalarMatMat(w, rows, x);
+      for (uint64_t parts : {1, 3, 4}) {
+        const uint64_t chunk = (rows + parts - 1) / parts;
+        for (uint64_t r0 = 0; r0 < rows; r0 += chunk) {
+          const uint64_t r1 = std::min(rows, r0 + chunk);
+          std::vector<float> y(m * rows, kSentinel);
+          tile->matmat_rows_q8(w.data(), rows, nblocks, x.q.data(),
+                               x.scale.data(), m, r0, r1, y.data());
+          for (uint64_t p = 0; p < m; ++p) {
+            for (uint64_t r = 0; r < rows; ++r) {
+              const float got = y[p * rows + r];
+              if (r >= r0 && r < r1) {
+                EXPECT_EQ(0, std::memcmp(&got, &want[p * rows + r],
+                                         sizeof(float)))
+                    << "rows " << rows << " m " << m << " range [" << r0
+                    << ", " << r1 << ") p " << p << " r " << r;
+              } else {
+                EXPECT_EQ(got, kSentinel)
+                    << "rows " << rows << " m " << m << " range [" << r0
+                    << ", " << r1 << ") wrote p " << p << " r " << r;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- f16 conversions. ---
 
 TEST(SimdConvertTest, F32ToF16BitIdenticalIncludingSubnormalFlush) {
-  const KernelDispatch* simd = HostSimdTable();
-  if (simd == nullptr) {
+  if (HostSimdTables().empty()) {
     GTEST_SKIP() << "host has no SIMD backend; scalar-only";
   }
-  // Normals, negatives, zeros, overflow-to-inf, and the flush boundary:
-  // 2^-14 is the smallest f16 normal; everything below flushes to signed
-  // zero on every backend.
-  std::vector<float> src;
-  for (float v : {0.0f, -0.0f, 1.0f, -1.0f, 0.333f, 65504.f, 70000.f,
-                  -70000.f, 1e-07f, -1e-07f, 1e-38f, 0.4999f, 2.0f}) {
-    src.push_back(v);
-  }
-  src.push_back(6.103515625e-05f);  // Exactly 2^-14: smallest kept normal.
-  src.push_back(6.1e-05f);          // Just below: flushed.
-  src.push_back(-6.1e-05f);
-  auto more = RandomFloats(160, 44, 3.0f);
-  src.insert(src.end(), more.begin(), more.end());
-  std::vector<uint16_t> ds(src.size()), dv(src.size());
-  ScalarKernels()->f32_to_f16(src.data(), ds.data(), src.size());
-  simd->f32_to_f16(src.data(), dv.data(), src.size());
-  for (size_t i = 0; i < src.size(); ++i) {
-    EXPECT_EQ(ds[i], dv[i]) << "x=" << src[i] << " i=" << i;
-    EXPECT_EQ(ds[i], F32ToF16(src[i])) << "x=" << src[i];
+  for (const KernelDispatch* simd : HostSimdTables()) {
+    // Normals, negatives, zeros, overflow-to-inf, and the flush boundary:
+    // 2^-14 is the smallest f16 normal; everything below flushes to signed
+    // zero on every backend.
+    std::vector<float> src;
+    for (float v : {0.0f, -0.0f, 1.0f, -1.0f, 0.333f, 65504.f, 70000.f,
+                    -70000.f, 1e-07f, -1e-07f, 1e-38f, 0.4999f, 2.0f}) {
+      src.push_back(v);
+    }
+    src.push_back(6.103515625e-05f);  // Exactly 2^-14: smallest kept normal.
+    src.push_back(6.1e-05f);          // Just below: flushed.
+    src.push_back(-6.1e-05f);
+    auto more = RandomFloats(160, 44, 3.0f);
+    src.insert(src.end(), more.begin(), more.end());
+    std::vector<uint16_t> ds(src.size()), dv(src.size());
+    ScalarKernels()->f32_to_f16(src.data(), ds.data(), src.size());
+    simd->f32_to_f16(src.data(), dv.data(), src.size());
+    for (size_t i = 0; i < src.size(); ++i) {
+      EXPECT_EQ(ds[i], dv[i]) << "x=" << src[i] << " i=" << i;
+      EXPECT_EQ(ds[i], F32ToF16(src[i])) << "x=" << src[i];
+    }
   }
 }
 
 TEST(SimdConvertTest, F16ToF32ExhaustiveOverNonNanHalves) {
-  const KernelDispatch* simd = HostSimdTable();
-  if (simd == nullptr) {
+  if (HostSimdTables().empty()) {
     GTEST_SKIP() << "host has no SIMD backend; scalar-only";
   }
-  std::vector<uint16_t> halves;
-  halves.reserve(1 << 16);
-  for (uint32_t h = 0; h < (1u << 16); ++h) {
-    const bool is_nan = ((h >> 10) & 0x1F) == 0x1F && (h & 0x3FF) != 0;
-    if (!is_nan) {
-      halves.push_back(static_cast<uint16_t>(h));
+  for (const KernelDispatch* simd : HostSimdTables()) {
+    std::vector<uint16_t> halves;
+    halves.reserve(1 << 16);
+    for (uint32_t h = 0; h < (1u << 16); ++h) {
+      const bool is_nan = ((h >> 10) & 0x1F) == 0x1F && (h & 0x3FF) != 0;
+      if (!is_nan) {
+        halves.push_back(static_cast<uint16_t>(h));
+      }
     }
-  }
-  std::vector<float> fs(halves.size()), fv(halves.size());
-  ScalarKernels()->f16_to_f32(halves.data(), fs.data(), halves.size());
-  simd->f16_to_f32(halves.data(), fv.data(), halves.size());
-  for (size_t i = 0; i < halves.size(); ++i) {
-    EXPECT_EQ(0, std::memcmp(&fs[i], &fv[i], sizeof(float)))
-        << "half=0x" << std::hex << halves[i];
+    std::vector<float> fs(halves.size()), fv(halves.size());
+    ScalarKernels()->f16_to_f32(halves.data(), fs.data(), halves.size());
+    simd->f16_to_f32(halves.data(), fv.data(), halves.size());
+    for (size_t i = 0; i < halves.size(); ++i) {
+      EXPECT_EQ(0, std::memcmp(&fs[i], &fv[i], sizeof(float)))
+          << "half=0x" << std::hex << halves[i];
+    }
   }
 }
 
@@ -389,10 +604,7 @@ TEST(SimdAttentionKernelTest, DotQkTracksDoubleReference) {
       want16 += static_cast<double>(q[i]) * F16ToF32(kh[i]);
       want32 += static_cast<double>(q[i]) * kf[i];
     }
-    for (const KernelDispatch* t : {ScalarKernels(), HostSimdTable()}) {
-      if (t == nullptr) {
-        continue;
-      }
+    for (const KernelDispatch* t : AllHostTables()) {
       EXPECT_NEAR(t->dot_qk_f16(q.data(), kh.data(), n), want16, 1e-3)
           << SimdIsaName(t->isa) << " n=" << n;
       EXPECT_NEAR(t->dot_qk_f32(q.data(), kf.data(), n), want32, 1e-3)
@@ -402,27 +614,28 @@ TEST(SimdAttentionKernelTest, DotQkTracksDoubleReference) {
 }
 
 TEST(SimdAttentionKernelTest, AxpyTracksScalar) {
-  const KernelDispatch* simd = HostSimdTable();
-  if (simd == nullptr) {
+  if (HostSimdTables().empty()) {
     GTEST_SKIP() << "host has no SIMD backend; scalar-only";
   }
-  const auto vf = RandomFloats(96, 77);
-  std::vector<uint16_t> vh(vf.size());
-  for (size_t i = 0; i < vf.size(); ++i) {
-    vh[i] = F32ToF16(vf[i]);
-  }
-  for (int n : {4, 8, 60, 96}) {
-    std::vector<float> a(n, 0.25f), b(n, 0.25f);
-    ScalarKernels()->axpy_f16(0.7f, vh.data(), a.data(), n);
-    simd->axpy_f16(0.7f, vh.data(), b.data(), n);
-    for (int i = 0; i < n; ++i) {
-      EXPECT_NEAR(a[i], b[i], 1e-6f) << "f16 n=" << n << " i=" << i;
+  for (const KernelDispatch* simd : HostSimdTables()) {
+    const auto vf = RandomFloats(96, 77);
+    std::vector<uint16_t> vh(vf.size());
+    for (size_t i = 0; i < vf.size(); ++i) {
+      vh[i] = F32ToF16(vf[i]);
     }
-    std::vector<float> c(n, -0.5f), d(n, -0.5f);
-    ScalarKernels()->axpy_f32(-1.3f, vf.data(), c.data(), n);
-    simd->axpy_f32(-1.3f, vf.data(), d.data(), n);
-    for (int i = 0; i < n; ++i) {
-      EXPECT_NEAR(c[i], d[i], 1e-6f) << "f32 n=" << n << " i=" << i;
+    for (int n : {4, 8, 60, 96}) {
+      std::vector<float> a(n, 0.25f), b(n, 0.25f);
+      ScalarKernels()->axpy_f16(0.7f, vh.data(), a.data(), n);
+      simd->axpy_f16(0.7f, vh.data(), b.data(), n);
+      for (int i = 0; i < n; ++i) {
+        EXPECT_NEAR(a[i], b[i], 1e-6f) << "f16 n=" << n << " i=" << i;
+      }
+      std::vector<float> c(n, -0.5f), d(n, -0.5f);
+      ScalarKernels()->axpy_f32(-1.3f, vf.data(), c.data(), n);
+      simd->axpy_f32(-1.3f, vf.data(), d.data(), n);
+      for (int i = 0; i < n; ++i) {
+        EXPECT_NEAR(c[i], d[i], 1e-6f) << "f32 n=" << n << " i=" << i;
+      }
     }
   }
 }
@@ -430,39 +643,41 @@ TEST(SimdAttentionKernelTest, AxpyTracksScalar) {
 // --- Reductions. ---
 
 TEST(SimdReductionTest, RmsNormTracksScalar) {
-  const KernelDispatch* simd = HostSimdTable();
-  if (simd == nullptr) {
+  if (HostSimdTables().empty()) {
     GTEST_SKIP() << "host has no SIMD backend; scalar-only";
   }
-  for (int n : {8, 32, 100, 256}) {
-    const auto x = RandomFloats(n, 88);
-    const auto gain = RandomFloats(n, 99);
-    std::vector<float> a(n), b(n);
-    ScalarKernels()->rms_norm(x.data(), gain.data(), a.data(), n);
-    simd->rms_norm(x.data(), gain.data(), b.data(), n);
-    for (int i = 0; i < n; ++i) {
-      // The double sum-of-squares only reorders across lanes; the result
-      // differs by at most one float ulp of rounding in inv.
-      EXPECT_NEAR(a[i], b[i], 1e-6f + 1e-6f * std::fabs(a[i]))
-          << "n=" << n << " i=" << i;
+  for (const KernelDispatch* simd : HostSimdTables()) {
+    for (int n : {8, 32, 100, 256}) {
+      const auto x = RandomFloats(n, 88);
+      const auto gain = RandomFloats(n, 99);
+      std::vector<float> a(n), b(n);
+      ScalarKernels()->rms_norm(x.data(), gain.data(), a.data(), n);
+      simd->rms_norm(x.data(), gain.data(), b.data(), n);
+      for (int i = 0; i < n; ++i) {
+        // The double sum-of-squares only reorders across lanes; the result
+        // differs by at most one float ulp of rounding in inv.
+        EXPECT_NEAR(a[i], b[i], 1e-6f + 1e-6f * std::fabs(a[i]))
+            << "n=" << n << " i=" << i;
+      }
     }
   }
 }
 
 TEST(SimdReductionTest, SoftmaxBitIdenticalToScalar) {
-  const KernelDispatch* simd = HostSimdTable();
-  if (simd == nullptr) {
+  if (HostSimdTables().empty()) {
     GTEST_SKIP() << "host has no SIMD backend; scalar-only";
   }
-  for (int n : {1, 3, 8, 17, 64, 200}) {
-    auto a = RandomFloats(n, 111, 4.0f);
-    auto b = a;
-    ScalarKernels()->softmax(a.data(), n);
-    simd->softmax(b.data(), n);
-    // Max is order-independent, exp/sum stay serial, the scale is
-    // elementwise: bit-identical by construction.
-    EXPECT_EQ(0, std::memcmp(a.data(), b.data(), n * sizeof(float)))
-        << "n=" << n;
+  for (const KernelDispatch* simd : HostSimdTables()) {
+    for (int n : {1, 3, 8, 17, 64, 200}) {
+      auto a = RandomFloats(n, 111, 4.0f);
+      auto b = a;
+      ScalarKernels()->softmax(a.data(), n);
+      simd->softmax(b.data(), n);
+      // Max is order-independent, exp/sum stay serial, the scale is
+      // elementwise: bit-identical by construction.
+      EXPECT_EQ(0, std::memcmp(a.data(), b.data(), n * sizeof(float)))
+          << "n=" << n;
+    }
   }
 }
 

@@ -289,38 +289,52 @@ TEST(MatMatQ8Test, MatchesPerPositionMatVec) {
 }
 
 TEST(MatVecQ8Test, ThreadedMatchesSingleThread) {
-  // Large enough to clear the kernel's parallel-dispatch threshold.
+  // Large enough to clear the kernel's parallel-dispatch threshold. Runs on
+  // the process's table and, where the host can run tiles, explicitly on
+  // the AMX-INT8 table too (whose workers then all execute tile code).
   const uint64_t rows = 512, cols = 512;
   Tensor w = MakeRandomTensor("w", DType::kQ8_0, rows, cols, 31);
-  Rng rng(32);
-  std::vector<float> x(cols);
-  for (auto& v : x) {
-    v = static_cast<float>(rng.NextGaussian(0.0, 0.5));
+  std::vector<const KernelDispatch*> tables = {ActiveKernels()};
+  if (AmxInt8Kernels() != nullptr && CpuSupportsAmxInt8() &&
+      ActiveKernels() != AmxInt8Kernels()) {
+    tables.push_back(AmxInt8Kernels());
   }
-  std::vector<float> serial(rows), threaded(rows);
-  MatVecQ8(w.data.data(), rows, cols, x.data(), serial.data());
   ThreadPool pool(4);
-  MatVecQ8(w.data.data(), rows, cols, x.data(), threaded.data(), &pool);
-  EXPECT_EQ(serial, threaded);  // Rows are independent: bit-identical.
-
-  Q8Acts acts;
-  acts.QuantizeRows(x.data(), 1, cols);
-  std::vector<float> batched(rows);
-  MatMatQ8(w.data.data(), rows, cols, acts, batched.data(), &pool);
-  EXPECT_EQ(serial, batched);
-
-  // Batched: the pool partitions rows, each worker runs every group of
-  // positions over its rows, so threading never changes a float.
-  for (uint64_t m = 2; m <= 17; ++m) {
-    std::vector<float> xm(m * cols);
-    for (auto& v : xm) {
+  for (const KernelDispatch* k : tables) {
+    Rng rng(32);
+    std::vector<float> x(cols);
+    for (auto& v : x) {
       v = static_cast<float>(rng.NextGaussian(0.0, 0.5));
     }
-    acts.QuantizeRows(xm.data(), m, cols);
-    std::vector<float> one_thread(m * rows), four_threads(m * rows);
-    MatMatQ8(w.data.data(), rows, cols, acts, one_thread.data());
-    MatMatQ8(w.data.data(), rows, cols, acts, four_threads.data(), &pool);
-    EXPECT_EQ(one_thread, four_threads) << "m=" << m;
+    std::vector<float> serial(rows), threaded(rows);
+    MatVecQ8(w.data.data(), rows, cols, x.data(), serial.data(), nullptr, k);
+    MatVecQ8(w.data.data(), rows, cols, x.data(), threaded.data(), &pool, k);
+    // Rows are independent: bit-identical.
+    EXPECT_EQ(serial, threaded) << SimdIsaName(k->isa);
+
+    Q8Acts acts;
+    acts.QuantizeRows(x.data(), 1, cols);
+    std::vector<float> batched(rows);
+    MatMatQ8(w.data.data(), rows, cols, acts, batched.data(), &pool, k);
+    EXPECT_EQ(serial, batched) << SimdIsaName(k->isa);
+
+    // Batched: the pool partitions rows, each worker runs every group of
+    // positions (or the tile slot) over its rows, so threading never
+    // changes a float.
+    for (uint64_t m = 2; m <= 17; ++m) {
+      std::vector<float> xm(m * cols);
+      for (auto& v : xm) {
+        v = static_cast<float>(rng.NextGaussian(0.0, 0.5));
+      }
+      acts.QuantizeRows(xm.data(), m, cols);
+      std::vector<float> one_thread(m * rows), four_threads(m * rows);
+      MatMatQ8(w.data.data(), rows, cols, acts, one_thread.data(), nullptr,
+               k);
+      MatMatQ8(w.data.data(), rows, cols, acts, four_threads.data(), &pool,
+               k);
+      EXPECT_EQ(one_thread, four_threads)
+          << SimdIsaName(k->isa) << " m=" << m;
+    }
   }
 }
 
@@ -350,6 +364,25 @@ TEST(MatMatQ8Test, MakesNoHeapAllocation) {
     const uint64_t before = t_heap_allocs;
     MatMatQ8(w.data.data(), rows, cols, acts[m - 1], ys[m - 1].data());
     EXPECT_EQ(t_heap_allocs, before) << "m=" << m;
+  }
+
+  // Pooled: 400 x 128 clears the parallel-dispatch threshold at every m,
+  // so each call forks and joins; the pool borrows the body instead of
+  // wrapping it in a std::function. The 100-row parts start off multiples
+  // of 16, the tile slot's ragged case. The counter sees the calling
+  // thread, which builds and publishes the fork/join task.
+  const uint64_t pool_rows = 400;
+  Tensor pw = MakeRandomTensor("pw", DType::kQ8_0, pool_rows, cols, 43);
+  std::vector<std::vector<float>> pys(17);
+  for (uint64_t m = 1; m <= 17; ++m) {
+    pys[m - 1].resize(m * pool_rows);
+  }
+  ThreadPool pool(4);
+  for (uint64_t m = 1; m <= 17; ++m) {
+    const uint64_t before = t_heap_allocs;
+    MatMatQ8(pw.data.data(), pool_rows, cols, acts[m - 1], pys[m - 1].data(),
+             &pool);
+    EXPECT_EQ(t_heap_allocs, before) << "pooled m=" << m;
   }
 }
 
