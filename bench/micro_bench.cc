@@ -11,6 +11,7 @@
 #include "src/common/thread_pool.h"
 #include "src/core/pipeline.h"
 #include "src/crypto/aes.h"
+#include "src/crypto/crypto_dispatch.h"
 #include "src/crypto/sha256.h"
 #include "src/hw/phys_mem.h"
 #include "src/llm/simd/kernels.h"
@@ -22,29 +23,81 @@
 namespace tzllm {
 namespace {
 
+// The three crypto slots restoration runs every weight byte through,
+// each over one 256 KiB params frame: the stage ceilings of the restore
+// pipeline. Arg row: 0 = the portable row, 1 = the x86 row (skipped when
+// this build or CPU has none).
+constexpr size_t kRestoreFrame = 256 * 1024;
+
+const CryptoDispatch* BenchRow(benchmark::State& state) {
+  const CryptoDispatch* row =
+      state.range(0) == 0 ? PortableCrypto() : X86Crypto();
+  if (row == nullptr) {
+    state.SkipWithError("no x86 crypto row in this build or on this CPU");
+  }
+  return row;
+}
+
 void BM_AesCtr(benchmark::State& state) {
+  const CryptoDispatch* row = BenchRow(state);
+  if (row == nullptr) {
+    return;
+  }
   AesKey128 key{};
   key[0] = 1;
-  AesCtr ctr(key, AesBlock{});
-  std::vector<uint8_t> buf(state.range(0));
+  AesCtr ctr(key, AesBlock{}, row);
+  std::vector<uint8_t> buf(kRestoreFrame);
   Rng(1).FillBytes(buf.data(), buf.size());
   for (auto _ : state) {
     ctr.CryptAll(buf.data(), buf.size());
     benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
   }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(row->aes_impl);
+  state.SetBytesProcessed(state.iterations() * kRestoreFrame);
 }
-BENCHMARK(BM_AesCtr)->Arg(4096)->Arg(64 * 1024)->Arg(1024 * 1024);
+BENCHMARK(BM_AesCtr)->ArgName("row")->Arg(0)->Arg(1);
 
 void BM_Sha256(benchmark::State& state) {
-  std::vector<uint8_t> buf(state.range(0));
+  const CryptoDispatch* row = BenchRow(state);
+  if (row == nullptr) {
+    return;
+  }
+  std::vector<uint8_t> buf(kRestoreFrame);
   Rng(2).FillBytes(buf.data(), buf.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha256::Hash(buf.data(), buf.size()));
+    Sha256 h(row);
+    h.Update(buf.data(), buf.size());
+    benchmark::DoNotOptimize(h.Finalize());
   }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(row->sha_impl);
+  state.SetBytesProcessed(state.iterations() * kRestoreFrame);
 }
-BENCHMARK(BM_Sha256)->Arg(4096)->Arg(64 * 1024)->Arg(1024 * 1024);
+BENCHMARK(BM_Sha256)->ArgName("row")->Arg(0)->Arg(1);
+
+// The GHASH slot alone; a tensor's Gmac adds two AES blocks and the
+// key setup once per tensor.
+void BM_Ghash(benchmark::State& state) {
+  const CryptoDispatch* row = BenchRow(state);
+  if (row == nullptr) {
+    return;
+  }
+  std::vector<uint8_t> buf(kRestoreFrame);
+  Rng(3).FillBytes(buf.data(), buf.size());
+  uint8_t h[16];
+  Rng(4).FillBytes(h, sizeof(h));
+  GhashKey key;
+  row->ghash_init(h, &key);
+  uint8_t y[16] = {};
+  for (auto _ : state) {
+    row->ghash(key, y, buf.data(), kRestoreFrame / 16);
+    benchmark::DoNotOptimize(y);
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(row->ghash_impl);
+  state.SetBytesProcessed(state.iterations() * kRestoreFrame);
+}
+BENCHMARK(BM_Ghash)->ArgName("row")->Arg(0)->Arg(1);
 
 void BM_QuantizeQ8(benchmark::State& state) {
   const uint64_t n = state.range(0);

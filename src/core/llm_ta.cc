@@ -69,11 +69,18 @@ Status LlmTa::LoadModel(const std::string& model_id, SchedulePolicy policy) {
     return meta.status();
   }
   meta_ = std::make_unique<TzgufMeta>(*meta);
+  spec_ = std::make_unique<ModelSpec>(ModelSpec::Create(meta_->config));
+  if (meta_->tensor_tags.size() != spec_->tensors().size()) {
+    return DataCorruption("TZGUF meta has " +
+                          std::to_string(meta_->tensor_tags.size()) +
+                          " tensor tags for " +
+                          std::to_string(spec_->tensors().size()) +
+                          " tensors");
+  }
   if (!meta_->materialized) {
     return FailedPrecondition(
         "LlmTa requires a materialized (functional) model");
   }
-  spec_ = std::make_unique<ModelSpec>(ModelSpec::Create(meta_->config));
 
   // 3. Scratch region for the KV arena / activations (also hosts NPU job
   //    execution contexts). Budgeted at the width the caches will actually
@@ -230,27 +237,28 @@ Status LlmTa::DecryptExtent(uint64_t offset, uint64_t bytes) {
       [&](uint8_t* window, uint64_t done, uint64_t n) -> Status {
         const uint64_t lo = offset + done;
         const uint64_t hi = lo + n;
-        Tzguf::DecryptExtent(model_key_, model_id_, lo, window, n);
-        // Verify every tensor overlapping the frame while it is hot (Iago
-        // defense for model loading, §6). A tensor is fed strictly in file
-        // order and exactly once; anything else fails closed.
+        // Authenticate the ciphertext of every tensor overlapping the frame
+        // while it is hot, then decrypt it (encrypt-then-MAC; Iago defense
+        // for model loading, §6). A tensor is fed strictly in file order and
+        // exactly once; anything else fails closed.
         for (; t != tensor_checks_.end() && t->begin < hi; ++t) {
           const uint64_t from = std::max(lo, t->begin);
           const uint64_t to = std::min(hi, t->end);
-          if (t->verified || from != t->begin + t->hashed) {
+          if (t->verified || from != t->begin + t->fed) {
             return Internal("restore decrypted tensor " +
                             std::to_string(t->index) +
                             " out of order or twice");
           }
-          t->hasher.Update(window + (from - lo), to - from);
-          t->hashed += to - from;
-          if (t->begin + t->hashed < t->end) {
+          t->mac.Update(window + (from - lo), to - from);
+          t->fed += to - from;
+          if (t->begin + t->fed < t->end) {
             break;  // Continues in the next frame.
           }
-          TZLLM_RETURN_IF_ERROR(Tzguf::CheckTensorDigest(
-              *meta_, t->index, t->hasher.Finalize()));
+          TZLLM_RETURN_IF_ERROR(
+              Tzguf::CheckTensorTag(*meta_, t->index, t->mac.Finalize()));
           t->verified = true;
         }
+        Tzguf::DecryptExtent(model_key_, model_id_, lo, window, n);
         return OkStatus();
       });
 }
@@ -290,13 +298,13 @@ Status LlmTa::RestoreParameters(SchedulePolicy policy) {
   };
 
   // Index the tensors by file offset once; DecryptExtent walks it.
+  const AesKey128 tag_key = Tzguf::TagKey(model_key_);
   tensor_checks_.clear();
   tensor_checks_.reserve(spec_->tensors().size());
   for (const TensorSpec& t : spec_->tensors()) {
-    TensorCheck& check = tensor_checks_.emplace_back();
-    check.index = t.index;
-    check.begin = t.file_offset;
-    check.end = t.file_offset + t.data_bytes;
+    tensor_checks_.push_back({t.index, t.file_offset,
+                              t.file_offset + t.data_bytes, 0, false,
+                              Tzguf::TensorMac(tag_key, t.index)});
   }
   std::sort(tensor_checks_.begin(), tensor_checks_.end(),
             [](const TensorCheck& a, const TensorCheck& b) {
@@ -320,7 +328,9 @@ Status LlmTa::RestoreParameters(SchedulePolicy policy) {
                       " unverified");
     }
   }
-  tensor_checks_.clear();
+  // Release the index: each check holds its MAC's key table, and nothing
+  // reads it until the next restore.
+  tensor_checks_ = std::vector<TensorCheck>();
   return OkStatus();
 }
 

@@ -2,9 +2,10 @@
 //
 //   unwrap model key (TEE key service) -> read + verify TZGUF metadata ->
 //   pipelined restoration with REAL side effects (CMA extents, DMA-checked
-//   flash loads into unprotected memory, extend_protected, in-place AES-CTR
-//   decryption, per-tensor SHA-256 verification) -> token generation with
-//   the transformer executor reading TZASC-protected secure memory.
+//   flash loads into unprotected memory, extend_protected, per-tensor GMAC
+//   verification of the ciphertext, in-place AES-CTR decryption) -> token
+//   generation with the transformer executor reading TZASC-protected
+//   secure memory.
 //
 // Everything an attacker-facing test wants to probe happens on real bytes
 // here; the paper-scale benchmarks use SystemRuntime instead (same control
@@ -250,15 +251,16 @@ class LlmTa {
   };
 
   // One tensor's verification during restoration: DecryptExtent feeds its
-  // plaintext to `hasher` in file order while each frame is hot, and
-  // checks the digest against the meta tag when the last byte is in.
+  // ciphertext to `mac` in file order while each frame is hot, before it
+  // decrypts the frame, and checks the tag against the meta when the last
+  // byte is in.
   struct TensorCheck {
     int index = 0;
-    uint64_t begin = 0;  // Plaintext bytes [begin, end) of the data file.
+    uint64_t begin = 0;  // Bytes [begin, end) of the data file.
     uint64_t end = 0;
-    uint64_t hashed = 0;  // Bytes fed to `hasher` so far.
+    uint64_t fed = 0;  // Bytes fed to `mac` so far.
     bool verified = false;
-    Sha256 hasher;
+    Gmac mac;
   };
 
   // Restores every parameter through the pipeline; fails unless each
@@ -266,8 +268,8 @@ class LlmTa {
   Status RestoreParameters(SchedulePolicy policy);
   // Flash -> params frames, in place (one copy).
   Status LoadExtent(uint64_t offset, uint64_t bytes);
-  // Decrypts the extent frame by frame in place and streams each frame
-  // into the hashers of the tensors it overlaps.
+  // Streams each frame of the extent into the MACs of the tensors it
+  // overlaps, then decrypts the frame in place.
   Status DecryptExtent(uint64_t offset, uint64_t bytes);
 
   Session* FindSession(SessionId sid);

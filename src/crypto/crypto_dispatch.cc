@@ -1,6 +1,6 @@
 // Crypto row resolution: per-slot CPUID gating plus the TZLLM_SIMD
 // override, computed once per process. This TU is baseline code, so the
-// CPUID checks run before any AES-NI or SHA-NI instruction can.
+// CPUID checks run before any AES-NI, SHA-NI or PCLMULQDQ instruction can.
 
 #include "src/crypto/crypto_dispatch.h"
 
@@ -19,6 +19,7 @@ namespace {
 struct CpuCryptoBits {
   bool aes_ni = false;  // AES-NI + SSE4.1 (the AES slot's -m flags).
   bool sha_ni = false;  // SHA-NI + SSE4.1 + SSSE3 (the compress slot's).
+  bool pclmul = false;  // PCLMULQDQ + SSE4.1 + SSSE3 (the GHASH slot's).
 };
 
 CpuCryptoBits ProbeCpu() {
@@ -31,6 +32,7 @@ CpuCryptoBits ProbeCpu() {
   const bool sse41 = (ecx & (1u << 19)) != 0;
   const bool ssse3 = (ecx & (1u << 9)) != 0;
   bits.aes_ni = sse41 && (ecx & (1u << 25)) != 0;
+  bits.pclmul = sse41 && ssse3 && (ecx & (1u << 1)) != 0;
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0) {
     bits.sha_ni = sse41 && ssse3 && (ebx & (1u << 29)) != 0;
   }
@@ -42,7 +44,9 @@ CpuCryptoBits ProbeCpu() {
 
 const CryptoDispatch* PortableCrypto() {
   static const CryptoDispatch row = {"portable", AesCtrXorPortable,
-                                     "portable", Sha256CompressPortable};
+                                     "portable", Sha256CompressPortable,
+                                     "portable", GhashInitPortable,
+                                     GhashPortable};
   return &row;
 }
 
@@ -50,7 +54,7 @@ const CryptoDispatch* X86Crypto() {
   static const CryptoDispatch* const resolved = []() -> const CryptoDispatch* {
     const CryptoDispatch* slots = X86CryptoUngated();
     const CpuCryptoBits cpu = ProbeCpu();
-    if (slots == nullptr || (!cpu.aes_ni && !cpu.sha_ni)) {
+    if (slots == nullptr || (!cpu.aes_ni && !cpu.sha_ni && !cpu.pclmul)) {
       return nullptr;
     }
     static CryptoDispatch row = *PortableCrypto();
@@ -61,6 +65,11 @@ const CryptoDispatch* X86Crypto() {
     if (cpu.sha_ni) {
       row.sha_impl = slots->sha_impl;
       row.sha256_compress = slots->sha256_compress;
+    }
+    if (cpu.pclmul) {
+      row.ghash_impl = slots->ghash_impl;
+      row.ghash_init = slots->ghash_init;
+      row.ghash = slots->ghash;
     }
     return &row;
   }();

@@ -1,17 +1,18 @@
-// x86 crypto row: AES-NI CTR and SHA-NI compress. This translation unit is
-// the only one compiled with -maes -msse4.1 -msha -mssse3 (CMake
-// per-source flags); crypto_dispatch.cc hands out each slot only after
-// CPUID confirms that slot's own bit, so nothing here may run on a CPU
-// without it. Off x86 the file compiles to a stub.
+// x86 crypto row: AES-NI CTR, SHA-NI compress and PCLMULQDQ GHASH. This
+// translation unit is the only one compiled with -maes -msse4.1 -msha
+// -mssse3 -mpclmul (CMake per-source flags); crypto_dispatch.cc hands out
+// each slot only after CPUID confirms that slot's own bit, so nothing here
+// may run on a CPU without it. Off x86 the file compiles to a stub.
 //
-// Both slots produce exactly the portable row's bytes: the AES round keys
+// Every slot produces exactly the portable row's bytes: the AES round keys
 // are the FIPS-197 schedule in its byte order, which is the layout
-// aesenc expects, and the SHA-NI rounds follow FIPS 180-4 word for word.
+// aesenc expects, the SHA-NI rounds follow FIPS 180-4 word for word, and
+// GHASH is the same field product, reduced in another bit order.
 
 #include "src/crypto/crypto_dispatch.h"
 
 #if defined(__AES__) && defined(__SHA__) && defined(__SSE4_1__) && \
-    defined(__SSSE3__)
+    defined(__SSSE3__) && defined(__PCLMUL__)
 
 #include <immintrin.h>
 
@@ -135,11 +136,119 @@ void ShaNiCompress(uint32_t state[8], const uint8_t* blocks,
                    _mm_alignr_epi8(dchg, feba, 8));
 }
 
+// GHASH on PCLMULQDQ: the schoolbook multiply and reflected reduction of
+// Gueron and Kounavis, "Intel Carry-Less Multiplication Instruction and
+// its Usage for Computing the GCM Mode" (Intel white paper). Each block is
+// byte-reversed on load, which puts the GCM field element in the lane
+// bit-reflected: the coefficient of x^0 in bit 127. The carry-less product
+// of two reflected elements is the reflected product shifted right by one
+// bit, so Reduce shifts it back before folding it mod
+// x^128 + x^7 + x^2 + x + 1.
+inline __m128i ByteReverse(__m128i x) {
+  return _mm_shuffle_epi8(
+      x, _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+}
+
+// An unreduced 256-bit product, as its partial sums. Products are linear,
+// so several of them can be summed and share one reduction.
+struct WideProduct {
+  __m128i lo = _mm_setzero_si128();   // a.lo * b.lo
+  __m128i mid = _mm_setzero_si128();  // a.lo * b.hi ^ a.hi * b.lo
+  __m128i hi = _mm_setzero_si128();   // a.hi * b.hi
+};
+
+inline void MulAdd(__m128i a, __m128i b, WideProduct* p) {
+  p->lo = _mm_xor_si128(p->lo, _mm_clmulepi64_si128(a, b, 0x00));
+  p->hi = _mm_xor_si128(p->hi, _mm_clmulepi64_si128(a, b, 0x11));
+  p->mid = _mm_xor_si128(p->mid,
+                         _mm_xor_si128(_mm_clmulepi64_si128(a, b, 0x10),
+                                       _mm_clmulepi64_si128(a, b, 0x01)));
+}
+
+inline __m128i Reduce(const WideProduct& p) {
+  __m128i lo = _mm_xor_si128(p.lo, _mm_slli_si128(p.mid, 8));
+  __m128i hi = _mm_xor_si128(p.hi, _mm_srli_si128(p.mid, 8));
+  // [hi:lo] <<= 1: each 32-bit lane's top bit moves into the next lane.
+  const __m128i lo_top = _mm_srli_epi32(lo, 31);
+  const __m128i hi_top = _mm_srli_epi32(hi, 31);
+  lo = _mm_or_si128(_mm_slli_epi32(lo, 1), _mm_slli_si128(lo_top, 4));
+  hi = _mm_or_si128(_mm_or_si128(_mm_slli_epi32(hi, 1),
+                                 _mm_slli_si128(hi_top, 4)),
+                    _mm_srli_si128(lo_top, 12));
+  // Fold the low half into the high one: first the x^127, x^126 and x^121
+  // terms of the reflected polynomial, then x^1, x^2 and x^7.
+  const __m128i a = _mm_xor_si128(
+      _mm_xor_si128(_mm_slli_epi32(lo, 31), _mm_slli_epi32(lo, 30)),
+      _mm_slli_epi32(lo, 25));
+  lo = _mm_xor_si128(lo, _mm_slli_si128(a, 12));
+  const __m128i b = _mm_xor_si128(
+      _mm_xor_si128(_mm_srli_epi32(lo, 1), _mm_srli_epi32(lo, 2)),
+      _mm_xor_si128(_mm_srli_epi32(lo, 7), _mm_srli_si128(a, 4)));
+  return _mm_xor_si128(hi, _mm_xor_si128(lo, b));
+}
+
+inline __m128i Mul(__m128i a, __m128i b) {
+  WideProduct p;
+  MulAdd(a, b, &p);
+  return Reduce(p);
+}
+
+// Blocks folded per reduction; the key holds H^1 .. H^kAggregate,
+// reflected.
+constexpr int kAggregate = 8;
+
+void PclmulGhashInit(const uint8_t h[16], GhashKey* key) {
+  const __m128i h1 =
+      ByteReverse(_mm_loadu_si128(reinterpret_cast<const __m128i*>(h)));
+  __m128i power = h1;
+  for (int i = 0; i < kAggregate; ++i) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(key->table[i]), power);
+    power = Mul(power, h1);
+  }
+}
+
+// Folds n <= 8 blocks with one reduction:
+// ((acc ^ X_1) H^n) ^ (X_2 H^(n-1)) ^ ... ^ (X_n H).
+inline __m128i FoldBlocks(__m128i acc, const __m128i* h, const uint8_t* blocks,
+                          int n) {
+  WideProduct p;
+#pragma GCC unroll 8
+  for (int j = 0; j < n; ++j) {
+    __m128i x = ByteReverse(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks) + j));
+    if (j == 0) {
+      x = _mm_xor_si128(x, acc);
+    }
+    MulAdd(x, h[n - 1 - j], &p);
+  }
+  return Reduce(p);
+}
+
+void PclmulGhash(const GhashKey& key, uint8_t y[16], const uint8_t* blocks,
+                 uint64_t nblocks) {
+  __m128i h[kAggregate];
+  for (int i = 0; i < kAggregate; ++i) {
+    h[i] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key.table[i]));
+  }
+  __m128i acc =
+      ByteReverse(_mm_loadu_si128(reinterpret_cast<const __m128i*>(y)));
+  for (; nblocks >= kAggregate;
+       nblocks -= kAggregate, blocks += 16 * kAggregate) {
+    acc = FoldBlocks(acc, h, blocks, kAggregate);
+  }
+  if (nblocks > 0) {
+    acc = FoldBlocks(acc, h, blocks, static_cast<int>(nblocks));
+  }
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(y), ByteReverse(acc));
+}
+
 }  // namespace
 
 const CryptoDispatch* X86CryptoUngated() {
-  static const CryptoDispatch row = {"aes-ni", AesNiCtrXor, "sha-ni",
-                                     ShaNiCompress};
+  static const CryptoDispatch row = {"aes-ni", AesNiCtrXor,
+                                     "sha-ni", ShaNiCompress,
+                                     "pclmul", PclmulGhashInit,
+                                     PclmulGhash};
   return &row;
 }
 

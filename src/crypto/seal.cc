@@ -54,6 +54,14 @@ AesCtr Cipher(const SealKeys& keys, const Sha256Digest& tag) {
 
 }  // namespace
 
+bool ConstantTimeEqual(const uint8_t* a, const uint8_t* b, size_t n) {
+  uint8_t diff = 0;
+  for (size_t i = 0; i < n; ++i) {
+    diff |= a[i] ^ b[i];
+  }
+  return diff == 0;
+}
+
 HmacSha256::HmacSha256(const uint8_t* key, size_t key_len) {
   std::array<uint8_t, 64> block{};
   if (key_len > block.size()) {
@@ -106,11 +114,7 @@ Status Open(const AesKey128& key, const SealContext& context,
   std::copy_n(blob + kSealHeaderBytes, out_len, out);
   Cipher(keys, stored).CryptAll(out, out_len);
   const Sha256Digest tag = Tag(keys.mac, context, out, out_len);
-  uint8_t diff = 0;  // Constant time: no early exit on the first mismatch.
-  for (size_t i = 0; i < tag.size(); ++i) {
-    diff |= tag[i] ^ stored[i];
-  }
-  if (diff != 0) {
+  if (!ConstantTimeEqual(tag.data(), stored.data(), tag.size())) {
     std::fill_n(out, out_len, 0);
     return DataCorruption(
         "sealed blob failed its integrity check (tampered, wrong key, or "

@@ -52,6 +52,10 @@ class HmacSha256 {
   std::array<uint8_t, 64> outer_pad_;
 };
 
+// Whether a[0..n) == b[0..n), in time that depends only on n: no early
+// exit at the first differing byte. Every tag comparison goes through it.
+bool ConstantTimeEqual(const uint8_t* a, const uint8_t* b, size_t n);
+
 // What a blob is. Each kind is bound into the context of its seals.
 enum class SealKind : uint8_t {
   kModelKey = 1,    // A model key wrapped under the TEE key (<model>.key).

@@ -1,9 +1,10 @@
 // SHA-256 (FIPS 180-4), implemented from scratch.
 //
-// Used by the TEE to verify model-file contents returned by the untrusted
-// REE filesystem (the paper's Iago-attack defense for model loading, §6) and,
-// as HMAC-SHA256 (seal.h), to authenticate sealed blobs. Verified against
-// NIST vectors in tests/crypto_sha256_test.cc.
+// Used by the TEE, as HMAC-SHA256 (seal.h), to authenticate sealed blobs
+// and to derive keys (key_hierarchy.h, the seal's and the weight tags'
+// keys). The weights themselves are authenticated by GMAC (gmac.h), which
+// runs several times faster. Verified against NIST vectors in
+// tests/crypto_sha256_test.cc.
 //
 // Whole 64-byte blocks go to a crypto row's compress slot
 // (crypto_dispatch.h): SHA-NI where the CPU has it, the portable FIPS 180-4

@@ -1,5 +1,6 @@
 #include "src/llm/tzguf.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/bytes.h"
@@ -27,7 +28,7 @@ std::vector<uint8_t> SerializeMetaBody(const TzgufMeta& meta) {
   w.U8(meta.materialized ? 1 : 0);
   w.U64(meta.data_file_bytes);
   w.U32(static_cast<uint32_t>(meta.tensor_tags.size()));
-  for (const Sha256Digest& tag : meta.tensor_tags) {
+  for (const GmacTag& tag : meta.tensor_tags) {
     w.Bytes(tag.data(), tag.size());
   }
   return body;
@@ -55,6 +56,12 @@ Result<TzgufMeta> DeserializeMetaBody(const std::vector<uint8_t>& body) {
   c.vocab_size = vocab;
   c.max_ctx = ctx;
   meta.materialized = materialized != 0;
+  // The count is checked against the bytes that hold the tags before it
+  // sizes anything.
+  if (static_cast<uint64_t>(n_tags) * sizeof(GmacTag) != r.remaining()) {
+    return Status(ErrorCode::kDataCorruption,
+                  "TZGUF tag count does not match the tag table");
+  }
   meta.tensor_tags.resize(n_tags);
   for (auto& tag : meta.tensor_tags) {
     if (!r.Bytes(tag.data(), tag.size())) {
@@ -103,24 +110,29 @@ Result<TzgufMeta> Tzguf::Provision(FlashDevice* flash,
   meta.config = spec.config();
   meta.materialized = materialize;
   meta.data_file_bytes = spec.total_param_bytes();
-  meta.tensor_tags.assign(spec.tensors().size(), Sha256Digest{});
+  meta.tensor_tags.assign(spec.tensors().size(), GmacTag{});
 
   // --- Data file. ---
   if (materialize) {
     std::vector<Tensor> weights = ReferenceWeights(spec, weight_seed);
     std::vector<uint8_t> data(spec.total_param_bytes(), 0);
     AesCtr ctr(model_key, DataIv(model_id));
+    const AesKey128 tag_key = TagKey(model_key);
     for (size_t i = 0; i < weights.size(); ++i) {
       const TensorSpec& ts = spec.tensor(static_cast<int>(i));
       const Tensor& t = weights[i];
       if (t.data.size() != ts.data_bytes) {
         return Status(ErrorCode::kInternal, "tensor size mismatch");
       }
-      meta.tensor_tags[i] = Sha256::Hash(t.data.data(), t.data.size());
-      std::memcpy(data.data() + ts.file_offset, t.data.data(), t.data.size());
+      uint8_t* extent = data.data() + ts.file_offset;
+      std::memcpy(extent, t.data.data(), t.data.size());
       // Encrypt the whole page-aligned extent (padding included) so the
-      // flash image carries no plaintext-zero structure.
-      ctr.Crypt(ts.file_offset, data.data() + ts.file_offset, ts.bytes);
+      // flash image carries no plaintext-zero structure, then tag the
+      // tensor's ciphertext.
+      ctr.Crypt(ts.file_offset, extent, ts.bytes);
+      Gmac mac = TensorMac(tag_key, ts.index);
+      mac.Update(extent, ts.data_bytes);
+      meta.tensor_tags[i] = mac.Finalize();
     }
     TZLLM_RETURN_IF_ERROR(flash->CreateFile(meta.DataFile(), std::move(data)));
   } else {
@@ -160,21 +172,43 @@ void Tzguf::DecryptExtent(const AesKey128& key, const std::string& model_id,
   ctr.Crypt(file_offset, data, len);
 }
 
-Status Tzguf::VerifyTensor(const TzgufMeta& meta, int index,
-                           const uint8_t* data, uint64_t len) {
-  return CheckTensorDigest(meta, index, Sha256::Hash(data, len));
+AesKey128 Tzguf::TagKey(const AesKey128& model_key) {
+  static constexpr char kLabel[] = "tzllm/weights/gmac/v1";
+  HmacSha256 h(model_key.data(), model_key.size());
+  h.Update(reinterpret_cast<const uint8_t*>(kLabel), sizeof(kLabel) - 1);
+  const Sha256Digest derived = h.Finalize();
+  AesKey128 key;
+  std::copy_n(derived.begin(), key.size(), key.begin());
+  return key;
 }
 
-Status Tzguf::CheckTensorDigest(const TzgufMeta& meta, int index,
-                                const Sha256Digest& digest) {
+Gmac Tzguf::TensorMac(const AesKey128& tag_key, int index) {
+  GmacIv iv{};
+  for (int i = 0; i < 4; ++i) {
+    iv[i] = static_cast<uint8_t>(static_cast<uint32_t>(index) >> (24 - 8 * i));
+  }
+  return Gmac(tag_key, iv);
+}
+
+Status Tzguf::VerifyTensor(const TzgufMeta& meta, const AesKey128& model_key,
+                           int index, const uint8_t* ciphertext,
+                           uint64_t len) {
+  Gmac mac = TensorMac(TagKey(model_key), index);
+  mac.Update(ciphertext, len);
+  return CheckTensorTag(meta, index, mac.Finalize());
+}
+
+Status Tzguf::CheckTensorTag(const TzgufMeta& meta, int index,
+                             const GmacTag& tag) {
   if (index < 0 || index >= static_cast<int>(meta.tensor_tags.size())) {
     return InvalidArgument("tensor index out of range");
   }
   if (!meta.materialized) {
     return OkStatus();  // Paper-scale models are tagless.
   }
-  if (digest != meta.tensor_tags[index]) {
-    return DataCorruption("tensor checksum mismatch (forged model content?)");
+  if (!ConstantTimeEqual(tag.data(), meta.tensor_tags[index].data(),
+                         tag.size())) {
+    return DataCorruption("tensor tag mismatch (forged model content?)");
   }
   return OkStatus();
 }

@@ -117,6 +117,59 @@ TEST_F(SecurityTest, ForgedModelContentDetected) {
   EXPECT_EQ(st.code(), ErrorCode::kDataCorruption);
 }
 
+// A meta that opens is still checked as input: its tag table must hold
+// exactly one tag per tensor of its config. Each case re-seals an edited
+// meta body under the model key; the body ends with the u32 tag count and
+// the 16-byte tags.
+class MetaTagCountTest : public SecurityTest {
+ protected:
+  void ResealMeta(const std::function<void(std::vector<uint8_t>*)>& edit) {
+    const AesKey128 key = tee_->keys().DeriveModelKey("m");
+    const SealContext context{SealKind::kModelMeta, "m"};
+    auto blob = plat_.flash().PeekFile("m.meta");
+    ASSERT_TRUE(blob.ok());
+    auto body = Open(key, context, *blob);
+    ASSERT_TRUE(body.ok());
+    edit(&*body);
+    ASSERT_TRUE(plat_.flash().DeleteFile("m.meta").ok());
+    ASSERT_TRUE(plat_.flash()
+                    .CreateFile("m.meta",
+                                Seal(key, context, body->data(), body->size()))
+                    .ok());
+  }
+
+  // Offset of the tag count in a body holding `n_tags` tags.
+  static size_t CountOffset(const std::vector<uint8_t>& body, size_t n_tags) {
+    return body.size() - 16 * n_tags - 4;
+  }
+};
+
+// A count of 0xFFFFFFFF over the real table is rejected before it sizes
+// anything (it would ask for 64 GiB of tags).
+TEST_F(MetaTagCountTest, HugeTagCountIsCorruptData) {
+  const size_t n = spec_.tensors().size();
+  ResealMeta([n](std::vector<uint8_t>* body) {
+    std::fill_n(body->begin() + CountOffset(*body, n), 4, 0xFF);
+  });
+  EXPECT_EQ(ta_->LoadModel("m").code(), ErrorCode::kDataCorruption);
+}
+
+// A consistent table one tag short opens, and fails the load as corrupt
+// data before restoration starts.
+TEST_F(MetaTagCountTest, OneTagTooFewIsCorruptData) {
+  const size_t n = spec_.tensors().size();
+  ResealMeta([n](std::vector<uint8_t>* body) {
+    const size_t at = CountOffset(*body, n);
+    const uint32_t fewer = static_cast<uint32_t>(n - 1);
+    for (int i = 0; i < 4; ++i) {
+      (*body)[at + i] = static_cast<uint8_t>(fewer >> (8 * i));
+    }
+    body->resize(body->size() - 16);
+  });
+  EXPECT_EQ(ta_->LoadModel("m").code(), ErrorCode::kDataCorruption);
+  EXPECT_EQ(tee_->RegionStats(SecureRegionId::kParams).allocated_bytes, 0u);
+}
+
 // §6: the model key in flash is wrapped; the REE reading the key file gets
 // nothing usable, and a wrong-device unwrap fails.
 TEST_F(SecurityTest, WrappedKeyUselessToRee) {

@@ -272,7 +272,8 @@ TEST(CryptoRowsTest, SimdOffPinsThePortableRow) {
   if (X86Crypto() != nullptr) {
     // The x86 row exists only when at least one slot is hardware.
     EXPECT_TRUE(std::strcmp(X86Crypto()->aes_impl, "aes-ni") == 0 ||
-                std::strcmp(X86Crypto()->sha_impl, "sha-ni") == 0);
+                std::strcmp(X86Crypto()->sha_impl, "sha-ni") == 0 ||
+                std::strcmp(X86Crypto()->ghash_impl, "pclmul") == 0);
   }
 }
 

@@ -86,20 +86,68 @@ TEST_F(TzgufTest, DecryptExtentRecoversPlaintextAndVerifies) {
   ASSERT_TRUE(meta.ok());
 
   const std::vector<Tensor> plain = Tzguf::ReferenceWeights(spec_, 7);
-  // Decrypt tensor 3's extent in isolation (arbitrary offset).
+  // Verify, then decrypt, tensor 3's extent in isolation (arbitrary
+  // offset): the tag covers the ciphertext.
   const TensorSpec& t = spec_.tensor(3);
   std::vector<uint8_t> buf(t.data_bytes);
   ASSERT_TRUE(plat_.flash()
                   .PeekBytes("m.data", t.file_offset, t.data_bytes,
                              buf.data())
                   .ok());
-  Tzguf::DecryptExtent(key, "m", t.file_offset, buf.data(), buf.size());
-  EXPECT_EQ(buf, plain[3].data);
-  EXPECT_TRUE(Tzguf::VerifyTensor(*meta, 3, buf.data(), buf.size()).ok());
-  // A flipped bit fails verification.
+  EXPECT_TRUE(Tzguf::VerifyTensor(*meta, key, 3, buf.data(), buf.size()).ok());
+  std::vector<uint8_t> decrypted = buf;
+  Tzguf::DecryptExtent(key, "m", t.file_offset, decrypted.data(),
+                       decrypted.size());
+  EXPECT_EQ(decrypted, plain[3].data);
+  // A flipped ciphertext bit fails verification.
   buf[0] ^= 1;
-  EXPECT_EQ(Tzguf::VerifyTensor(*meta, 3, buf.data(), buf.size()).code(),
+  EXPECT_EQ(Tzguf::VerifyTensor(*meta, key, 3, buf.data(), buf.size()).code(),
             ErrorCode::kDataCorruption);
+}
+
+// Each tag is bound to its tensor's index: two tensors of equal length
+// whose ciphertexts trade places on flash both fail closed.
+TEST_F(TzgufTest, SwappedCiphertextOfEqualLengthTensorsFailsClosed) {
+  ASSERT_TRUE(
+      Tzguf::Provision(&plat_.flash(), keys_, "m", spec_, 7, true).ok());
+  const AesKey128 key = keys_.DeriveModelKey("m");
+  auto meta = Tzguf::ReadMeta(&plat_.flash(), "m", key);
+  ASSERT_TRUE(meta.ok());
+  const TensorSpec* a = nullptr;
+  const TensorSpec* b = nullptr;
+  for (const TensorSpec& x : spec_.tensors()) {
+    for (const TensorSpec& y : spec_.tensors()) {
+      if (a == nullptr && x.index < y.index && x.data_bytes == y.data_bytes) {
+        a = &x;
+        b = &y;
+      }
+    }
+  }
+  ASSERT_NE(a, nullptr) << "the test model needs two equal-length tensors";
+  auto ciphertext = [&](const TensorSpec& t) {
+    std::vector<uint8_t> out(t.data_bytes);
+    EXPECT_TRUE(plat_.flash()
+                    .PeekBytes("m.data", t.file_offset, t.data_bytes,
+                               out.data())
+                    .ok());
+    return out;
+  };
+  const std::vector<uint8_t> ct_a = ciphertext(*a);
+  const std::vector<uint8_t> ct_b = ciphertext(*b);
+  EXPECT_TRUE(
+      Tzguf::VerifyTensor(*meta, key, a->index, ct_a.data(), ct_a.size())
+          .ok());
+  EXPECT_TRUE(
+      Tzguf::VerifyTensor(*meta, key, b->index, ct_b.data(), ct_b.size())
+          .ok());
+  EXPECT_EQ(
+      Tzguf::VerifyTensor(*meta, key, a->index, ct_b.data(), ct_b.size())
+          .code(),
+      ErrorCode::kDataCorruption);
+  EXPECT_EQ(
+      Tzguf::VerifyTensor(*meta, key, b->index, ct_a.data(), ct_a.size())
+          .code(),
+      ErrorCode::kDataCorruption);
 }
 
 TEST_F(TzgufTest, WrappedKeyRoundTripThroughFlash) {
