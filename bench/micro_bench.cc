@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -111,6 +112,53 @@ void BM_QuantizeQ8(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizeQ8)->Arg(4096)->Arg(65536);
 
+// The quantizer's tables: row 0 = scalar, row 1 = the host's SIMD table
+// (AVX2 on x86, whose slot the AMX table shares; NEON on aarch64),
+// skipped when this build or CPU has none.
+const KernelDispatch* QuantizeTable(benchmark::State& state) {
+  if (state.range(0) == 0) {
+    return ScalarKernels();
+  }
+  const KernelDispatch* simd = Avx2Kernels() != nullptr && CpuSupportsAvx2F16c()
+                                   ? Avx2Kernels()
+                                   : NeonKernels();
+  if (simd == nullptr) {
+    state.SkipWithError("no SIMD kernel table in this build or on this CPU");
+  }
+  return simd;
+}
+
+void BM_QuantizeRows(benchmark::State& state) {
+  // m rows of gaussian activations into a sized Q8Acts, as the executor
+  // requantizes every norm, attention and SwiGLU output: m = 1 a decode
+  // step, 8 a batch, 16 a prefill quantum; cols bench-medium's d_model
+  // and d_ff. Bytes/s counts float input.
+  const KernelDispatch* k = QuantizeTable(state);
+  if (k == nullptr) {
+    return;
+  }
+  const uint64_t m = state.range(1);
+  const uint64_t cols = state.range(2);
+  Rng rng(5);
+  std::vector<float> x(m * cols);
+  for (float& v : x) {
+    v = static_cast<float>(rng.NextGaussian(0.0, 1.0));
+  }
+  Q8Acts acts;
+  acts.QuantizeRows(x.data(), m, cols, k);
+  for (auto _ : state) {
+    acts.QuantizeRows(x.data(), m, cols, k);
+    benchmark::DoNotOptimize(acts.q.data());
+    benchmark::DoNotOptimize(acts.scale.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(SimdIsaName(k->isa));
+  state.SetBytesProcessed(state.iterations() * m * cols * sizeof(float));
+}
+BENCHMARK(BM_QuantizeRows)
+    ->ArgNames({"row", "m", "cols"})
+    ->ArgsProduct({{0, 1}, {1, 8, 16}, {512, 1408}});
+
 void BM_MatVecQ8(benchmark::State& state) {
   const uint64_t dim = state.range(0);
   Tensor w = MakeRandomTensor("w", DType::kQ8_0, dim, dim, 3);
@@ -215,6 +263,78 @@ BENCHMARK(BM_MatMatQ8)
         }
       }
     });
+
+// bench-medium's 57 Q8_0 matrices, heap-allocated one by one in layer
+// order as the TA's weight source holds them: per layer Wq, Wk, Wv, Wo
+// (512 and 256 x 512), gate and up (1408 x 512) and down (512 x 1408),
+// then the 4096 x 512 LM head. 27.3 MB, built once per process.
+const std::vector<Tensor>& BenchMediumWeights() {
+  static const std::vector<Tensor> weights = [] {
+    constexpr uint64_t kLayers = 8, kD = 512, kKv = 256, kFf = 1408;
+    const std::pair<uint64_t, uint64_t> shapes[] = {
+        {kD, kD}, {kKv, kD}, {kKv, kD}, {kD, kD},
+        {kFf, kD}, {kFf, kD}, {kD, kFf}};
+    std::vector<Tensor> w;
+    for (uint64_t l = 0; l < kLayers; ++l) {
+      for (const auto& [rows, cols] : shapes) {
+        w.push_back(MakeRandomTensor("w" + std::to_string(w.size()),
+                                     DType::kQ8_0, rows, cols, 3));
+      }
+    }
+    w.push_back(MakeRandomTensor("lm_head", DType::kQ8_0, 4096, kD, 3));
+    return w;
+  }();
+  return weights;
+}
+
+void BM_WeightPass(benchmark::State& state) {
+  // One decode or prefill pass's matmuls: MatMatQ8 over all 57 matrices
+  // at m positions, through one path as in BM_MatMatQ8 (tile = 0 the row
+  // table's dot_rows_q8 groups, tile = 1 the AMX-INT8 slot called
+  // directly). Unlike BM_MatMatQ8's single matrix, which stays in L2,
+  // this streams the weights from the last-level cache or DRAM, so
+  // bytes/s counts weight bytes read: the pass's ceiling is that stream.
+  const uint64_t m = state.range(0);
+  const bool tile = state.range(1) != 0;
+  const KernelDispatch* k = tile ? AmxInt8Kernels() : RowKernels();
+  if (tile && (k == nullptr || !CpuSupportsAmxInt8())) {
+    state.SkipWithError("AMX-INT8 unavailable on this host");
+    return;
+  }
+  const std::vector<Tensor>& weights = BenchMediumWeights();
+  Rng rng(6);
+  constexpr uint64_t kWidths[] = {512, 1408};  // d_model, d_ff.
+  Q8Acts acts[2];
+  for (int i = 0; i < 2; ++i) {
+    std::vector<float> x(m * kWidths[i]);
+    for (float& v : x) {
+      v = static_cast<float>(rng.NextGaussian(0.0, 1.0));
+    }
+    acts[i].QuantizeRows(x.data(), m, kWidths[i]);
+  }
+  std::vector<float> y(m * 4096);  // The widest output, the LM head's.
+  uint64_t bytes = 0;
+  for (const Tensor& w : weights) {
+    bytes += w.data.size();
+  }
+  for (auto _ : state) {
+    for (const Tensor& w : weights) {
+      const Q8Acts& x = acts[w.cols == kWidths[0] ? 0 : 1];
+      if (tile) {
+        k->matmat_rows_q8(w.data.data(), w.rows, w.cols / kQ8BlockElems,
+                          x.q.data(), x.scale.data(), m, 0, w.rows, y.data());
+      } else {
+        MatMatQ8(w.data.data(), w.rows, w.cols, x, y.data(), nullptr, k);
+      }
+      benchmark::DoNotOptimize(y.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_WeightPass)
+    ->ArgNames({"m", "tile"})
+    ->ArgsProduct({{1, 6, 16}, {0, 1}});
 
 void BM_BuddyAllocFree(benchmark::State& state) {
   BuddyAllocator buddy(0, 1 << 18);

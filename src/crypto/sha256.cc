@@ -162,12 +162,4 @@ std::string DigestToHex(const Sha256Digest& digest) {
   return out;
 }
 
-uint64_t DigestToTag64(const Sha256Digest& digest) {
-  uint64_t tag = 0;
-  for (int i = 0; i < 8; ++i) {
-    tag = (tag << 8) | digest[i];
-  }
-  return tag;
-}
-
 }  // namespace tzllm

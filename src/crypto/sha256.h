@@ -54,9 +54,6 @@ class Sha256 {
 // Lowercase hex string of a digest.
 std::string DigestToHex(const Sha256Digest& digest);
 
-// Truncated 64-bit tag, convenient for per-tensor checksum tables.
-uint64_t DigestToTag64(const Sha256Digest& digest);
-
 }  // namespace tzllm
 
 #endif  // SRC_CRYPTO_SHA256_H_

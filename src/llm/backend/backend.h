@@ -115,7 +115,8 @@ void RunLayerTail(const LayerTailOp& op, const Q8Acts& x_attn,
 // bit-identical by construction, not by parallel maintenance.
 void LayerTailProjResidualNormQuant(const LayerTailOp& op,
                                     const KernelDispatch* kernels);
-void LayerTailSwiGluQuant(const LayerTailOp& op);
+void LayerTailSwiGluQuant(const LayerTailOp& op,
+                          const KernelDispatch* kernels);
 void LayerTailDownResidual(const LayerTailOp& op);
 
 // Completion handle for an asynchronous submission. Monotonic per backend;

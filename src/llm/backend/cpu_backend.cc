@@ -17,16 +17,18 @@ void LayerTailProjResidualNormQuant(const LayerTailOp& op,
                       op.ffn_norm_gain, op.norm + static_cast<size_t>(i) * d,
                       op.d_model);
   }
-  op.acts->QuantizeRows(op.norm, op.m, d);
+  op.acts->QuantizeRows(op.norm, op.m, d, kernels);
 }
 
-void LayerTailSwiGluQuant(const LayerTailOp& op) {
+void LayerTailSwiGluQuant(const LayerTailOp& op,
+                          const KernelDispatch* kernels) {
   for (int i = 0; i < op.m * op.d_ff; ++i) {
     const float g = op.gate[i];
     const float silu = g / (1.0f + std::exp(-g));
     op.gate[i] = silu * op.up[i];
   }
-  op.acts->QuantizeRows(op.gate, op.m, static_cast<uint64_t>(op.d_ff));
+  op.acts->QuantizeRows(op.gate, op.m, static_cast<uint64_t>(op.d_ff),
+                        kernels);
 }
 
 void LayerTailDownResidual(const LayerTailOp& op) {
@@ -45,7 +47,7 @@ void RunLayerTail(const LayerTailOp& op, const Q8Acts& x_attn,
   LayerTailProjResidualNormQuant(op, kernels);
   MatMatQ8(op.w_gate, ff, d, *op.acts, op.gate, pool, kernels);
   MatMatQ8(op.w_up, ff, d, *op.acts, op.up, pool, kernels);
-  LayerTailSwiGluQuant(op);
+  LayerTailSwiGluQuant(op, kernels);
   MatMatQ8(op.w_down, d, ff, *op.acts, op.down, pool, kernels);
   LayerTailDownResidual(op);
 }

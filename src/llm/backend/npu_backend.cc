@@ -447,7 +447,7 @@ Result<BackendTicket> NpuBackend::SubmitLayerTail(const LayerTailOp& op,
            MatMatQ8(op.w_up, static_cast<uint64_t>(op.d_ff),
                     static_cast<uint64_t>(op.d_model), *op.acts, op.up,
                     nullptr, kernels);
-           LayerTailSwiGluQuant(op);
+           LayerTailSwiGluQuant(op, kernels);
            return OkStatus();
          }},
         {{{d, ff, op.m}},

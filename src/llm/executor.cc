@@ -337,7 +337,7 @@ Result<BackendTicket> TransformerExecutor::SubmitQkv(int l, int m,
                        reinterpret_cast<const float*>(w_norm),
                        a->norm.data() + i * d, c.d_model);
   }
-  a->qkv_acts.QuantizeRows(a->norm.data(), m, d);
+  a->qkv_acts.QuantizeRows(a->norm.data(), m, d, kernels_);
   TZLLM_ASSIGN_OR_RETURN(wq, Weights(TensorRole::kWq, l));
   TZLLM_ASSIGN_OR_RETURN(wk, Weights(TensorRole::kWk, l));
   TZLLM_ASSIGN_OR_RETURN(wv, Weights(TensorRole::kWv, l));
@@ -369,7 +369,7 @@ Result<BackendTicket> TransformerExecutor::AttendAndSubmitTail(
     Attend(l, s.start, s.m, q, a->attn.data() + off * d, *s.kv);
     off += s.m;
   }
-  a->attn_acts.QuantizeRows(a->attn.data(), off, d);
+  a->attn_acts.QuantizeRows(a->attn.data(), off, d, kernels_);
   TZLLM_ASSIGN_OR_RETURN(wo, Weights(TensorRole::kWo, l));
   TZLLM_ASSIGN_OR_RETURN(w_ffn_norm, Weights(TensorRole::kFfnNorm, l));
   TZLLM_ASSIGN_OR_RETURN(w_gate, Weights(TensorRole::kWGate, l));
@@ -415,7 +415,7 @@ Status TransformerExecutor::LmHead(const ForwardRow* rows, int n) {
   if (wanted == 0) {
     return OkStatus();
   }
-  act_.qkv_acts.QuantizeRows(act_.norm.data(), wanted, d);
+  act_.qkv_acts.QuantizeRows(act_.norm.data(), wanted, d, kernels_);
   TZLLM_ASSIGN_OR_RETURN(w_head, Weights(TensorRole::kLmHead, -1));
   logits_rows_.resize(wanted * vocab);
   const MatMatOp head[] = {{w_head, vocab, logits_rows_.data()}};

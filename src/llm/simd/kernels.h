@@ -1,17 +1,28 @@
 // Runtime-dispatched SIMD kernel backends for the functional inference
 // engine (llama.cpp-style per-ISA translation units).
 //
-// Every hot inner loop of the engine — the Q8xQ8 integer-dot rows behind
-// MatVecQ8/MatMatQ8 (and, on a matrix-engine table, whole row ranges of
-// MatMatQ8), the f16/f32 attention QK dots and AV accumulates, the
-// KV-cache width converts, and the RMSNorm/softmax reductions — is a slot in
-// a KernelDispatch table. The table is resolved exactly once per process
-// from CPUID (plus the TZLLM_SIMD env override), so call sites pay one
-// indirect call instead of per-call feature branches, and each backend lives
-// in its own translation unit compiled with exactly the -m flags it needs
-// (the rest of the codebase stays portable baseline code).
+// Every hot inner loop of the engine — the activation quantizer and the
+// Q8xQ8 integer-dot rows behind MatVecQ8/MatMatQ8 (and, on a matrix-engine
+// table, whole row ranges of MatMatQ8), the f16/f32 attention QK dots and
+// AV accumulates, the KV-cache width converts, and the RMSNorm/softmax
+// reductions — is a slot in a KernelDispatch table. The table is resolved
+// exactly once per process from CPUID (plus the TZLLM_SIMD env override),
+// so call sites pay one indirect call instead of per-call feature
+// branches, and each backend lives in its own translation unit compiled
+// with exactly the -m flags it needs (the rest of the codebase stays
+// portable baseline code).
 //
 // Numerics contract per slot:
+//  - quantize_rows_q8 is BIT-IDENTICAL across all backends for FINITE
+//    inputs: each block's amax is an order-independent max of |x|; its
+//    scale s = amax / 127.0f and inv = s > 0 ? 1.0f / s : 0 are scalar
+//    float ops; each element is one IEEE multiply x * inv (never a divide
+//    or a reciprocal estimate), rounded half-to-even in the default mode
+//    (lrintf, cvtps2dq, fcvtns) and clamped to [-127, 127]. |x * inv|
+//    exceeds 127 by at most a few ulps unless 1 / s overflows (amax below
+//    ~3.7e-37): then x * inv is +-inf or NaN, which each ISA converts
+//    the same way in its scalar and vector forms — x86 to the integer
+//    indefinite (-127 after the clamp), aarch64 saturating (+-127, NaN 0).
 //  - dot_rows_q8 is BIT-IDENTICAL across all backends and across group
 //    sizes: out[p] equals the scalar table's n = 1 result for position p
 //    alone. Each block dot is an exact int32 (integer adds reorder freely),
@@ -84,6 +95,13 @@ inline constexpr uint64_t kTileMinPositions = 2;
 // blocks (tensor.h geometry); `row` points at a row of such blocks.
 struct KernelDispatch {
   SimdIsa isa;
+
+  // Quantizes m rows of n floats (n a multiple of 32) to Q8_0 activations
+  // in the Q8Acts layout: row p's int8 values at q[p*n .. p*n + n), its
+  // block b scale at scale[b*m + p] (block-major). Writes nothing else and
+  // makes no heap allocation.
+  void (*quantize_rows_q8)(const float* x, uint64_t m, uint64_t n, int8_t* q,
+                           float* scale);
 
   // One weight row against n positions (1 <= n <= kMaxDotRows) in a single
   // pass: for each position p, out[p] = sum over blocks b of

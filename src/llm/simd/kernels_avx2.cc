@@ -4,6 +4,10 @@
 // so nothing here may be called on a lesser CPU.
 //
 // Bit-exactness notes (the contract kernels.h states):
+//  - QuantizeRowsQ8: amax is a max tree (order-independent), the block
+//    scale and its inverse are the scalar table's scalar divides, and each
+//    element is one mulps and a cvtps2dq (nearest-even, like lrintf); out
+//    of range both return the integer indefinite, which clamps to -127.
 //  - DotRowsQ8: the 32-wide int8 dot goes through the sign trick (|w| as
 //    u8 times sign(w)*x as s8 in maddubs; a pair sum is at most
 //    2 * 128 * 127 = 32512 < 2^15, so nothing saturates), reduces in exact
@@ -44,6 +48,50 @@ inline double Hsum4d(__m256d v) {
                          _mm256_extractf128_pd(v, 1));
   s = _mm_add_sd(s, _mm_unpackhi_pd(s, s));
   return _mm_cvtsd_f64(s);
+}
+
+// Each block as four 8-lane vectors: |x| max tree, scalar scale, then
+// mul, convert, two saturating packs and one dword permute back into
+// element order. Saturating to [-128, 127] and one max with -127 is the
+// scalar clamp.
+void QuantizeRowsQ8Avx2(const float* x, uint64_t m, uint64_t n, int8_t* q,
+                        float* scale) {
+  const uint64_t blocks = n / kQ8BlockElems;
+  const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
+  const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  const __m256i lo = _mm256_set1_epi8(-127);
+  for (uint64_t row = 0; row < m; ++row) {
+    for (uint64_t b = 0; b < blocks; ++b) {
+      const float* xb = x + row * n + b * kQ8BlockElems;
+      __m256 v[4];
+      for (int j = 0; j < 4; ++j) {
+        v[j] = _mm256_loadu_ps(xb + 8 * j);
+      }
+      const __m256 m8 = _mm256_max_ps(
+          _mm256_max_ps(_mm256_and_ps(v[0], abs_mask),
+                        _mm256_and_ps(v[1], abs_mask)),
+          _mm256_max_ps(_mm256_and_ps(v[2], abs_mask),
+                        _mm256_and_ps(v[3], abs_mask)));
+      __m128 m4 = _mm_max_ps(_mm256_castps256_ps128(m8),
+                             _mm256_extractf128_ps(m8, 1));
+      m4 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
+      m4 = _mm_max_ss(m4, _mm_movehdup_ps(m4));
+      const float amax = _mm_cvtss_f32(m4);
+      const float s = amax / 127.0f;
+      const float inv = s > 0.0f ? 1.0f / s : 0.0f;
+      scale[b * m + row] = s;
+      const __m256 vinv = _mm256_set1_ps(inv);
+      __m256i r[4];
+      for (int j = 0; j < 4; ++j) {
+        r[j] = _mm256_cvtps_epi32(_mm256_mul_ps(v[j], vinv));
+      }
+      const __m256i bytes = _mm256_packs_epi16(_mm256_packs_epi32(r[0], r[1]),
+                                               _mm256_packs_epi32(r[2], r[3]));
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(q + row * n + b * kQ8BlockElems),
+          _mm256_max_epi8(_mm256_permutevar8x32_epi32(bytes, order), lo));
+    }
+  }
 }
 
 // One weight row against N positions. Block-outer: each 32-byte weight
@@ -313,6 +361,7 @@ void SoftmaxAvx2(float* x, int n) {
 
 const KernelDispatch kAvx2Table = {
     SimdIsa::kAvx2F16c,
+    QuantizeRowsQ8Avx2,
     DotRowsQ8Avx2,
     nullptr,  // matmat_rows_q8: no matrix engine.
     DotQkF16Avx2,

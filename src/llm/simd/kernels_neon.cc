@@ -21,6 +21,43 @@
 namespace tzllm {
 namespace {
 
+// Each block as eight 4-lane vectors: |x| max across lanes, the scalar
+// scale, then mul and fcvtns (nearest-even, saturating like aarch64's
+// lrintf), two saturating narrows and one max with -127 — the scalar
+// clamp.
+void QuantizeRowsQ8Neon(const float* x, uint64_t m, uint64_t n, int8_t* q,
+                        float* scale) {
+  const uint64_t blocks = n / kQ8BlockElems;
+  const int8x16_t lo = vdupq_n_s8(-127);
+  for (uint64_t row = 0; row < m; ++row) {
+    for (uint64_t b = 0; b < blocks; ++b) {
+      const float* xb = x + row * n + b * kQ8BlockElems;
+      float32x4_t v[8];
+      float32x4_t vmax = vdupq_n_f32(0.0f);
+      for (int j = 0; j < 8; ++j) {
+        v[j] = vld1q_f32(xb + 4 * j);
+        vmax = vmaxq_f32(vmax, vabsq_f32(v[j]));
+      }
+      const float amax = vmaxvq_f32(vmax);
+      const float s = amax / 127.0f;
+      const float inv = s > 0.0f ? 1.0f / s : 0.0f;
+      scale[b * m + row] = s;
+      int16x8_t h[4];
+      for (int j = 0; j < 4; ++j) {
+        h[j] = vcombine_s16(
+            vqmovn_s32(vcvtnq_s32_f32(vmulq_n_f32(v[2 * j], inv))),
+            vqmovn_s32(vcvtnq_s32_f32(vmulq_n_f32(v[2 * j + 1], inv))));
+      }
+      int8_t* qb = q + row * n + b * kQ8BlockElems;
+      vst1q_s8(qb, vmaxq_s8(vcombine_s8(vqmovn_s16(h[0]), vqmovn_s16(h[1])),
+                            lo));
+      vst1q_s8(qb + 16,
+               vmaxq_s8(vcombine_s8(vqmovn_s16(h[2]), vqmovn_s16(h[3])),
+                        lo));
+    }
+  }
+}
+
 void DotRowsQ8Neon(const uint8_t* row, const int8_t* xq, uint64_t x_stride,
                    const float* xs, uint64_t xs_stride, uint64_t nblocks,
                    int n, float* out) {
@@ -175,6 +212,7 @@ void SoftmaxNeon(float* x, int n) {
 
 const KernelDispatch kNeonTable = {
     SimdIsa::kNeon,
+    QuantizeRowsQ8Neon,
     DotRowsQ8Neon,
     nullptr,  // matmat_rows_q8: no matrix engine.
     DotQkF16Neon,

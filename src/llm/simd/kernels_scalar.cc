@@ -12,6 +12,32 @@
 namespace tzllm {
 namespace {
 
+// The clamp guards the |x| == amax element against float rounding up, and
+// an infinite inv (see kernels.h).
+void QuantizeRowsQ8Scalar(const float* x, uint64_t m, uint64_t n, int8_t* q,
+                          float* scale) {
+  const uint64_t blocks = n / kQ8BlockElems;
+  for (uint64_t row = 0; row < m; ++row) {
+    const float* src = x + row * n;
+    int8_t* out = q + row * n;
+    for (uint64_t b = 0; b < blocks; ++b) {
+      const float* xb = src + b * kQ8BlockElems;
+      float amax = 0.0f;
+      for (uint64_t i = 0; i < kQ8BlockElems; ++i) {
+        amax = std::max(amax, std::fabs(xb[i]));
+      }
+      const float s = amax / 127.0f;
+      const float inv = s > 0.0f ? 1.0f / s : 0.0f;
+      scale[b * m + row] = s;
+      int8_t* qb = out + b * kQ8BlockElems;
+      for (uint64_t i = 0; i < kQ8BlockElems; ++i) {
+        const long r = std::lrintf(xb[i] * inv);
+        qb[i] = static_cast<int8_t>(std::max(-127l, std::min(127l, r)));
+      }
+    }
+  }
+}
+
 void DotRowsQ8Scalar(const uint8_t* row, const int8_t* xq, uint64_t x_stride,
                      const float* xs, uint64_t xs_stride, uint64_t nblocks,
                      int n, float* out) {
@@ -130,6 +156,7 @@ void SoftmaxScalar(float* x, int n) {
 
 const KernelDispatch kScalarTable = {
     SimdIsa::kScalar,
+    QuantizeRowsQ8Scalar,
     DotRowsQ8Scalar,
     nullptr,  // matmat_rows_q8: no matrix engine.
     DotQkF16Scalar,

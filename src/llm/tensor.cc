@@ -122,34 +122,14 @@ void DequantizeQ8(const uint8_t* src, uint64_t n, float* dst) {
   }
 }
 
-void Q8Acts::QuantizeRows(const float* x, uint64_t m_rows, uint64_t n) {
-  const uint64_t blocks = n / kQ8BlockElems;
+void Q8Acts::QuantizeRows(const float* x, uint64_t m_rows, uint64_t n,
+                          const KernelDispatch* kernels) {
+  const KernelDispatch* k = kernels != nullptr ? kernels : ActiveKernels();
   cols = n;
   m = m_rows;
   q.resize(m_rows * n);
-  scale.resize(m_rows * blocks);
-  for (uint64_t row = 0; row < m_rows; ++row) {
-    const float* src = x + row * n;
-    int8_t* out = q.data() + row * n;
-    for (uint64_t b = 0; b < blocks; ++b) {
-      const float* xb = src + b * kQ8BlockElems;
-      float amax = 0.0f;
-      for (uint64_t i = 0; i < kQ8BlockElems; ++i) {
-        amax = std::max(amax, std::fabs(xb[i]));
-      }
-      const float s = amax / 127.0f;
-      const float inv = s > 0.0f ? 1.0f / s : 0.0f;
-      scale[b * m_rows + row] = s;
-      int8_t* qb = out + b * kQ8BlockElems;
-      for (uint64_t i = 0; i < kQ8BlockElems; ++i) {
-        // lrintf (round-to-nearest-even) compiles to one cvtss2si; round()
-        // is a libm call per element and dominated quantization time. The
-        // clamp guards the |x| == amax element against float rounding up.
-        const long r = std::lrintf(xb[i] * inv);
-        qb[i] = static_cast<int8_t>(std::max(-127l, std::min(127l, r)));
-      }
-    }
-  }
+  scale.resize(m_rows * (n / kQ8BlockElems));
+  k->quantize_rows_q8(x, m_rows, n, q.data(), scale.data());
 }
 
 namespace {
@@ -164,7 +144,7 @@ constexpr uint64_t kParallelMinWork = 48 * 1024;
 void MatVecQ8(const uint8_t* w, uint64_t rows, uint64_t cols, const float* x,
               float* y, ThreadPool* pool, const KernelDispatch* kernels) {
   thread_local Q8Acts acts;
-  acts.Quantize(x, cols);
+  acts.Quantize(x, cols, kernels);
   MatMatQ8(w, rows, cols, acts, y, pool, kernels);
 }
 

@@ -76,10 +76,16 @@ struct Q8Acts {
   uint64_t cols = 0;
   uint64_t m = 0;
 
-  void Quantize(const float* x, uint64_t n) { QuantizeRows(x, 1, n); }
-  // Quantizes m rows of n floats each (n a multiple of 32). Values are
-  // clamped to [-127, 127], which the SIMD dot kernels rely on.
-  void QuantizeRows(const float* x, uint64_t m_rows, uint64_t n);
+  void Quantize(const float* x, uint64_t n,
+                const KernelDispatch* kernels = nullptr) {
+    QuantizeRows(x, 1, n, kernels);
+  }
+  // Quantizes m rows of n floats each (n a multiple of 32) through
+  // `kernels`' quantize_rows_q8 slot (nullptr = ActiveKernels()), which is
+  // bit-identical on every table. Values are clamped to [-127, 127], which
+  // the SIMD dot kernels rely on. Allocates only to grow q and scale.
+  void QuantizeRows(const float* x, uint64_t m_rows, uint64_t n,
+                    const KernelDispatch* kernels = nullptr);
 };
 
 // y[r] = sum_c W[r,c] * x[c] for a Q8_0 row-major weight matrix W

@@ -137,12 +137,5 @@ TEST(Sha256RowsTest, RandomSplitsMatchPortableOneShot) {
   }
 }
 
-TEST(Sha256Test, Tag64IsPrefix) {
-  const Sha256Digest d = Sha256::Hash("abc");
-  const uint64_t tag = DigestToTag64(d);
-  EXPECT_EQ(tag >> 56, d[0]);
-  EXPECT_EQ(tag & 0xFF, d[7]);
-}
-
 }  // namespace
 }  // namespace tzllm

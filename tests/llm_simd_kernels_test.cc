@@ -1,8 +1,8 @@
 // Dispatch-resolution and kernel-table tests (ISSUE 3): the scalar table is
 // selected under force_scalar / TZLLM_SIMD=off, CPUID gating never selects
-// an unsupported table, the integer-dot row kernels (and the AMX tile
-// slot) are bit-identical across backends, and the float kernels track
-// scalar within tight bounds.
+// an unsupported table, the activation quantizer and the integer-dot row
+// kernels (and the AMX tile slot) are bit-identical across backends, and
+// the float kernels track scalar within tight bounds.
 
 #include <gtest/gtest.h>
 
@@ -170,6 +170,7 @@ TEST(SimdDispatchTest, TablesAreFullyPopulated) {
     if (t == nullptr) {
       continue;
     }
+    EXPECT_NE(t->quantize_rows_q8, nullptr);
     EXPECT_NE(t->dot_rows_q8, nullptr);
     // Only a matrix-engine table has the tile slot.
     EXPECT_EQ(t->matmat_rows_q8 != nullptr, t->isa == SimdIsa::kAmxInt8)
@@ -188,9 +189,139 @@ TEST(SimdDispatchTest, TablesAreFullyPopulated) {
     const KernelDispatch* avx2 = Avx2Kernels();
     ASSERT_NE(avx2, nullptr);
     EXPECT_EQ(amx->isa, SimdIsa::kAmxInt8);
+    EXPECT_EQ(amx->quantize_rows_q8, avx2->quantize_rows_q8);
     EXPECT_EQ(amx->dot_rows_q8, avx2->dot_rows_q8);
     EXPECT_EQ(amx->dot_qk_f16, avx2->dot_qk_f16);
     EXPECT_EQ(amx->softmax, avx2->softmax);
+  }
+}
+
+// --- Activation quantization: bit-identical across backends. ---
+
+// Block patterns at the quantizer's edges, all finite: zeros, signed
+// zeros, one nonzero, elements at +-amax, values the block scale puts
+// exactly on k + 0.5 (s = 1 and s = 2), magnitudes near 1e30, and a
+// subnormal amax, whose 1 / s overflows to inf.
+constexpr int kQuantEdgeKinds = 8;
+
+void FillEdgeBlock(int kind, std::mt19937& rng, float* xb) {
+  std::normal_distribution<float> gauss(0.0f, 1.0f);
+  const uint64_t lone = rng() % kQ8BlockElems;
+  for (uint64_t i = 0; i < kQ8BlockElems; ++i) {
+    const float sign = i % 2 == 0 ? 1.0f : -1.0f;
+    switch (kind) {
+      case 0:
+        xb[i] = 0.0f;
+        break;
+      case 1:
+        xb[i] = sign * 0.0f;
+        break;
+      case 2:
+        xb[i] = i == lone ? gauss(rng) : 0.0f;
+        break;
+      case 3:  // amax = 3.25: every third element at +-amax.
+        xb[i] = i % 3 == 0 ? sign * 3.25f
+                           : std::clamp(gauss(rng), -3.0f, 3.0f);
+        break;
+      case 4:  // s = 127 / 127 = 1: x * inv = k + 0.5 exactly.
+        xb[i] = i == 0 ? 127.0f
+                       : static_cast<float>(static_cast<int>(rng() % 254) -
+                                            127) +
+                             0.5f;
+        break;
+      case 5:  // s = 254 / 127 = 2: odd x, x * 0.5 = k + 0.5 exactly.
+        xb[i] = i == 0 ? -254.0f
+                       : static_cast<float>(
+                             2 * (static_cast<int>(rng() % 254) - 127) + 1);
+        break;
+      case 6:
+        xb[i] = gauss(rng) * 1e30f;
+        break;
+      default:  // amax 1e-40: inv = inf, so x * inv is +-inf or NaN.
+        xb[i] = i % 4 == 0 ? sign * 1e-40f : (i % 4 == 1 ? 5e-41f : 0.0f);
+        break;
+    }
+  }
+}
+
+// m rows of `cols` floats. Blocks, counted row-major, run through the
+// edge patterns in turn, then as many gaussian blocks at a per-row scale
+// from 1e-3 to 1e4, and repeat.
+std::vector<float> QuantizeInputs(uint64_t m, uint64_t cols, uint32_t seed) {
+  constexpr float kRowScales[] = {1.0f, 1e-3f, 37.0f, 1e4f};
+  std::mt19937 rng(seed);
+  std::normal_distribution<float> gauss(0.0f, 1.0f);
+  std::vector<float> x(m * cols);
+  const uint64_t blocks = cols / kQ8BlockElems;
+  for (uint64_t p = 0; p < m; ++p) {
+    for (uint64_t b = 0; b < blocks; ++b) {
+      float* xb = x.data() + p * cols + b * kQ8BlockElems;
+      const uint64_t pick = (p * blocks + b) % (2 * kQuantEdgeKinds);
+      if (pick < kQuantEdgeKinds) {
+        FillEdgeBlock(static_cast<int>(pick), rng, xb);
+        continue;
+      }
+      for (uint64_t i = 0; i < kQ8BlockElems; ++i) {
+        xb[i] = gauss(rng) * kRowScales[p % std::size(kRowScales)];
+      }
+    }
+  }
+  return x;
+}
+
+TEST(SimdQuantizeTest, ScalarOracleRoundsHalfToEven) {
+  // One s = 1 block: halves round to even, 127 stays 127.
+  float x[kQ8BlockElems] = {127.0f, 0.5f,  1.5f,   2.5f,  -0.5f,
+                            -1.5f,  -2.5f, 126.5f, -126.5f};
+  int8_t q[kQ8BlockElems];
+  float s = 0.0f;
+  ScalarKernels()->quantize_rows_q8(x, 1, kQ8BlockElems, q, &s);
+  EXPECT_EQ(s, 1.0f);
+  const int8_t want[] = {127, 0, 2, 2, 0, -2, -2, 126, -126};
+  for (size_t i = 0; i < std::size(want); ++i) {
+    EXPECT_EQ(q[i], want[i]) << i;
+  }
+  for (size_t i = std::size(want); i < kQ8BlockElems; ++i) {
+    EXPECT_EQ(q[i], 0) << i;
+  }
+}
+
+TEST(SimdQuantizeTest, QuantizeRowsBitIdenticalSimdVsScalar) {
+  if (HostSimdTables().empty()) {
+    GTEST_SKIP() << "host has no SIMD backend; scalar-only";
+  }
+  // q byte for byte and every scale bit for bit, at every m from 1 to 17
+  // and one block, d_model and d_ff wide rows. Guard bytes past both
+  // outputs catch a write outside the Q8Acts layout.
+  constexpr int8_t kGuardQ = 0x5A;
+  constexpr float kGuardScale = -1234.5f;
+  constexpr uint64_t kGuard = 64;
+  for (uint64_t cols : {uint64_t{32}, uint64_t{512}, uint64_t{1408}}) {
+    const uint64_t blocks = cols / kQ8BlockElems;
+    for (uint64_t m = 1; m <= 17; ++m) {
+      const auto x =
+          QuantizeInputs(m, cols, static_cast<uint32_t>(cols * 100 + m));
+      std::vector<int8_t> want_q(m * cols);
+      std::vector<float> want_s(m * blocks);
+      ScalarKernels()->quantize_rows_q8(x.data(), m, cols, want_q.data(),
+                                        want_s.data());
+      for (const KernelDispatch* simd : HostSimdTables()) {
+        std::vector<int8_t> q(m * cols + kGuard, kGuardQ);
+        std::vector<float> s(m * blocks + kGuard, kGuardScale);
+        simd->quantize_rows_q8(x.data(), m, cols, q.data(), s.data());
+        EXPECT_EQ(0, std::memcmp(q.data(), want_q.data(), want_q.size()))
+            << SimdIsaName(simd->isa) << " cols " << cols << " m " << m;
+        EXPECT_EQ(0, std::memcmp(s.data(), want_s.data(),
+                                 want_s.size() * sizeof(float)))
+            << SimdIsaName(simd->isa) << " cols " << cols << " m " << m;
+        EXPECT_TRUE(std::all_of(q.begin() + want_q.size(), q.end(),
+                                [](int8_t v) { return v == kGuardQ; }))
+            << SimdIsaName(simd->isa) << " wrote past q";
+        EXPECT_TRUE(std::all_of(s.begin() + want_s.size(), s.end(),
+                                [](float v) { return v == kGuardScale; }))
+            << SimdIsaName(simd->isa) << " wrote past scale";
+      }
+    }
   }
 }
 

@@ -350,18 +350,22 @@ TEST(MatMatQ8Test, MakesNoHeapAllocation) {
   Tensor w = MakeRandomTensor("w", DType::kQ8_0, rows, cols, 41);
   Rng rng(42);
   std::vector<Q8Acts> acts(17);
-  std::vector<std::vector<float>> ys(17);
+  std::vector<std::vector<float>> xs(17), ys(17);
   for (uint64_t m = 1; m <= 17; ++m) {
-    std::vector<float> x(m * cols);
-    for (auto& v : x) {
+    xs[m - 1].resize(m * cols);
+    for (auto& v : xs[m - 1]) {
       v = static_cast<float>(rng.NextGaussian(0.0, 0.5));
     }
-    acts[m - 1].QuantizeRows(x.data(), m, cols);
+    acts[m - 1].QuantizeRows(xs[m - 1].data(), m, cols);
     ys[m - 1].resize(m * rows);
   }
   (void)ActiveKernels();  // Resolved once per process; not MatMatQ8's cost.
   for (uint64_t m = 1; m <= 17; ++m) {
-    const uint64_t before = t_heap_allocs;
+    // Requantizing into an already-sized Q8Acts only overwrites it.
+    uint64_t before = t_heap_allocs;
+    acts[m - 1].QuantizeRows(xs[m - 1].data(), m, cols);
+    EXPECT_EQ(t_heap_allocs, before) << "QuantizeRows m=" << m;
+    before = t_heap_allocs;
     MatMatQ8(w.data.data(), rows, cols, acts[m - 1], ys[m - 1].data());
     EXPECT_EQ(t_heap_allocs, before) << "m=" << m;
   }
