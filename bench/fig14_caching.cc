@@ -167,8 +167,7 @@ int main() {
 
   const ModelSpec spec = ModelSpec::Create(CachingModel());
   const uint64_t pool_bytes =
-      kPoolFrames *
-      KvPagePool::PageBytes(spec, KvStorage::kF16, kPagePositions);
+      kPoolFrames * KvPagePool::PageBytes(spec, kPagePositions);
 
   RuntimeConfig paged_config;
   paged_config.model = CachingModel();

@@ -171,19 +171,6 @@ void BM_MatVecQ8(benchmark::State& state) {
 }
 BENCHMARK(BM_MatVecQ8)->Arg(64)->Arg(256)->Arg(512);
 
-void BM_MatVecQ8Reference(benchmark::State& state) {
-  // The seed's scalar float-activation kernel, kept as the baseline.
-  const uint64_t dim = state.range(0);
-  Tensor w = MakeRandomTensor("w", DType::kQ8_0, dim, dim, 3);
-  std::vector<float> x(dim, 0.1f), y(dim, 0.0f);
-  for (auto _ : state) {
-    MatVecQ8Reference(w.data.data(), dim, dim, x.data(), y.data());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * dim * dim);
-}
-BENCHMARK(BM_MatVecQ8Reference)->Arg(64)->Arg(256)->Arg(512);
-
 void BM_MatVecQ8Threaded(benchmark::State& state) {
   const uint64_t dim = state.range(0);
   const int n_threads = static_cast<int>(state.range(1));

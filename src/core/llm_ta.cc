@@ -123,7 +123,6 @@ Status LlmTa::LoadModel(const std::string& model_id, SchedulePolicy policy) {
   // session's full context in whole pages.
   KvArenaOptions arena_options;
   arena_options.slots = engine_options_.max_sessions;
-  arena_options.storage = KvStorageFor(engine_options_);
   arena_options.kernels = KernelsFor(engine_options_);
   arena_options.pool.page_positions = engine_options_.kv_page_positions;
   arena_options.pool.pool_bytes = engine_options_.kv_pool_bytes;

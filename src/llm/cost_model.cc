@@ -48,7 +48,7 @@ SimDuration CostModel::DecodeOpTime(const OpNode& node, int pos,
                                     Backend backend) const {
   if (node.weight_bytes == 0) {
     // Attention over the KV cache: stream K and V rows [0, pos) at the f16
-    // width the arena actually stores (KvStorage::kF16) — the same constants
+    // width the arena actually stores — the same constants
     // KvCache::CurrentBytes accounts with.
     const uint64_t kv_bytes = kKvVectorsPerPosition *
                               spec_->config().kv_dim() *

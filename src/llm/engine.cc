@@ -9,8 +9,7 @@ LlmEngine::LlmEngine(const ModelSpec& spec,
                      const EngineOptions& options)
     : spec_(spec), weights_(std::move(weights)) {
   tokenizer_ = std::make_unique<Tokenizer>(spec_.config().vocab_size);
-  kv_ = std::make_unique<KvCache>(spec_, KvStorageFor(options),
-                                  KernelsFor(options));
+  kv_ = std::make_unique<KvCache>(spec_, KernelsFor(options));
   executor_ = std::make_unique<TransformerExecutor>(&spec_, weights_.get(),
                                                     options);
 }

@@ -54,8 +54,8 @@ Status EngineOptions::Validate() const {
   }
 
   // NPU / fault groups apply only when the configuration actually routes
-  // prefill to the NPU backend; inert combinations (reference kernels,
-  // prefill_batch <= 1) stay valid whatever the NPU knobs say.
+  // prefill to the NPU backend; an inert combination (prefill_batch <= 1)
+  // stays valid whatever the NPU knobs say.
   if (npu_prefill_active()) {
     if (npu_job_timeout == 0) {
       return InvalidArgument(

@@ -18,7 +18,6 @@
 
 #include "src/common/status.h"
 #include "src/common/units.h"
-#include "src/llm/kv_cache.h"
 
 namespace tzllm {
 
@@ -49,21 +48,11 @@ struct EngineOptions {
   // Also the serving runtime's prefill scheduling quantum: each scheduler
   // tick advances one admitted session by one chunk of this many positions.
   int prefill_batch = 32;
-  // Runs the seed's scalar float-activation kernels and per-call RoPE — the
-  // performance/numerics baseline the benches and parity tests compare
-  // against. Every Forward row then runs one position at a time through the
-  // reference MatVecs on the CPU (no NPU), over f32 KV storage.
-  bool use_reference_kernels = false;
-  // Stores the KV cache at f32 instead of the default f16 — the full-width
-  // numerics baseline the f16-KV parity suite diffs against. Costs 2x cache
-  // footprint, so CurrentBytes() reports 2x the f16 accounting.
-  bool kv_f32 = false;
   // Binds this engine to the portable-scalar kernel table even when the CPU
   // supports a SIMD backend — the software half of the SIMD-vs-scalar parity
   // suite (the process-wide TZLLM_SIMD=off env override is the other half),
-  // so both dispatch paths are testable on one machine. Unlike
-  // use_reference_kernels this keeps the quantized kernels, batched prefill
-  // and f16 KV cache; only the inner-loop table changes.
+  // so both dispatch paths are testable on one machine. Only the inner-loop
+  // table changes; the schedule and the f16 KV cache stay the same.
   bool force_scalar = false;
   // Accumulates attention-phase wall time in the executor (bench
   // instrumentation; off by default so production decode takes no clock
@@ -82,8 +71,8 @@ struct EngineOptions {
   // own kernel table (the integer-dot rows are bit-identical across tables,
   // and the fused layer-tail's norm/silu glue must match the CPU path
   // exactly), so the combination never changes a logit. Inert under
-  // use_reference_kernels or prefill_batch <= 1, which keep prefill on the
-  // CPU (see npu_prefill_active()).
+  // prefill_batch <= 1, which keeps prefill on the CPU (see
+  // npu_prefill_active()).
   bool npu_prefill = false;
   // Fuses each chunk-layer's matmul group into one secure NPU job (QKV as
   // one job; the whole post-attention segment — Wo + residual + FFN norm +
@@ -182,12 +171,12 @@ struct EngineOptions {
   int kv_recompute_max = 256;
 
   // True exactly when this configuration routes prefill to the NPU backend
-  // (reference kernels and prefill_batch <= 1 keep prefill on the CPU,
-  // making npu_prefill genuinely inert) — THE predicate LoadModel
-  // budgets job contexts with, and the one Validate() gates the NPU/fault
-  // knob checks on, so there is no second spelling to drift.
+  // (prefill_batch <= 1 keeps prefill on the CPU, making npu_prefill
+  // genuinely inert) — THE predicate LoadModel budgets job contexts with,
+  // and the one Validate() gates the NPU/fault knob checks on, so there is
+  // no second spelling to drift.
   bool npu_prefill_active() const {
-    return npu_prefill && !use_reference_kernels && prefill_batch > 1;
+    return npu_prefill && prefill_batch > 1;
   }
 
   // Validates the whole configuration, cross-knob effects included
@@ -212,13 +201,6 @@ inline int ResolvedThreads(const EngineOptions& options) {
     return std::max(1, options.n_threads);
   }
   return options.n_threads <= 0 ? hw : std::min(options.n_threads, hw);
-}
-
-// Arena element type for the options' KV mode (reference kernels keep the
-// seed's full-width cache so the baseline numerics stay frozen).
-inline KvStorage KvStorageFor(const EngineOptions& options) {
-  return options.kv_f32 || options.use_reference_kernels ? KvStorage::kF32
-                                                         : KvStorage::kF16;
 }
 
 }  // namespace tzllm

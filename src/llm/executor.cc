@@ -68,11 +68,9 @@ TransformerExecutor::TransformerExecutor(const ModelSpec* spec,
     pool_ = std::make_unique<ThreadPool>(n_threads_);
   }
   cpu_backend_ = std::make_unique<CpuBackend>(pool_.get(), kernels_);
-  // prefill_batch <= 1 keeps prefill on the CPU (npu_prefill_active()), and
-  // the reference path never submits.
-  const bool offload = prefill_backend != nullptr &&
-                       options_.prefill_batch > 1 &&
-                       !options_.use_reference_kernels;
+  // prefill_batch <= 1 keeps prefill on the CPU (npu_prefill_active()).
+  const bool offload =
+      prefill_backend != nullptr && options_.prefill_batch > 1;
   prefill_backend_ = offload ? prefill_backend : cpu_backend_.get();
   // One attention-scores row per pool part (each (position, head) work item
   // fully rewrites its part's row before reading it).
@@ -92,8 +90,7 @@ Result<const uint8_t*> TransformerExecutor::Weights(TensorRole role,
 void TransformerExecutor::Rope(float* vec, int n_heads, int pos) const {
   const int head_dim = spec_->config().head_dim();
   const RopeTable& table = spec_->rope();
-  if (options_.use_reference_kernels || table.empty() ||
-      pos >= table.max_ctx()) {
+  if (table.empty() || pos >= table.max_ctx()) {
     ApplyRope(vec, n_heads, head_dim, pos);
   } else {
     ApplyRopeTable(vec, n_heads, head_dim, pos, table);
@@ -146,7 +143,6 @@ void TransformerExecutor::Attend(int layer, int start, int m, const float* q,
   const int kv_dim = c.kv_dim();
   const int group = n_heads / c.n_kv_heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  const bool f16 = kv.storage() == KvStorage::kF16;
 
   // One flat work list of m x n_heads independent (position, head) items,
   // split into one contiguous range per pool part (the same static
@@ -169,46 +165,24 @@ void TransformerExecutor::Attend(int layer, int start, int m, const float* q,
       // moves a float.
       // The caller holds a step pin, so every page base stays valid across
       // this parallel region.
-      if (f16) {
-        for (int p = 0; p <= pos;) {
-          const int run = std::min(kv.RunLen(p), pos + 1 - p);
-          const uint16_t* kp = kv.KeyHalfAt(layer, p) + head_off;
-          for (int r = 0; r < run; ++r, kp += kv_dim) {
-            scores[p + r] = kernels_->dot_qk_f16(qh, kp, head_dim) * scale;
-          }
-          p += run;
+      for (int p = 0; p <= pos;) {
+        const int run = std::min(kv.RunLen(p), pos + 1 - p);
+        const uint16_t* kp = kv.KeyHalfAt(layer, p) + head_off;
+        for (int r = 0; r < run; ++r, kp += kv_dim) {
+          scores[p + r] = kernels_->dot_qk_f16(qh, kp, head_dim) * scale;
         }
-      } else {
-        for (int p = 0; p <= pos;) {
-          const int run = std::min(kv.RunLen(p), pos + 1 - p);
-          const float* kp = kv.KeyAt(layer, p) + head_off;
-          for (int r = 0; r < run; ++r, kp += kv_dim) {
-            scores[p + r] = kernels_->dot_qk_f32(qh, kp, head_dim) * scale;
-          }
-          p += run;
-        }
+        p += run;
       }
       kernels_->softmax(scores, pos + 1);
       float* oh = out + static_cast<size_t>(i) * d + h * head_dim;
       std::fill(oh, oh + head_dim, 0.0f);
-      if (f16) {
-        for (int p = 0; p <= pos;) {
-          const int run = std::min(kv.RunLen(p), pos + 1 - p);
-          const uint16_t* vp = kv.ValueHalfAt(layer, p) + head_off;
-          for (int r = 0; r < run; ++r, vp += kv_dim) {
-            kernels_->axpy_f16(scores[p + r], vp, oh, head_dim);
-          }
-          p += run;
+      for (int p = 0; p <= pos;) {
+        const int run = std::min(kv.RunLen(p), pos + 1 - p);
+        const uint16_t* vp = kv.ValueHalfAt(layer, p) + head_off;
+        for (int r = 0; r < run; ++r, vp += kv_dim) {
+          kernels_->axpy_f16(scores[p + r], vp, oh, head_dim);
         }
-      } else {
-        for (int p = 0; p <= pos;) {
-          const int run = std::min(kv.RunLen(p), pos + 1 - p);
-          const float* vp = kv.ValueAt(layer, p) + head_off;
-          for (int r = 0; r < run; ++r, vp += kv_dim) {
-            kernels_->axpy_f32(scores[p + r], vp, oh, head_dim);
-          }
-          p += run;
-        }
+        p += run;
       }
     }
   };
@@ -280,16 +254,9 @@ Status TransformerExecutor::Forward(const ForwardRow* rows, int n,
     }
     pins_.push_back(std::move(*pin));
   }
-  Status st;
-  if (options_.use_reference_kernels) {
-    for (int r = 0; r < n && st.ok(); ++r) {
-      st = ForwardReference(rows[r]);
-    }
-  } else {
-    st = ForwardRows(rows, n,
-                     phase == ForwardPhase::kPrefill ? prefill_backend_
-                                                     : cpu_backend_.get());
-  }
+  const Status st = ForwardRows(
+      rows, n,
+      phase == ForwardPhase::kPrefill ? prefill_backend_ : cpu_backend_.get());
   pins_.clear();
   return st;
 }
@@ -568,82 +535,6 @@ Status TransformerExecutor::PrefillWavefront(
               sizeof(float) * d);
   const ForwardRow row{kv, nullptr, 1, logits};
   return LmHead(&row, 1);
-}
-
-Status TransformerExecutor::ForwardReference(const ForwardRow& row) {
-  Reserve(&act_, 1);
-  // hiddens row 0 is the residual stream: ForwardPosition only touches the
-  // other activation buffers.
-  float* hidden = act_.hiddens.data();
-  for (int i = 0; i < row.m; ++i) {
-    TZLLM_RETURN_IF_ERROR(EmbedToken(row.tokens[i], hidden));
-    TZLLM_RETURN_IF_ERROR(ForwardPosition(hidden, row.kv->seq_len(), row.kv));
-  }
-  return row.logits != nullptr ? LogitsInto(hidden, row.logits) : OkStatus();
-}
-
-Status TransformerExecutor::ForwardPosition(float* hidden, int pos,
-                                            KvCache* kv) {
-  const LlmConfig& c = spec_->config();
-  const uint64_t d = c.d_model, kv_dim = c.kv_dim(), ff = c.d_ff;
-  Activations& a = act_;
-  for (int l = 0; l < c.n_layers; ++l) {
-    // --- Attention block. ---
-    TZLLM_ASSIGN_OR_RETURN(w_norm, Weights(TensorRole::kAttnNorm, l));
-    kernels_->rms_norm(hidden, reinterpret_cast<const float*>(w_norm),
-                       a.norm.data(), c.d_model);
-
-    TZLLM_ASSIGN_OR_RETURN(wq, Weights(TensorRole::kWq, l));
-    TZLLM_ASSIGN_OR_RETURN(wk, Weights(TensorRole::kWk, l));
-    TZLLM_ASSIGN_OR_RETURN(wv, Weights(TensorRole::kWv, l));
-    MatVecQ8Reference(wq, d, d, a.norm.data(), a.q.data());
-    MatVecQ8Reference(wk, kv_dim, d, a.norm.data(), a.k.data());
-    MatVecQ8Reference(wv, kv_dim, d, a.norm.data(), a.v.data());
-
-    Rope(a.q.data(), c.n_heads, pos);
-    Rope(a.k.data(), c.n_kv_heads, pos);
-    TZLLM_RETURN_IF_ERROR(kv->Append(l, a.k.data(), a.v.data()));
-
-    Attend(l, pos, /*m=*/1, a.q.data(), a.attn.data(), *kv);
-
-    TZLLM_ASSIGN_OR_RETURN(wo, Weights(TensorRole::kWo, l));
-    MatVecQ8Reference(wo, d, d, a.attn.data(), a.proj.data());
-    for (uint64_t i = 0; i < d; ++i) {
-      hidden[i] += a.proj[i];
-    }
-
-    // --- FFN block (SwiGLU). ---
-    TZLLM_ASSIGN_OR_RETURN(w_ffn_norm, Weights(TensorRole::kFfnNorm, l));
-    kernels_->rms_norm(hidden, reinterpret_cast<const float*>(w_ffn_norm),
-                       a.norm.data(), c.d_model);
-
-    TZLLM_ASSIGN_OR_RETURN(w_gate, Weights(TensorRole::kWGate, l));
-    TZLLM_ASSIGN_OR_RETURN(w_up, Weights(TensorRole::kWUp, l));
-    TZLLM_ASSIGN_OR_RETURN(w_down, Weights(TensorRole::kWDown, l));
-    MatVecQ8Reference(w_gate, ff, d, a.norm.data(), a.gate.data());
-    MatVecQ8Reference(w_up, ff, d, a.norm.data(), a.up.data());
-    for (uint64_t i = 0; i < ff; ++i) {
-      const float g = a.gate[i];
-      const float silu = g / (1.0f + std::exp(-g));
-      a.gate[i] = silu * a.up[i];
-    }
-    MatVecQ8Reference(w_down, d, ff, a.gate.data(), a.down.data());
-    for (uint64_t i = 0; i < d; ++i) {
-      hidden[i] += a.down[i];
-    }
-  }
-  kv->FinishPosition();
-  return OkStatus();
-}
-
-Status TransformerExecutor::LogitsInto(const float* hidden, float* out) {
-  const LlmConfig& c = spec_->config();
-  TZLLM_ASSIGN_OR_RETURN(w_norm, Weights(TensorRole::kOutputNorm, -1));
-  kernels_->rms_norm(hidden, reinterpret_cast<const float*>(w_norm),
-                     act_.norm.data(), c.d_model);
-  TZLLM_ASSIGN_OR_RETURN(head, Weights(TensorRole::kLmHead, -1));
-  MatVecQ8Reference(head, c.vocab_size, c.d_model, act_.norm.data(), out);
-  return OkStatus();
 }
 
 }  // namespace tzllm

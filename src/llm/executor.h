@@ -82,8 +82,7 @@ class TransformerExecutor {
   // swaps where kPrefill matmuls run: nullptr keeps them on the executor's
   // own CpuBackend; the LLM TA passes an NpuBackend to offload them through
   // the secure co-driver. kDecode matmuls and the LM head always run on the
-  // CPU backend, and so does everything when prefill_batch <= 1 or under
-  // use_reference_kernels.
+  // CPU backend, and so does everything when prefill_batch <= 1.
   TransformerExecutor(const ModelSpec* spec, WeightSource* weights,
                       const EngineOptions& options = {},
                       ComputeBackend* prefill_backend = nullptr);
@@ -105,9 +104,7 @@ class TransformerExecutor {
   // to running it alone, and to any chunking of it. All checks (empty batch
   // or row, missing cache or decode logits, a cache named twice, context
   // overflow) fail before anything is pinned or appended; every cache is
-  // then pinned, in row order, for the whole pass. Under
-  // use_reference_kernels each row instead runs one position at a time
-  // through the seed's reference kernels (ForwardPosition).
+  // then pinned, in row order, for the whole pass.
   Status Forward(const ForwardRow* rows, int n, ForwardPhase phase);
 
   // Wall-clock seconds spent in Attend since construction. Only
@@ -173,23 +170,13 @@ class TransformerExecutor {
   // Advances a wavefront chunk by one stage.
   Status PipeAdvance(PipeSlot* ch, KvCache* kv);
 
-  // The use_reference_kernels path: the seed's scalar float-activation
-  // MatVecs, one position at a time through every layer. Its kernels take
-  // float activations and have no MatMat form.
-  Status ForwardReference(const ForwardRow& row);
-  // One position given its embedding in `hidden` (d_model floats, updated
-  // in place).
-  Status ForwardPosition(float* hidden, int pos, KvCache* kv);
-  Status LogitsInto(const float* hidden, float* out);
-
   // Fused causal attention for `m` consecutive positions starting at
   // `start`: fills out rows [m][d_model] from q rows [m][d_model] and the KV
   // cache rows [0, start + i] of `layer`. The m x n_heads head loops are one
   // flat work list, statically partitioned over the pool (same deterministic
   // schedule as the matmul kernels): each (position, head) item is
   // independent, so the result is bit-identical at any thread count. Reads
-  // the cache at its storage width (f16 expand via F16ToF32Fast, or the f32
-  // reference arena).
+  // the f16 cache through the table's dot_qk_f16 / axpy_f16 slots.
   void Attend(int layer, int start, int m, const float* q, float* out,
               const KvCache& kv);
   Status EmbedToken(TokenId token, float* hidden);
@@ -204,8 +191,8 @@ class TransformerExecutor {
   WeightSource* weights_;
   EngineOptions options_;
   // The SIMD backend every inner loop routes through: the scalar table when
-  // options force it (use_reference_kernels / force_scalar), otherwise the
-  // CPUID-resolved process-wide table. One resolution at construction — hot
+  // options force it (force_scalar), otherwise the CPUID-resolved
+  // process-wide table. One resolution at construction — hot
   // loops pay an indirect call, never a feature branch.
   const KernelDispatch* kernels_;
   // ResolvedThreads(options): 0 = auto, always clamped to the hardware —

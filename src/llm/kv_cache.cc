@@ -12,6 +12,11 @@ namespace tzllm {
 
 namespace {
 
+// The KV snapshot header's storage tag. The cache stores f16 only; the tag
+// stays in the format so snapshots keep their layout, and any other value
+// is rejected as a geometry mismatch.
+constexpr uint32_t kSnapshotF16Tag = 0;
+
 // Pages one session needs to hold its full context resident.
 uint64_t PagesPerContext(const ModelSpec& spec, int page_positions) {
   const uint64_t pp = static_cast<uint64_t>(std::max(1, page_positions));
@@ -29,7 +34,7 @@ KvPagePoolOptions ArenaPoolOptions(const ModelSpec& spec,
     pool.pool_bytes =
         static_cast<uint64_t>(std::max(1, options.slots)) *
         PagesPerContext(spec, pool.page_positions) *
-        KvPagePool::PageBytes(spec, options.storage, pool.page_positions);
+        KvPagePool::PageBytes(spec, pool.page_positions);
   }
   return pool;
 }
@@ -37,13 +42,12 @@ KvPagePoolOptions ArenaPoolOptions(const ModelSpec& spec,
 // A standalone cache's private pool: one frame whose one page holds the
 // whole context, spill off. At this page size KOffset/VOffset index one
 // contiguous [layer][pos][kv_dim] plane each.
-std::unique_ptr<KvPagePool> OnePagePool(const ModelSpec& spec,
-                                        KvStorage storage) {
+std::unique_ptr<KvPagePool> OnePagePool(const ModelSpec& spec) {
   KvPagePoolOptions opts;
   opts.page_positions = spec.config().max_ctx;
-  opts.pool_bytes = KvPagePool::PageBytes(spec, storage, opts.page_positions);
+  opts.pool_bytes = KvPagePool::PageBytes(spec, opts.page_positions);
   opts.spill = false;
-  return std::make_unique<KvPagePool>(spec, storage, opts);
+  return std::make_unique<KvPagePool>(spec, opts);
 }
 
 // FNV-1a over the token ids' little-endian bytes: the prefix registry key.
@@ -79,32 +83,26 @@ KvCachePin::~KvCachePin() {
   }
 }
 
-KvCache::KvCache(const ModelSpec& spec, KvStorage storage,
-                 const KernelDispatch* kernels)
-    : KvCache(spec, OnePagePool(spec, storage), storage, kernels) {}
+KvCache::KvCache(const ModelSpec& spec, const KernelDispatch* kernels)
+    : KvCache(spec, OnePagePool(spec), kernels) {}
 
 KvCache::KvCache(const ModelSpec& spec, std::unique_ptr<KvPagePool> own_pool,
-                 KvStorage storage, const KernelDispatch* kernels)
-    : KvCache(spec, own_pool.get(), storage, kernels) {
+                 const KernelDispatch* kernels)
+    : KvCache(spec, own_pool.get(), kernels) {
   own_pool_ = std::move(own_pool);
 }
 
-KvCache::KvCache(const ModelSpec& spec, KvPagePool* pool, KvStorage storage,
+KvCache::KvCache(const ModelSpec& spec, KvPagePool* pool,
                  const KernelDispatch* kernels)
     : n_layers_(spec.config().n_layers),
       kv_dim_(spec.config().kv_dim()),
       max_ctx_(spec.config().max_ctx),
-      storage_(storage),
       kernels_(kernels != nullptr ? kernels : ActiveKernels()),
       filled_(n_layers_, 0),
       pool_(pool),
       page_positions_(pool->page_positions()) {}
 
 KvCache::~KvCache() { ReleasePages(); }
-
-Status KvCache::Append(int layer, const float* k, const float* v) {
-  return AppendBatch(layer, 1, k, v);
-}
 
 Status KvCache::AppendBatch(int layer, int m, const float* k, const float* v) {
   if (layer < 0 || layer >= n_layers_) {
@@ -131,17 +129,9 @@ Status KvCache::AppendBatch(int layer, int m, const float* k, const float* v) {
     TZLLM_RETURN_IF_ERROR(MakeWritable(page_idx));
     const size_t n = static_cast<size_t>(run) * kv_dim_;
     const size_t src = static_cast<size_t>(done) * kv_dim_;
-    const size_t k_off = pool_->KOffset(layer, in_page);
-    const size_t v_off = pool_->VOffset(layer, in_page);
-    if (storage_ == KvStorage::kF16) {
-      uint16_t* base = pool_->Data16(pages_[page_idx]);
-      kernels_->f32_to_f16(k + src, base + k_off, n);
-      kernels_->f32_to_f16(v + src, base + v_off, n);
-    } else {
-      float* base = pool_->Data32(pages_[page_idx]);
-      std::memcpy(base + k_off, k + src, n * sizeof(float));
-      std::memcpy(base + v_off, v + src, n * sizeof(float));
-    }
+    uint16_t* base = pool_->Data16(pages_[page_idx]);
+    kernels_->f32_to_f16(k + src, base + pool_->KOffset(layer, in_page), n);
+    kernels_->f32_to_f16(v + src, base + pool_->VOffset(layer, in_page), n);
     done += run;
   }
   filled_[layer] += m;
@@ -183,12 +173,8 @@ Status KvCache::MakeWritable(size_t page_idx) {
   for (int d = 1; d < pin_depth_; ++d) {
     TZLLM_RETURN_IF_ERROR(pool_->Pin(new_id));
   }
-  const uint64_t bytes = pool_->page_bytes();
-  if (storage_ == KvStorage::kF16) {
-    std::memcpy(pool_->Data16(new_id), pool_->Data16(old_id), bytes);
-  } else {
-    std::memcpy(pool_->Data32(new_id), pool_->Data32(old_id), bytes);
-  }
+  std::memcpy(pool_->Data16(new_id), pool_->Data16(old_id),
+              pool_->page_bytes());
   pool_->Unpin(old_id);  // The copy pin.
   // The source leaves this cache's page table, taking our step pins with it.
   for (int d = 0; d < pin_depth_; ++d) {
@@ -332,7 +318,7 @@ void KvCache::Reset() {
 
 uint64_t KvCache::CurrentBytes() const {
   const uint64_t row = static_cast<uint64_t>(kv_dim_) *
-                       kKvVectorsPerPosition * bytes_per_elem();
+                       kKvVectorsPerPosition * kKvAccountedBytesPerElem;
   // Resident secure bytes only: appended rows whose page currently occupies
   // a pool frame. Spilled rows are SpilledBytes() — the split the serving
   // admission math relies on.
@@ -360,7 +346,8 @@ uint64_t KvCache::SpilledBytes() const {
       positions += std::clamp(filled_[l] - page_start, 0, page_positions_);
     }
   }
-  return positions * kv_dim_ * kKvVectorsPerPosition * bytes_per_elem();
+  return positions * kv_dim_ * kKvVectorsPerPosition *
+         kKvAccountedBytesPerElem;
 }
 
 uint64_t KvCache::ArenaBytes() const {
@@ -373,18 +360,17 @@ Status KvCache::SerializeState(std::vector<uint8_t>* out) const {
   // geometry guard first so a restore into a differently-shaped cache is a
   // clean error, then seq_len + fills, then only the filled row prefixes —
   // an early-generation session costs its resident bytes, not max_ctx. Rows
-  // are gathered across pages in position order, so the format depends on
-  // the storage width only, never on the page size.
+  // are gathered across pages in position order, so the format never
+  // depends on the page size.
   ByteWriter w(out);
   w.U32(static_cast<uint32_t>(n_layers_));
   w.U32(static_cast<uint32_t>(kv_dim_));
   w.U32(static_cast<uint32_t>(max_ctx_));
-  w.U32(static_cast<uint32_t>(storage_));
+  w.U32(kSnapshotF16Tag);
   w.U32(static_cast<uint32_t>(seq_len_));
   for (int l = 0; l < n_layers_; ++l) {
     w.U32(static_cast<uint32_t>(filled_[l]));
   }
-  const size_t elem = bytes_per_elem();
   for (int l = 0; l < n_layers_; ++l) {
     for (int plane = 0; plane < 2; ++plane) {
       int pos = 0;
@@ -394,13 +380,10 @@ Status KvCache::SerializeState(std::vector<uint8_t>* out) const {
         // one under pressure, but its rows are already copied out by then.
         TZLLM_RETURN_IF_ERROR(
             pool_->EnsureResident(pages_[pos / page_positions_]));
-        const uint8_t* src =
-            storage_ == KvStorage::kF16
-                ? reinterpret_cast<const uint8_t*>(
-                      plane == 0 ? KeyHalfAt(l, pos) : ValueHalfAt(l, pos))
-                : reinterpret_cast<const uint8_t*>(
-                      plane == 0 ? KeyAt(l, pos) : ValueAt(l, pos));
-        w.Bytes(src, static_cast<size_t>(run) * kv_dim_ * elem);
+        const uint16_t* src =
+            plane == 0 ? KeyHalfAt(l, pos) : ValueHalfAt(l, pos);
+        w.Bytes(reinterpret_cast<const uint8_t*>(src),
+                static_cast<size_t>(run) * kv_dim_ * kKvAccountedBytesPerElem);
         pos += run;
       }
     }
@@ -417,10 +400,10 @@ Status KvCache::RestoreState(const uint8_t* data, size_t len) {
   if (layers != static_cast<uint32_t>(n_layers_) ||
       dim != static_cast<uint32_t>(kv_dim_) ||
       ctx != static_cast<uint32_t>(max_ctx_) ||
-      storage != static_cast<uint32_t>(storage_)) {
+      storage != kSnapshotF16Tag) {
     return InvalidArgument(
         "KV snapshot geometry does not match this cache (different model or "
-        "storage mode)");
+        "storage tag)");
   }
   if (!r.U32(&seq) || seq > static_cast<uint32_t>(max_ctx_)) {
     return Status(ErrorCode::kDataCorruption, "bad KV snapshot length");
@@ -431,11 +414,10 @@ Status KvCache::RestoreState(const uint8_t* data, size_t len) {
       return Status(ErrorCode::kDataCorruption, "bad KV snapshot fill mark");
     }
   }
-  const size_t elem = bytes_per_elem();
   size_t body = 0;
   for (int l = 0; l < n_layers_; ++l) {
-    body += static_cast<size_t>(fills[l]) * kv_dim_ * elem *
-            kKvVectorsPerPosition;
+    body += static_cast<size_t>(fills[l]) * kv_dim_ *
+            kKvAccountedBytesPerElem * kKvVectorsPerPosition;
   }
   if (r.remaining() != body) {
     return Status(ErrorCode::kDataCorruption,
@@ -463,11 +445,10 @@ Status KvCache::RestoreState(const uint8_t* data, size_t len) {
         const int in_page = pos % page_positions_;
         const size_t at = plane == 0 ? pool_->KOffset(l, in_page)
                                      : pool_->VOffset(l, in_page);
-        uint8_t* dst = storage_ == KvStorage::kF16
-                           ? reinterpret_cast<uint8_t*>(pool_->Data16(id) + at)
-                           : reinterpret_cast<uint8_t*>(pool_->Data32(id) + at);
         // Cannot fail: the body length was checked against the fills.
-        (void)r.Bytes(dst, static_cast<size_t>(run) * kv_dim_ * elem);
+        (void)r.Bytes(reinterpret_cast<uint8_t*>(pool_->Data16(id) + at),
+                      static_cast<size_t>(run) * kv_dim_ *
+                          kKvAccountedBytesPerElem);
         pos += run;
       }
     }
@@ -478,24 +459,23 @@ Status KvCache::RestoreState(const uint8_t* data, size_t len) {
 }
 
 KvArena::KvArena(const ModelSpec& spec, const KvArenaOptions& options)
-    : pool_(std::make_unique<KvPagePool>(spec, options.storage,
+    : pool_(std::make_unique<KvPagePool>(spec,
                                          ArenaPoolOptions(spec, options))),
       prefix_cap_(std::max(0, options.prefix_entries)) {
   const int slots = std::max(1, options.slots);
   live_slots_.assign(slots, false);
   caches_.reserve(slots);
   for (int s = 0; s < slots; ++s) {
-    caches_.push_back(std::make_unique<KvCache>(
-        spec, pool_.get(), options.storage, options.kernels));
+    caches_.push_back(
+        std::make_unique<KvCache>(spec, pool_.get(), options.kernels));
   }
 }
 
 uint64_t KvArena::BudgetBytes(const ModelSpec& spec,
                               const KvArenaOptions& options) {
   const KvPagePoolOptions pool = ArenaPoolOptions(spec, options);
-  return static_cast<uint64_t>(
-             KvPagePool::FramesFor(spec, options.storage, pool)) *
-         KvPagePool::PageBytes(spec, options.storage, pool.page_positions);
+  return static_cast<uint64_t>(KvPagePool::FramesFor(spec, pool)) *
+         KvPagePool::PageBytes(spec, pool.page_positions);
 }
 
 Result<int> KvArena::Acquire() {

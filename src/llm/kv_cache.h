@@ -19,11 +19,10 @@
 // [layer][pos][kv_dim] run per plane, the single-engine layout and the
 // reference the paged bit-identity tests compare against.
 //
-// Entries are stored at f16 by default (convert on Append, expand in the
-// attention dot), which halves the cache footprint and makes CurrentBytes()
-// equal the RESIDENT secure bytes actually holding appended rows (spilled
-// rows are accounted separately by SpilledBytes()). KvStorage::kF32 keeps a
-// full-width mode as the numerics baseline for the f16 parity suite.
+// Entries are stored at f16 (convert on append, expand in the attention
+// dot), which halves the cache footprint and makes CurrentBytes() equal the
+// RESIDENT secure bytes actually holding appended rows (spilled rows are
+// accounted separately by SpilledBytes()).
 
 #ifndef SRC_LLM_KV_CACHE_H_
 #define SRC_LLM_KV_CACHE_H_
@@ -68,36 +67,27 @@ class KvCache {
   // Standalone cache over a private one-page pool (max_ctx positions, spill
   // off). `kernels` supplies the f32->f16 append converter (nullptr = the
   // process-wide ActiveKernels() table); engines pass KernelsFor(options) so
-  // a force_scalar/reference engine fills the cache with the scalar
-  // converter. The converters are bit-identical across backends
-  // (simd/kernels.h), so this choice never changes the cached bytes — it
-  // only decides which code path produces them.
-  explicit KvCache(const ModelSpec& spec, KvStorage storage = KvStorage::kF16,
+  // a force_scalar engine fills the cache with the scalar converter. The
+  // converters are bit-identical across backends (simd/kernels.h), so this
+  // choice never changes the cached bytes — it only decides which code path
+  // produces them.
+  explicit KvCache(const ModelSpec& spec,
                    const KernelDispatch* kernels = nullptr);
-  // A cache over a shared pool (must match `storage` and outlive the cache).
-  KvCache(const ModelSpec& spec, KvPagePool* pool, KvStorage storage,
+  // A cache over a shared pool (must outlive the cache).
+  KvCache(const ModelSpec& spec, KvPagePool* pool,
           const KernelDispatch* kernels);
   ~KvCache();
 
-  KvStorage storage() const { return storage_; }
-  uint64_t bytes_per_elem() const {
-    return storage_ == KvStorage::kF16 ? 2 : 4;
-  }
-
-  // Appends one position's K and V vectors (kv_dim floats each) for `layer`;
-  // converted to the storage width on the way in. A write to a page shared
-  // with other sessions (refcount > 1) privatizes it first (copy-on-write),
-  // so divergence past a shared prefix never alters the shared rows.
-  Status Append(int layer, const float* k, const float* v);
-
-  // Appends `m` consecutive positions for `layer` in one call; `k` and `v`
-  // are [m][kv_dim] row-major (the batched-prefill path).
+  // Appends `m` consecutive positions for `layer`; `k` and `v` are
+  // [m][kv_dim] row-major floats, converted to f16 on the way in. A write to
+  // a page shared with other sessions (refcount > 1) privatizes it first
+  // (copy-on-write), so divergence past a shared prefix never alters the
+  // shared rows.
   Status AppendBatch(int layer, int m, const float* k, const float* v);
 
   // Current sequence length (positions stored). Uniform across layers once a
   // full forward pass completes.
   int seq_len() const { return seq_len_; }
-  void FinishPosition() { ++seq_len_; }
   void FinishPositions(int m) { seq_len_ += m; }
   // Empties the cache: releases every page reference (the pool scrubs each
   // frame when its last reference drops, so shared prefix pages survive for
@@ -108,27 +98,16 @@ class KvCache {
   int max_ctx() const { return max_ctx_; }
   int kv_dim() const { return kv_dim_; }
 
-  // f16-mode accessors (valid only when storage() == kF16). Positions are
-  // contiguous in runs of RunLen(pos) rows: within a run,
-  // KeyHalfAt(l, p + 1) == KeyHalfAt(l, p) + kv_dim(). Rows are valid only
-  // while their page is resident (the executor pins the cache for the
-  // step).
+  // A position's f16 K / V row. Positions are contiguous in runs of
+  // RunLen(pos) rows: within a run, KeyHalfAt(l, p + 1) ==
+  // KeyHalfAt(l, p) + kv_dim(). Rows are valid only while their page is
+  // resident (the executor pins the cache for the step).
   const uint16_t* KeyHalfAt(int layer, int pos) const {
     return pool_->Data16(pages_[pos / page_positions_]) +
            pool_->KOffset(layer, pos % page_positions_);
   }
   const uint16_t* ValueHalfAt(int layer, int pos) const {
     return pool_->Data16(pages_[pos / page_positions_]) +
-           pool_->VOffset(layer, pos % page_positions_);
-  }
-
-  // f32-mode accessors (valid only when storage() == kF32).
-  const float* KeyAt(int layer, int pos) const {
-    return pool_->Data32(pages_[pos / page_positions_]) +
-           pool_->KOffset(layer, pos % page_positions_);
-  }
-  const float* ValueAt(int layer, int pos) const {
-    return pool_->Data32(pages_[pos / page_positions_]) +
            pool_->VOffset(layer, pos % page_positions_);
   }
 
@@ -181,12 +160,12 @@ class KvCache {
   // prefill so appended rows land at the lost positions.
   Status RewindFill(int pos);
 
-  // Bytes of everything appended so far at the storage width, from per-layer
-  // fill marks (mid-forward-pass, layers already appended this position
-  // count too). In kF16 mode this is exactly what the scratch budget
-  // accounts (kKvAccountedBytesPerElem) — no silent 2x divergence from the
-  // cache's real element width. Counts RESIDENT secure bytes only; rows
-  // currently spilled to REE memory are in SpilledBytes().
+  // Bytes of everything appended so far, from per-layer fill marks
+  // (mid-forward-pass, layers already appended this position count too).
+  // This is exactly what the scratch budget accounts
+  // (kKvAccountedBytesPerElem) — the cache's real element width. Counts
+  // RESIDENT secure bytes only; rows currently spilled to REE memory are in
+  // SpilledBytes().
   uint64_t CurrentBytes() const;
   // Appended bytes whose page is currently spilled (plaintext-equivalent).
   // CurrentBytes() + SpilledBytes() is the full appended footprint.
@@ -200,15 +179,15 @@ class KvCache {
   // --- Session checkpointing (crash-consistent eviction/restore). ---
   // Appends a self-describing snapshot of the cache — geometry header,
   // sequence length, per-layer fill marks, then only the *filled* prefix of
-  // every layer's K and V rows at the storage width — to `out`. Rows are
-  // gathered across pages, so the format is independent of the page size
-  // and checkpoints move freely between caches of any page geometry.
+  // every layer's f16 K and V rows — to `out`. Rows are gathered across
+  // pages, so the format is independent of the page size and checkpoints
+  // move freely between caches of any page geometry.
   // Spilled pages are restored first, which can fail (kDataCorruption on a
   // tampered spill).
   Status SerializeState(std::vector<uint8_t>* out) const;
   // Restores a SerializeState snapshot into this cache. The snapshot's
-  // geometry (layers, kv_dim, max_ctx, storage width) must match this
-  // cache's exactly — InvalidArgument otherwise, kDataCorruption on a
+  // geometry (layers, kv_dim, max_ctx, and an f16 storage tag) must match
+  // this cache's exactly — InvalidArgument otherwise, kDataCorruption on a
   // truncated/inconsistent blob. On success the cache is bit-identical to
   // the serialized one (decode resumes producing identical logits).
   Status RestoreState(const uint8_t* data, size_t len);
@@ -218,7 +197,7 @@ class KvCache {
 
   // Standalone construction: the cache owns `own_pool`.
   KvCache(const ModelSpec& spec, std::unique_ptr<KvPagePool> own_pool,
-          KvStorage storage, const KernelDispatch* kernels);
+          const KernelDispatch* kernels);
 
   // Grows the page table to cover positions [0, pos_end).
   Status EnsurePagesFor(int pos_end);
@@ -233,7 +212,6 @@ class KvCache {
   int n_layers_;
   int kv_dim_;
   int max_ctx_;
-  KvStorage storage_;
   const KernelDispatch* kernels_;
   int seq_len_ = 0;
   std::vector<int> filled_;  // Per-layer appended positions.
@@ -248,7 +226,6 @@ class KvCache {
 // KvPagePool plus a prefix registry for cross-session sharing.
 struct KvArenaOptions {
   int slots = 1;
-  KvStorage storage = KvStorage::kF16;
   const KernelDispatch* kernels = nullptr;
   // Pool geometry/budget/spill; pool.pool_bytes == 0 means every slot's
   // full context in whole pages (slots x ceil(max_ctx / page_positions)

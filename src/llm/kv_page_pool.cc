@@ -19,32 +19,27 @@ SealContext SpillContext(KvPageId id, uint64_t generation) {
 
 }  // namespace
 
-uint64_t KvPagePool::PageBytes(const ModelSpec& spec, KvStorage storage,
-                               int page_positions) {
+uint64_t KvPagePool::PageBytes(const ModelSpec& spec, int page_positions) {
   const LlmConfig& c = spec.config();
-  const uint64_t elem = storage == KvStorage::kF16 ? 2 : 4;
   return static_cast<uint64_t>(c.n_layers) * page_positions * c.kv_dim() *
-         kKvVectorsPerPosition * elem;
+         kKvVectorsPerPosition * kKvAccountedBytesPerElem;
 }
 
-int KvPagePool::FramesFor(const ModelSpec& spec, KvStorage storage,
+int KvPagePool::FramesFor(const ModelSpec& spec,
                           const KvPagePoolOptions& opts) {
-  const uint64_t page = PageBytes(spec, storage, opts.page_positions);
+  const uint64_t page = PageBytes(spec, opts.page_positions);
   return static_cast<int>(std::max<uint64_t>(1, opts.pool_bytes / page));
 }
 
-KvPagePool::KvPagePool(const ModelSpec& spec, KvStorage storage,
-                       const KvPagePoolOptions& opts)
+KvPagePool::KvPagePool(const ModelSpec& spec, const KvPagePoolOptions& opts)
     : n_layers_(spec.config().n_layers),
       kv_dim_(spec.config().kv_dim()),
       page_positions_(std::max(1, opts.page_positions)),
-      storage_(storage),
       spill_(opts.spill),
       spill_key_(opts.spill_key) {
   v_plane_ = static_cast<size_t>(n_layers_) * page_positions_ * kv_dim_;
-  page_elems_ = v_plane_ * kKvVectorsPerPosition;
-  page_bytes_ = PageBytes(spec, storage_, page_positions_);
-  const int n_frames = FramesFor(spec, storage_, opts);
+  page_bytes_ = PageBytes(spec, page_positions_);
+  const int n_frames = FramesFor(spec, opts);
   frames_.resize(static_cast<size_t>(n_frames) * page_bytes_ / sizeof(uint64_t),
                  0);
   frame_owner_.assign(n_frames, kInvalidKvPage);
@@ -315,17 +310,6 @@ uint16_t* KvPagePool::Data16(KvPageId id) {
 const uint16_t* KvPagePool::Data16(KvPageId id) const {
   return resident(id)
              ? reinterpret_cast<const uint16_t*>(FrameBytes(pages_[id].frame))
-             : nullptr;
-}
-
-float* KvPagePool::Data32(KvPageId id) {
-  return resident(id) ? reinterpret_cast<float*>(FrameBytes(pages_[id].frame))
-                      : nullptr;
-}
-
-const float* KvPagePool::Data32(KvPageId id) const {
-  return resident(id)
-             ? reinterpret_cast<const float*>(FrameBytes(pages_[id].frame))
              : nullptr;
 }
 

@@ -2,8 +2,8 @@
 // shared pool, or a standalone cache's private one-page pool).
 //
 // A page is a fixed block of kv_page_positions consecutive sequence
-// positions spanning ALL layers' K and V planes at the cache's storage
-// width — the unit of allocation, refcounting, sharing and eviction.
+// positions spanning ALL layers' K and V planes, stored as f16 — the unit of
+// allocation, refcounting, sharing and eviction.
 // Within a page the layout is a K plane then a V plane, each
 // [layer][pos_in_page][kv_dim], so positions of one layer stay contiguous
 // inside a page and attention walks runs of kv_page_positions rows between
@@ -38,17 +38,10 @@ namespace tzllm {
 
 // Cached vectors per position per layer: one K and one V.
 inline constexpr uint64_t kKvVectorsPerPosition = 2;
-// Element width of the default f16 storage — the width the secure scratch
-// budget and the decode cost model assume. The arena really stores entries
-// at this width (KvStorage::kF16), so accounting equals residency.
+// Element width of the f16 cache — the width the secure scratch budget and
+// the decode cost model assume. The pool really stores entries at this
+// width, so accounting equals residency.
 inline constexpr uint64_t kKvAccountedBytesPerElem = 2;
-
-// Element type of the cache arena. kF16 is the production mode; kF32 is the
-// reference baseline the parity tests diff the half-width path against.
-enum class KvStorage : uint8_t {
-  kF16 = 0,
-  kF32 = 1,
-};
 
 // Logical page handle. Ids are pool-scoped and recycled only after the last
 // reference drops.
@@ -82,15 +75,12 @@ struct KvPageStats {
 
 class KvPagePool {
  public:
-  KvPagePool(const ModelSpec& spec, KvStorage storage,
-             const KvPagePoolOptions& opts);
+  KvPagePool(const ModelSpec& spec, const KvPagePoolOptions& opts);
 
   // Static so LlmTa can budget the scratch region with EXACTLY the numbers
   // the constructed pool will report (the accounting-agreement invariant).
-  static uint64_t PageBytes(const ModelSpec& spec, KvStorage storage,
-                            int page_positions);
-  static int FramesFor(const ModelSpec& spec, KvStorage storage,
-                       const KvPagePoolOptions& opts);
+  static uint64_t PageBytes(const ModelSpec& spec, int page_positions);
+  static int FramesFor(const ModelSpec& spec, const KvPagePoolOptions& opts);
 
   int page_positions() const { return page_positions_; }
   uint64_t page_bytes() const { return page_bytes_; }
@@ -153,8 +143,6 @@ class KvPagePool {
 
   uint16_t* Data16(KvPageId id);
   const uint16_t* Data16(KvPageId id) const;
-  float* Data32(KvPageId id);
-  const float* Data32(KvPageId id) const;
   // Element offsets of row `pos_in_page` of `layer` within a page's K / V
   // plane.
   size_t KOffset(int layer, int pos_in_page) const {
@@ -229,15 +217,12 @@ class KvPagePool {
   int n_layers_;
   int kv_dim_;
   int page_positions_;
-  KvStorage storage_;
   bool spill_;
   AesKey128 spill_key_;
   size_t v_plane_ = 0;       // Element offset of the V plane within a page.
-  size_t page_elems_ = 0;    // Elements per page (K+V, all layers).
   uint64_t page_bytes_ = 0;
   // Frame store: uint64 words for alignment; page_bytes_ is always a
-  // multiple of 8 (kv_dim is even, K+V doubles it, elements are 2 or 4
-  // bytes).
+  // multiple of 8 (kv_dim is even, K+V doubles it, elements are 2 bytes).
   std::vector<uint64_t> frames_;
   std::vector<KvPageId> frame_owner_;  // frame -> page (kInvalidKvPage free).
   std::vector<int> free_frames_;

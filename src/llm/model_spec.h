@@ -118,9 +118,8 @@ class ModelSpec {
   // per-call ApplyRope when empty.
   const RopeTable& rope() const { return rope_; }
 
-  // KV-cache bytes for a context of `n_tokens` (f16 K and V per layer —
-  // the production KvStorage::kF16 arena width; the f32 reference mode
-  // stores, and must be budgeted at, twice this).
+  // KV-cache bytes for a context of `n_tokens` (f16 K and V per layer, the
+  // width the KV page pool stores).
   uint64_t KvCacheBytes(int n_tokens) const;
   // Activation workspace bytes (fixed-size buffers, §4.2).
   uint64_t ActivationBytes() const;

@@ -146,9 +146,7 @@ const KernelDispatch* ActiveKernels() {
 }
 
 const KernelDispatch* KernelsFor(const EngineOptions& options) {
-  return options.use_reference_kernels || options.force_scalar
-             ? ScalarKernels()
-             : ActiveKernels();
+  return options.force_scalar ? ScalarKernels() : ActiveKernels();
 }
 
 }  // namespace tzllm

@@ -131,11 +131,10 @@ struct KernelDispatch {
                          const int8_t* xq, const float* xs, uint64_t m,
                          uint64_t r0, uint64_t r1, float* y);
 
-  // Attention primitives over one head row of `n` floats.
+  // Attention primitives over one head row of `n` floats, against the f16
+  // KV cache.
   float (*dot_qk_f16)(const float* q, const uint16_t* k, int n);
-  float (*dot_qk_f32)(const float* q, const float* k, int n);
   void (*axpy_f16)(float w, const uint16_t* v, float* out, int n);
-  void (*axpy_f32)(float w, const float* v, float* out, int n);
 
   // KV-cache width converts (Append compresses, tests/tools expand).
   void (*f32_to_f16)(const float* src, uint16_t* dst, uint64_t n);
@@ -184,8 +183,7 @@ const KernelDispatch* ResolveKernels(const char* env_value);
 const KernelDispatch* ActiveKernels();
 
 // The table an engine configured with `options` must use: the scalar table
-// under force_scalar (and under use_reference_kernels, so parity baselines
-// stay frozen), ActiveKernels() otherwise.
+// under force_scalar, ActiveKernels() otherwise.
 const KernelDispatch* KernelsFor(const EngineOptions& options);
 
 }  // namespace tzllm

@@ -213,27 +213,6 @@ float DotQkF16Avx2(const float* q, const uint16_t* k, int n) {
   return sum;
 }
 
-float DotQkF32Avx2(const float* q, const float* k, int n) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  int j = 0;
-  for (; j + 16 <= n; j += 16) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(q + j), _mm256_loadu_ps(k + j),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(q + j + 8),
-                           _mm256_loadu_ps(k + j + 8), acc1);
-  }
-  for (; j + 8 <= n; j += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(q + j), _mm256_loadu_ps(k + j),
-                           acc0);
-  }
-  float sum = Hsum8(_mm256_add_ps(acc0, acc1));
-  for (; j < n; ++j) {
-    sum += q[j] * k[j];
-  }
-  return sum;
-}
-
 void AxpyF16Avx2(float w, const uint16_t* v, float* out, int n) {
   const __m256 ww = _mm256_set1_ps(w);
   int j = 0;
@@ -245,19 +224,6 @@ void AxpyF16Avx2(float w, const uint16_t* v, float* out, int n) {
   }
   for (; j < n; ++j) {
     out[j] += w * F16ToF32Fast(v[j]);
-  }
-}
-
-void AxpyF32Avx2(float w, const float* v, float* out, int n) {
-  const __m256 ww = _mm256_set1_ps(w);
-  int j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_ps(
-        out + j,
-        _mm256_fmadd_ps(ww, _mm256_loadu_ps(v + j), _mm256_loadu_ps(out + j)));
-  }
-  for (; j < n; ++j) {
-    out[j] += w * v[j];
   }
 }
 
@@ -365,9 +331,7 @@ const KernelDispatch kAvx2Table = {
     DotRowsQ8Avx2,
     nullptr,  // matmat_rows_q8: no matrix engine.
     DotQkF16Avx2,
-    DotQkF32Avx2,
     AxpyF16Avx2,
-    AxpyF32Avx2,
     F32ToF16Avx2,
     F16ToF32Avx2,
     RmsNormAvx2,

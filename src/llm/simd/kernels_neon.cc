@@ -107,19 +107,6 @@ float DotQkF16Neon(const float* q, const uint16_t* k, int n) {
   return sum;
 }
 
-float DotQkF32Neon(const float* q, const float* k, int n) {
-  float32x4_t acc = vdupq_n_f32(0.0f);
-  int j = 0;
-  for (; j + 4 <= n; j += 4) {
-    acc = vfmaq_f32(acc, vld1q_f32(q + j), vld1q_f32(k + j));
-  }
-  float sum = vaddvq_f32(acc);
-  for (; j < n; ++j) {
-    sum += q[j] * k[j];
-  }
-  return sum;
-}
-
 void AxpyF16Neon(float w, const uint16_t* v, float* out, int n) {
   const float32x4_t ww = vdupq_n_f32(w);
   int j = 0;
@@ -130,17 +117,6 @@ void AxpyF16Neon(float w, const uint16_t* v, float* out, int n) {
   }
   for (; j < n; ++j) {
     out[j] += w * F16ToF32Fast(v[j]);
-  }
-}
-
-void AxpyF32Neon(float w, const float* v, float* out, int n) {
-  const float32x4_t ww = vdupq_n_f32(w);
-  int j = 0;
-  for (; j + 4 <= n; j += 4) {
-    vst1q_f32(out + j, vfmaq_f32(vld1q_f32(out + j), ww, vld1q_f32(v + j)));
-  }
-  for (; j < n; ++j) {
-    out[j] += w * v[j];
   }
 }
 
@@ -216,9 +192,7 @@ const KernelDispatch kNeonTable = {
     DotRowsQ8Neon,
     nullptr,  // matmat_rows_q8: no matrix engine.
     DotQkF16Neon,
-    DotQkF32Neon,
     AxpyF16Neon,
-    AxpyF32Neon,
     F32ToF16Neon,
     F16ToF32Neon,
     RmsNormNeon,

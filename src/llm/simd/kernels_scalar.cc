@@ -1,7 +1,8 @@
 // Portable scalar kernel backend — the numerics baseline every other table
 // is measured against, byte-for-byte the loops the executor ran before the
-// dispatch layer existed. `use_reference_kernels` and `force_scalar` bind
-// here, so frozen parity baselines keep producing the exact same floats.
+// dispatch layer existed. `force_scalar` and TZLLM_SIMD=off bind here, so
+// the SIMD-vs-scalar parity suites compare against the same floats on every
+// host.
 
 #include <algorithm>
 #include <cmath>
@@ -85,30 +86,9 @@ float DotQkF16Scalar(const float* q, const uint16_t* k, int n) {
   return (s0 + s1) + (s2 + s3);
 }
 
-float DotQkF32Scalar(const float* q, const float* k, int n) {
-  float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-  int j = 0;
-  for (; j + 4 <= n; j += 4) {
-    s0 += q[j] * k[j];
-    s1 += q[j + 1] * k[j + 1];
-    s2 += q[j + 2] * k[j + 2];
-    s3 += q[j + 3] * k[j + 3];
-  }
-  for (; j < n; ++j) {
-    s0 += q[j] * k[j];
-  }
-  return (s0 + s1) + (s2 + s3);
-}
-
 void AxpyF16Scalar(float w, const uint16_t* v, float* out, int n) {
   for (int j = 0; j < n; ++j) {
     out[j] += w * F16ToF32Fast(v[j]);
-  }
-}
-
-void AxpyF32Scalar(float w, const float* v, float* out, int n) {
-  for (int j = 0; j < n; ++j) {
-    out[j] += w * v[j];
   }
 }
 
@@ -160,9 +140,7 @@ const KernelDispatch kScalarTable = {
     DotRowsQ8Scalar,
     nullptr,  // matmat_rows_q8: no matrix engine.
     DotQkF16Scalar,
-    DotQkF32Scalar,
     AxpyF16Scalar,
-    AxpyF32Scalar,
     F32ToF16Scalar,
     F16ToF32Scalar,
     RmsNormScalar,

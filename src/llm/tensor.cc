@@ -188,27 +188,6 @@ void MatMatQ8(const uint8_t* w, uint64_t rows, uint64_t cols, const Q8Acts& x,
   }
 }
 
-void MatVecQ8Reference(const uint8_t* w, uint64_t rows, uint64_t cols,
-                       const float* x, float* y) {
-  const uint64_t blocks_per_row = cols / kQ8BlockElems;
-  for (uint64_t r = 0; r < rows; ++r) {
-    const uint8_t* row = w + r * blocks_per_row * kQ8BlockBytes;
-    float acc = 0.0f;
-    for (uint64_t b = 0; b < blocks_per_row; ++b) {
-      const uint8_t* blk = row + b * kQ8BlockBytes;
-      const float scale =
-          F16ToF32(static_cast<uint16_t>(blk[0] | (blk[1] << 8)));
-      const float* xb = x + b * kQ8BlockElems;
-      float dot = 0.0f;
-      for (uint64_t i = 0; i < kQ8BlockElems; ++i) {
-        dot += static_cast<int8_t>(blk[2 + i]) * xb[i];
-      }
-      acc += scale * dot;
-    }
-    y[r] = acc;
-  }
-}
-
 Tensor MakeRandomTensor(const std::string& name, DType dtype, uint64_t rows,
                         uint64_t cols, uint64_t seed, double stddev) {
   Tensor t;

@@ -118,11 +118,6 @@ void MatMatQ8(const uint8_t* w, uint64_t rows, uint64_t cols, const Q8Acts& x,
               float* y, ThreadPool* pool = nullptr,
               const KernelDispatch* kernels = nullptr);
 
-// The seed's scalar float-activation kernel (now overwrite semantics), kept
-// as the numerics/performance baseline for parity tests and benches.
-void MatVecQ8Reference(const uint8_t* w, uint64_t rows, uint64_t cols,
-                       const float* x, float* y);
-
 struct Tensor {
   std::string name;
   DType dtype = DType::kF32;

@@ -444,10 +444,10 @@ TEST(SealMutationTest, EveryBlobKindFailsClosedUnderMutation) {
   // spills when page 1 takes the frame, and page 1's release leaves the
   // frame free, so every restore attempt below is the open alone.
   KvPagePoolOptions opts;
-  opts.pool_bytes = KvPagePool::PageBytes(runtime.spec(), KvStorage::kF16,
-                                          opts.page_positions);
+  opts.pool_bytes =
+      KvPagePool::PageBytes(runtime.spec(), opts.page_positions);
   opts.spill_key = model_key;
-  KvPagePool pool(runtime.spec(), KvStorage::kF16, opts);
+  KvPagePool pool(runtime.spec(), opts);
   auto page = pool.Alloc(false);
   ASSERT_TRUE(page.ok());
   Rng(7).FillBytes(reinterpret_cast<uint8_t*>(pool.Data16(*page)),

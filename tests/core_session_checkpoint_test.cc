@@ -266,8 +266,9 @@ TEST(SessionCheckpointTest, SessionApiRejectsMisuse) {
 
 TEST(SessionCheckpointTest, KvSnapshotGuardsGeometryAndTruncation) {
   // KvCache::RestoreState unit coverage: wrong-geometry snapshots are a
-  // clean InvalidArgument (different model/storage), truncated bodies are
-  // kDataCorruption — neither may partially restore.
+  // clean InvalidArgument (different model, or a storage tag other than
+  // f16), truncated bodies are kDataCorruption — neither may partially
+  // restore.
   const ModelSpec spec = ModelSpec::Create(TestSmallModel());
   KvCache cache(spec);
   std::vector<float> k(spec.config().kv_dim(), 0.5f);
@@ -275,7 +276,7 @@ TEST(SessionCheckpointTest, KvSnapshotGuardsGeometryAndTruncation) {
   for (int l = 0; l < spec.config().n_layers; ++l) {
     ASSERT_TRUE(cache.AppendBatch(l, 1, k.data(), v.data()).ok());
   }
-  cache.FinishPosition();
+  cache.FinishPositions(1);
 
   std::vector<uint8_t> snapshot;
   ASSERT_TRUE(cache.SerializeState(&snapshot).ok());
@@ -286,9 +287,11 @@ TEST(SessionCheckpointTest, KvSnapshotGuardsGeometryAndTruncation) {
   EXPECT_EQ(twin.seq_len(), cache.seq_len());
   EXPECT_EQ(twin.CurrentBytes(), cache.CurrentBytes());
 
-  // Different storage width: geometry mismatch.
-  KvCache f32(spec, KvStorage::kF32);
-  const Status mismatch = f32.RestoreState(snapshot.data(), snapshot.size());
+  // A storage tag other than f16 (0) in the header (byte 12, after layers,
+  // kv_dim and max_ctx): geometry mismatch.
+  std::vector<uint8_t> bad_tag = snapshot;
+  bad_tag[12] = 1;
+  const Status mismatch = twin.RestoreState(bad_tag.data(), bad_tag.size());
   ASSERT_FALSE(mismatch.ok());
   EXPECT_EQ(mismatch.code(), ErrorCode::kInvalidArgument);
 

@@ -88,7 +88,6 @@ TEST(EngineTest, KvResidentBytesVisibleAndF16Accounted) {
       spec.config().kv_dim() * kKvVectorsPerPosition *
       kKvAccountedBytesPerElem;
   EXPECT_EQ(engine->kv().CurrentBytes(), expected);
-  EXPECT_EQ(engine->kv().storage(), KvStorage::kF16);
 }
 
 TEST(EngineTest, LowLevelApiMatchesGenerate) {

@@ -95,7 +95,7 @@ struct SecureStack {
                                         NpuBackend* backend) {
     HostWeightSource source(weights);
     TransformerExecutor exec(&spec, &source, options, backend);
-    KvCache kv(spec, KvStorageFor(options), KernelsFor(options));
+    KvCache kv(spec, KernelsFor(options));
     if (wavefront) {
       return exec.Prefill(prompt, &kv);
     }
@@ -152,7 +152,7 @@ std::vector<float> CpuReference(const ModelSpec& spec,
                                 const std::vector<TokenId>& prompt) {
   HostWeightSource source(weights);
   TransformerExecutor exec(&spec, &source, options);
-  KvCache kv(spec, KvStorageFor(options), KernelsFor(options));
+  KvCache kv(spec, KernelsFor(options));
   auto logits = exec.Prefill(prompt, &kv);
   EXPECT_TRUE(logits.ok()) << logits.status().ToString();
   return logits.ok() ? *logits : std::vector<float>();

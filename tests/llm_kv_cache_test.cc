@@ -28,17 +28,12 @@ class KvCacheTest : public ::testing::Test {
   }
 
   ModelSpec spec_;
-  KvCache kv_;  // Default storage: f16.
+  KvCache kv_;
 };
-
-TEST_F(KvCacheTest, DefaultsToF16Storage) {
-  EXPECT_EQ(kv_.storage(), KvStorage::kF16);
-  EXPECT_EQ(kv_.bytes_per_elem(), kKvAccountedBytesPerElem);
-}
 
 TEST_F(KvCacheTest, AppendRoundTripsThroughF16) {
   const auto k = Vec(1.0f), v = Vec(100.0f);
-  ASSERT_TRUE(kv_.Append(0, k.data(), v.data()).ok());
+  ASSERT_TRUE(kv_.AppendBatch(0, 1, k.data(), v.data()).ok());
   for (int i = 0; i < kv_dim(); ++i) {
     EXPECT_EQ(F16ToF32(kv_.KeyHalfAt(0, 0)[i]), k[i]);
     EXPECT_EQ(F16ToF32(kv_.ValueHalfAt(0, 0)[i]), v[i]);
@@ -53,28 +48,13 @@ TEST_F(KvCacheTest, F16RoundTripIsRoundToNearest) {
     k[i] = 0.1f + 0.001f * i;
     v[i] = -1.0f / (i + 3);
   }
-  ASSERT_TRUE(kv_.Append(0, k.data(), v.data()).ok());
+  ASSERT_TRUE(kv_.AppendBatch(0, 1, k.data(), v.data()).ok());
   for (int i = 0; i < kv_dim(); ++i) {
     EXPECT_NEAR(F16ToF32(kv_.KeyHalfAt(0, 0)[i]), k[i],
                 std::abs(k[i]) * 1e-3f + 1e-6f);
     EXPECT_NEAR(F16ToF32(kv_.ValueHalfAt(0, 0)[i]), v[i],
                 std::abs(v[i]) * 1e-3f + 1e-6f);
     EXPECT_EQ(kv_.KeyHalfAt(0, 0)[i], F32ToF16(k[i]));
-  }
-}
-
-TEST_F(KvCacheTest, F32ReferenceModeStoresExactFloats) {
-  KvCache ref(spec_, KvStorage::kF32);
-  EXPECT_EQ(ref.bytes_per_elem(), 4u);
-  std::vector<float> k(kv_dim()), v(kv_dim());
-  for (int i = 0; i < kv_dim(); ++i) {
-    k[i] = 0.1f + 0.001f * i;
-    v[i] = -2.0f / (i + 7);
-  }
-  ASSERT_TRUE(ref.Append(0, k.data(), v.data()).ok());
-  for (int i = 0; i < kv_dim(); ++i) {
-    EXPECT_EQ(ref.KeyAt(0, 0)[i], k[i]);
-    EXPECT_EQ(ref.ValueAt(0, 0)[i], v[i]);
   }
 }
 
@@ -90,8 +70,8 @@ TEST_F(KvCacheTest, AppendBatchMatchesSequentialAppends) {
 
   KvCache seq(spec_);
   for (int p = 0; p < m; ++p) {
-    ASSERT_TRUE(seq.Append(0, ks.data() + p * kv_dim(),
-                           vs.data() + p * kv_dim())
+    ASSERT_TRUE(seq.AppendBatch(0, 1, ks.data() + p * kv_dim(),
+                                vs.data() + p * kv_dim())
                     .ok());
   }
   for (int p = 0; p < m; ++p) {
@@ -113,8 +93,8 @@ TEST_F(KvCacheTest, StandaloneCacheIsContiguousPerLayer) {
 
 TEST_F(KvCacheTest, RejectsBadLayerAndBadBatch) {
   const auto k = Vec(0.0f), v = Vec(0.0f);
-  EXPECT_FALSE(kv_.Append(-1, k.data(), v.data()).ok());
-  EXPECT_FALSE(kv_.Append(n_layers(), k.data(), v.data()).ok());
+  EXPECT_FALSE(kv_.AppendBatch(-1, 1, k.data(), v.data()).ok());
+  EXPECT_FALSE(kv_.AppendBatch(n_layers(), 1, k.data(), v.data()).ok());
   EXPECT_FALSE(kv_.AppendBatch(0, 0, k.data(), v.data()).ok());
   EXPECT_FALSE(kv_.AppendBatch(0, -3, k.data(), v.data()).ok());
 }
@@ -122,9 +102,9 @@ TEST_F(KvCacheTest, RejectsBadLayerAndBadBatch) {
 TEST_F(KvCacheTest, EnforcesContextLimit) {
   const auto k = Vec(0.0f), v = Vec(0.0f);
   for (int p = 0; p < max_ctx(); ++p) {
-    ASSERT_TRUE(kv_.Append(0, k.data(), v.data()).ok()) << p;
+    ASSERT_TRUE(kv_.AppendBatch(0, 1, k.data(), v.data()).ok()) << p;
   }
-  EXPECT_FALSE(kv_.Append(0, k.data(), v.data()).ok());
+  EXPECT_FALSE(kv_.AppendBatch(0, 1, k.data(), v.data()).ok());
   // A batch that would cross the limit is rejected atomically.
   KvCache kv2(spec_);
   std::vector<float> big((max_ctx() + 1) * kv_dim(), 0.0f);
@@ -140,11 +120,11 @@ TEST_F(KvCacheTest, CurrentBytesTracksPerLayerFills) {
       kKvAccountedBytesPerElem;
 
   // Mid-forward-pass: only some layers have appended the current position.
-  ASSERT_TRUE(kv_.Append(0, k.data(), v.data()).ok());
+  ASSERT_TRUE(kv_.AppendBatch(0, 1, k.data(), v.data()).ok());
   EXPECT_EQ(kv_.CurrentBytes(), per_position);
-  ASSERT_TRUE(kv_.Append(1, k.data(), v.data()).ok());
+  ASSERT_TRUE(kv_.AppendBatch(1, 1, k.data(), v.data()).ok());
   EXPECT_EQ(kv_.CurrentBytes(), 2 * per_position);
-  kv_.FinishPosition();
+  kv_.FinishPositions(1);
   EXPECT_EQ(kv_.seq_len(), 1);
   EXPECT_EQ(kv_.CurrentBytes(), 2 * per_position);
 }
@@ -165,30 +145,19 @@ TEST_F(KvCacheTest, CurrentBytesEqualsResidentArenaBytes) {
   EXPECT_EQ(kv_.CurrentBytes(),
             static_cast<uint64_t>(n_layers()) * max_ctx() * kv_dim() *
                 kKvVectorsPerPosition * sizeof(uint16_t));
-
-  // Same invariant in the f32 reference mode (accounted at its real width).
-  KvCache ref(spec_, KvStorage::kF32);
-  for (int l = 0; l < n_layers(); ++l) {
-    ASSERT_TRUE(ref.AppendBatch(l, max_ctx(), row.data(), row.data()).ok());
-  }
-  ref.FinishPositions(max_ctx());
-  EXPECT_EQ(ref.CurrentBytes(), ref.ArenaBytes());
 }
 
-TEST_F(KvCacheTest, F16HalvesFootprintVsF32Reference) {
-  KvCache ref(spec_, KvStorage::kF32);
-  EXPECT_EQ(2 * kv_.ArenaBytes(), ref.ArenaBytes());
-  // ModelSpec's scratch-budget accounting (f16) now matches the real arena.
-  EXPECT_EQ(kv_.ArenaBytes(),
-            spec_.KvCacheBytes(max_ctx()));
+TEST_F(KvCacheTest, ArenaBytesMatchSpecKvCacheBytes) {
+  // ModelSpec's scratch-budget accounting (f16) matches the real arena.
+  EXPECT_EQ(kv_.ArenaBytes(), spec_.KvCacheBytes(max_ctx()));
 }
 
 TEST_F(KvCacheTest, ResetClearsEverything) {
   const auto k = Vec(3.0f), v = Vec(4.0f);
   for (int l = 0; l < n_layers(); ++l) {
-    ASSERT_TRUE(kv_.Append(l, k.data(), v.data()).ok());
+    ASSERT_TRUE(kv_.AppendBatch(l, 1, k.data(), v.data()).ok());
   }
-  kv_.FinishPosition();
+  kv_.FinishPositions(1);
   EXPECT_EQ(kv_.seq_len(), 1);
   EXPECT_GT(kv_.CurrentBytes(), 0u);
 

@@ -84,7 +84,7 @@ class NpuBackendTest : public ::testing::Test {
                                 const std::vector<TokenId>& prompt) {
     HostWeightSource source(weights_);
     TransformerExecutor exec(&spec_, &source, options);
-    KvCache kv(spec_, KvStorageFor(options), KernelsFor(options));
+    KvCache kv(spec_, KernelsFor(options));
     auto logits = exec.Prefill(prompt, &kv);
     EXPECT_TRUE(logits.ok()) << logits.status().ToString();
     return logits.ok() ? *logits : std::vector<float>();
@@ -100,7 +100,7 @@ class NpuBackendTest : public ::testing::Test {
                                         bool wavefront = true) {
     HostWeightSource source(weights_);
     TransformerExecutor exec(&spec_, &source, options, backend);
-    KvCache kv(spec_, KvStorageFor(options), KernelsFor(options));
+    KvCache kv(spec_, KernelsFor(options));
     if (wavefront) {
       return exec.Prefill(prompt, &kv);
     }
@@ -228,7 +228,7 @@ TEST_F(NpuBackendTest, DecodeStaysOnCpuAfterNpuPrefill) {
   NpuBackend backend(BackendConfig(options, scratch_));
   HostWeightSource source(weights_);
   TransformerExecutor exec(&spec_, &source, options, &backend);
-  KvCache kv(spec_, KvStorageFor(options), KernelsFor(options));
+  KvCache kv(spec_, KernelsFor(options));
   ASSERT_TRUE(exec.Prefill(MakePrompt(spec_.config(), 16), &kv).ok());
 
   const uint64_t jobs_after_prefill = backend.jobs_submitted();

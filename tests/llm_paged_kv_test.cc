@@ -47,8 +47,7 @@ class PagedKvTest : public ::testing::Test {
                              int page_positions = kPagePositions) const {
     KvPagePoolOptions o;
     o.page_positions = page_positions;
-    o.pool_bytes = frames * KvPagePool::PageBytes(spec_, KvStorage::kF16,
-                                                  page_positions);
+    o.pool_bytes = frames * KvPagePool::PageBytes(spec_, page_positions);
     o.spill = spill;
     o.spill_key = TestSpillKey();
     return o;
@@ -82,10 +81,10 @@ class PagedKvTest : public ::testing::Test {
         k[i] = KVal(l, pos, i, salt);
         v[i] = VVal(l, pos, i, salt);
       }
-      ASSERT_TRUE(c->Append(l, k.data(), v.data()).ok())
+      ASSERT_TRUE(c->AppendBatch(l, 1, k.data(), v.data()).ok())
           << "layer " << l << " pos " << pos;
     }
-    c->FinishPosition();
+    c->FinishPositions(1);
   }
 
   void FillCache(KvCache* c, int positions, float salt = 0.0f) const {
@@ -122,22 +121,19 @@ class PagedKvTest : public ::testing::Test {
 // --- Pool geometry and budgets. -------------------------------------------
 
 TEST_F(PagedKvTest, PoolGeometryAndFrameFloor) {
-  const uint64_t f16 =
-      KvPagePool::PageBytes(spec_, KvStorage::kF16, kPagePositions);
+  const uint64_t f16 = KvPagePool::PageBytes(spec_, kPagePositions);
   EXPECT_EQ(f16, static_cast<uint64_t>(n_layers()) * kPagePositions *
                      kv_dim() * kKvVectorsPerPosition * 2);
-  EXPECT_EQ(KvPagePool::PageBytes(spec_, KvStorage::kF32, kPagePositions),
-            2 * f16);
 
   // pool_bytes == 0 still yields one frame (the pool is never zero-sized);
   // otherwise the frame count is the floor of the budget.
   KvPagePoolOptions opts = PoolOpts(0);
   opts.pool_bytes = 0;
-  EXPECT_EQ(KvPagePool::FramesFor(spec_, KvStorage::kF16, opts), 1);
+  EXPECT_EQ(KvPagePool::FramesFor(spec_, opts), 1);
   opts.pool_bytes = 3 * f16 + f16 / 2;
-  EXPECT_EQ(KvPagePool::FramesFor(spec_, KvStorage::kF16, opts), 3);
+  EXPECT_EQ(KvPagePool::FramesFor(spec_, opts), 3);
 
-  KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(3));
+  KvPagePool pool(spec_, PoolOpts(3));
   EXPECT_EQ(pool.frames(), 3);
   EXPECT_EQ(pool.free_frames(), 3);
   EXPECT_EQ(pool.page_bytes(), f16);
@@ -147,7 +143,7 @@ TEST_F(PagedKvTest, PoolGeometryAndFrameFloor) {
 // --- Spill / restore. -----------------------------------------------------
 
 TEST_F(PagedKvTest, SpillRoundTripRestoresExactBytes) {
-  KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(1));
+  KvPagePool pool(spec_, PoolOpts(1));
   auto a = pool.Alloc(/*pinned=*/false);
   ASSERT_TRUE(a.ok());
   uint16_t* data = pool.Data16(*a);
@@ -185,7 +181,7 @@ TEST_F(PagedKvTest, SpillRoundTripRestoresExactBytes) {
 }
 
 TEST_F(PagedKvTest, TamperedSpillBlobFailsClosed) {
-  KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(1));
+  KvPagePool pool(spec_, PoolOpts(1));
   auto a = pool.Alloc(false);
   ASSERT_TRUE(a.ok());
   pool.Data16(*a)[7] = 0x1234;
@@ -222,7 +218,7 @@ TEST_F(PagedKvTest, TamperedSpillBlobFailsClosed) {
 TEST_F(PagedKvTest, FirstSpillsOfTwoPoolsShareNoKeystream) {
   std::vector<std::vector<uint8_t>> plain, cipher;
   for (uint32_t salt : {1u, 2u}) {
-    KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(1));
+    KvPagePool pool(spec_, PoolOpts(1));
     auto a = pool.Alloc(false);
     ASSERT_TRUE(a.ok());
     ASSERT_EQ(*a, 0u);
@@ -248,7 +244,7 @@ TEST_F(PagedKvTest, FirstSpillsOfTwoPoolsShareNoKeystream) {
 }
 
 TEST_F(PagedKvTest, PinnedPagesAreNeverEvicted) {
-  KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(1));
+  KvPagePool pool(spec_, PoolOpts(1));
   auto a = pool.Alloc(/*pinned=*/true);
   ASSERT_TRUE(a.ok());
   // The only frame is pinned: allocation cannot evict it.
@@ -261,7 +257,7 @@ TEST_F(PagedKvTest, PinnedPagesAreNeverEvicted) {
 }
 
 TEST_F(PagedKvTest, SpillDisabledIsAHardBudget) {
-  KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(1, /*spill=*/false));
+  KvPagePool pool(spec_, PoolOpts(1, /*spill=*/false));
   auto a = pool.Alloc(false);
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(pool.Alloc(false).status().code(), ErrorCode::kResourceExhausted);
@@ -271,7 +267,7 @@ TEST_F(PagedKvTest, SpillDisabledIsAHardBudget) {
 }
 
 TEST_F(PagedKvTest, LastUnrefScrubsAndRecyclesTheFrame) {
-  KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(2));
+  KvPagePool pool(spec_, PoolOpts(2));
   auto a = pool.Alloc(false);
   ASSERT_TRUE(a.ok());
   pool.Data16(*a)[0] = 0xBEEF;
@@ -313,8 +309,8 @@ TEST_F(PagedKvTest, PagedRowsMatchOnePageCacheBitExactly) {
   for (const int pp : PageSizes()) {
     SCOPED_TRACE("page_positions=" + std::to_string(pp));
     const int pages = PagesPerContext(pp);
-    KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(pages, true, pp));
-    KvCache paged(spec_, &pool, KvStorage::kF16, nullptr);
+    KvPagePool pool(spec_, PoolOpts(pages, true, pp));
+    KvCache paged(spec_, &pool, nullptr);
     FillCache(&paged, positions);
     EXPECT_EQ(paged.PageCount(), pages);
     EXPECT_EQ(paged.ArenaBytes(), pages * pool.page_bytes());
@@ -347,32 +343,12 @@ TEST_F(PagedKvTest, PagedRowsMatchOnePageCacheBitExactly) {
   }
 }
 
-TEST_F(PagedKvTest, PagedF32ReferenceModeStoresExactFloats) {
-  KvPagePoolOptions opts = PoolOpts(0);
-  opts.pool_bytes =
-      4 * KvPagePool::PageBytes(spec_, KvStorage::kF32, kPagePositions);
-  KvPagePool pool(spec_, KvStorage::kF32, opts);
-  KvCache paged(spec_, &pool, KvStorage::kF32, nullptr);
-  EXPECT_EQ(paged.bytes_per_elem(), 4u);
-
-  std::vector<float> k(kv_dim()), v(kv_dim());
-  for (int i = 0; i < kv_dim(); ++i) {
-    k[i] = 0.1f + 0.001f * i;
-    v[i] = -2.0f / (i + 7);
-  }
-  ASSERT_TRUE(paged.AppendBatch(0, 1, k.data(), v.data()).ok());
-  for (int i = 0; i < kv_dim(); ++i) {
-    EXPECT_EQ(paged.KeyAt(0, 0)[i], k[i]);
-    EXPECT_EQ(paged.ValueAt(0, 0)[i], v[i]);
-  }
-}
-
 TEST_F(PagedKvTest, AppendThroughSpillRoundTripsAndAccountsTruthfully) {
   // 3 pages of appends through a 2-frame pool: the position-major fill
   // (layer 0 then layer 1 per position, like a real forward pass) keeps the
   // hot page resident and spills the cold ones.
-  KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(2));
-  KvCache paged(spec_, &pool, KvStorage::kF16, nullptr);
+  KvPagePool pool(spec_, PoolOpts(2));
+  KvCache paged(spec_, &pool, nullptr);
   const int positions = 3 * kPagePositions;
   FillCache(&paged, positions);
   EXPECT_EQ(paged.PageCount(), 3);
@@ -407,8 +383,8 @@ TEST_F(PagedKvTest, AppendThroughSpillRoundTripsAndAccountsTruthfully) {
 }
 
 TEST_F(PagedKvTest, PinForStepRestoresEveryPageAndHoldsThem) {
-  KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(3));
-  KvCache paged(spec_, &pool, KvStorage::kF16, nullptr);
+  KvPagePool pool(spec_, PoolOpts(3));
+  KvCache paged(spec_, &pool, nullptr);
   const int positions = 3 * kPagePositions;
   FillCache(&paged, positions);
 
@@ -443,13 +419,13 @@ TEST_F(PagedKvTest, PinForStepRestoresEveryPageAndHoldsThem) {
 // --- Copy-on-write prefix forks. ------------------------------------------
 
 TEST_F(PagedKvTest, CowPrivatizesTheForkPageAndIsolatesSessions) {
-  KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(8));
-  KvCache a(spec_, &pool, KvStorage::kF16, nullptr);
+  KvPagePool pool(spec_, PoolOpts(8));
+  KvCache a(spec_, &pool, nullptr);
   FillCache(&a, 2 * kPagePositions);  // Pages 0 and 1, both full.
 
   // B maps the first 6 positions of A's pages (a partial second page — the
   // fork point sits mid-page, the hard case).
-  KvCache b(spec_, &pool, KvStorage::kF16, nullptr);
+  KvCache b(spec_, &pool, nullptr);
   ASSERT_TRUE(b.AdoptPrefix(a.pages().data(), 2, 6).ok());
   EXPECT_EQ(b.seq_len(), 6);
   EXPECT_EQ(pool.refcount(a.pages()[0]), 2);
@@ -498,8 +474,8 @@ TEST_F(PagedKvTest, CheckpointMovesBetweenPageGeometries) {
   // The snapshot format is page-size independent: every cache re-serializes
   // to the same bytes.
   const int positions = max_ctx();
-  KvPagePool tight(spec_, KvStorage::kF16, PoolOpts(2));
-  KvCache spilling(spec_, &tight, KvStorage::kF16, nullptr);
+  KvPagePool tight(spec_, PoolOpts(2));
+  KvCache spilling(spec_, &tight, nullptr);
   FillCache(&spilling, positions);
   EXPECT_GT(tight.stats().spills, 0u);
 
@@ -520,9 +496,8 @@ TEST_F(PagedKvTest, CheckpointMovesBetweenPageGeometries) {
 
   for (const int pp : PageSizes()) {
     SCOPED_TRACE("page_positions=" + std::to_string(pp));
-    KvPagePool roomy(spec_, KvStorage::kF16,
-                     PoolOpts(PagesPerContext(pp), true, pp));
-    KvCache restored(spec_, &roomy, KvStorage::kF16, nullptr);
+    KvPagePool roomy(spec_, PoolOpts(PagesPerContext(pp), true, pp));
+    KvCache restored(spec_, &roomy, nullptr);
     ASSERT_TRUE(
         restored.RestoreState(one_page_blob.data(), one_page_blob.size())
             .ok());
@@ -542,24 +517,20 @@ TEST_F(PagedKvTest, CheckpointMovesBetweenPageGeometries) {
 // --- Arena accounting agreement. ------------------------------------------
 
 TEST_F(PagedKvTest, ArenaBudgetBytesMatchesConstructionAtEveryGeometry) {
-  for (const KvStorage storage : {KvStorage::kF16, KvStorage::kF32}) {
-    for (const int pp : PageSizes()) {
-      KvArenaOptions o;
-      o.slots = 3;
-      o.storage = storage;
-      o.pool.page_positions = pp;
-      o.pool.spill_key = TestSpillKey();
-      KvArena arena(spec_, o);
-      // The scratch budget the TA carves (BudgetBytes) is EXACTLY what the
-      // constructed arena reports — no drift at any width or page size.
-      EXPECT_EQ(KvArena::BudgetBytes(spec_, o), arena.ArenaBytes())
-          << "storage=" << static_cast<int>(storage) << " pp=" << pp;
-      // pool_bytes == 0 holds every slot's full context in whole pages,
-      // rounding a partial last page up.
-      EXPECT_EQ(arena.pool()->frames(), 3 * PagesPerContext(pp))
-          << "storage=" << static_cast<int>(storage) << " pp=" << pp;
-      EXPECT_EQ(arena.SlotBytes(), arena.cache(0)->ArenaBytes());
-    }
+  for (const int pp : PageSizes()) {
+    KvArenaOptions o;
+    o.slots = 3;
+    o.pool.page_positions = pp;
+    o.pool.spill_key = TestSpillKey();
+    KvArena arena(spec_, o);
+    // The scratch budget the TA carves (BudgetBytes) is EXACTLY what the
+    // constructed arena reports — no drift at any page size.
+    EXPECT_EQ(KvArena::BudgetBytes(spec_, o), arena.ArenaBytes())
+        << "pp=" << pp;
+    // pool_bytes == 0 holds every slot's full context in whole pages,
+    // rounding a partial last page up.
+    EXPECT_EQ(arena.pool()->frames(), 3 * PagesPerContext(pp)) << "pp=" << pp;
+    EXPECT_EQ(arena.SlotBytes(), arena.cache(0)->ArenaBytes());
   }
 
   // Where the page size divides max_ctx the default budget is exactly
@@ -573,10 +544,10 @@ TEST_F(PagedKvTest, ArenaBudgetBytesMatchesConstructionAtEveryGeometry) {
   // An explicit sub-page-multiple budget rounds down to whole frames, and
   // BudgetBytes tracks the rounding.
   paged_opts.pool.pool_bytes =
-      2 * KvPagePool::PageBytes(spec_, KvStorage::kF16, kPagePositions) + 100;
+      2 * KvPagePool::PageBytes(spec_, kPagePositions) + 100;
   KvArena trimmed(spec_, paged_opts);
   EXPECT_EQ(trimmed.ArenaBytes(),
-            2 * KvPagePool::PageBytes(spec_, KvStorage::kF16, kPagePositions));
+            2 * KvPagePool::PageBytes(spec_, kPagePositions));
   EXPECT_EQ(KvArena::BudgetBytes(spec_, paged_opts), trimmed.ArenaBytes());
 }
 
@@ -809,8 +780,7 @@ TEST(PagedEngineSpillTest, OverSubscribedPoolSpillsWithoutChangingTokens) {
   const ModelSpec spec = ModelSpec::Create(config.model);
   config.engine.kv_pool_bytes =
       (config.model.max_ctx / config.engine.kv_page_positions) *
-      KvPagePool::PageBytes(spec, KvStorage::kF16,
-                            config.engine.kv_page_positions);
+      KvPagePool::PageBytes(spec, config.engine.kv_page_positions);
   // Sharing off: every page is session-private, so finishing all sessions
   // must return every frame to the pool (the refcount-release check).
   config.engine.kv_prefix_entries = 0;

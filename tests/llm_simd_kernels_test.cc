@@ -149,10 +149,6 @@ TEST(SimdDispatchTest, ForceScalarBindsScalarTable) {
   forced.force_scalar = true;
   EXPECT_EQ(KernelsFor(forced), ScalarKernels());
 
-  EngineOptions reference;
-  reference.use_reference_kernels = true;
-  EXPECT_EQ(KernelsFor(reference), ScalarKernels());
-
   EngineOptions normal;
   EXPECT_EQ(KernelsFor(normal), ActiveKernels());
 }
@@ -176,9 +172,7 @@ TEST(SimdDispatchTest, TablesAreFullyPopulated) {
     EXPECT_EQ(t->matmat_rows_q8 != nullptr, t->isa == SimdIsa::kAmxInt8)
         << SimdIsaName(t->isa);
     EXPECT_NE(t->dot_qk_f16, nullptr);
-    EXPECT_NE(t->dot_qk_f32, nullptr);
     EXPECT_NE(t->axpy_f16, nullptr);
-    EXPECT_NE(t->axpy_f32, nullptr);
     EXPECT_NE(t->f32_to_f16, nullptr);
     EXPECT_NE(t->f16_to_f32, nullptr);
     EXPECT_NE(t->rms_norm, nullptr);
@@ -730,15 +724,12 @@ TEST(SimdAttentionKernelTest, DotQkTracksDoubleReference) {
     kh[i] = F32ToF16(kf[i]);
   }
   for (int n : {4, 8, 16, 64, 100, 128}) {
-    double want16 = 0.0, want32 = 0.0;
+    double want16 = 0.0;
     for (int i = 0; i < n; ++i) {
       want16 += static_cast<double>(q[i]) * F16ToF32(kh[i]);
-      want32 += static_cast<double>(q[i]) * kf[i];
     }
     for (const KernelDispatch* t : AllHostTables()) {
       EXPECT_NEAR(t->dot_qk_f16(q.data(), kh.data(), n), want16, 1e-3)
-          << SimdIsaName(t->isa) << " n=" << n;
-      EXPECT_NEAR(t->dot_qk_f32(q.data(), kf.data(), n), want32, 1e-3)
           << SimdIsaName(t->isa) << " n=" << n;
     }
   }
@@ -760,12 +751,6 @@ TEST(SimdAttentionKernelTest, AxpyTracksScalar) {
       simd->axpy_f16(0.7f, vh.data(), b.data(), n);
       for (int i = 0; i < n; ++i) {
         EXPECT_NEAR(a[i], b[i], 1e-6f) << "f16 n=" << n << " i=" << i;
-      }
-      std::vector<float> c(n, -0.5f), d(n, -0.5f);
-      ScalarKernels()->axpy_f32(-1.3f, vf.data(), c.data(), n);
-      simd->axpy_f32(-1.3f, vf.data(), d.data(), n);
-      for (int i = 0; i < n; ++i) {
-        EXPECT_NEAR(c[i], d[i], 1e-6f) << "f32 n=" << n << " i=" << i;
       }
     }
   }
