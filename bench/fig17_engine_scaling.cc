@@ -156,21 +156,20 @@ double MeasurePrefillMs(const ModelSpec& spec,
 // NPU-offloaded batched prefill through the ComputeBackend seam: each
 // chunk-layer becomes two fused secure NPU jobs via the co-driver, with the
 // full shadow-queue / takeover / world-switch protocol running on the
-// simulator clock and the executor's pipelined schedule overlapping one
-// chunk's CPU attention with another chunk's jobs.
+// simulator clock. The CPU waits for each job before its next stage.
 //
 // The headline number is the HYBRID MAKESPAN: the backend charges the
 // host's measured CPU segments to the virtual clock, so one virtual
 // timeline composes real CPU-resident work (norms, RoPE, attention,
 // quantization) with modeled NPU job execution and the real co-driver
-// protocol — overlap and pipeline bubbles included. Raw wall-clock is also
+// protocol. Raw wall-clock is also
 // recorded, but on this simulator it double-charges the NPU's work (the
 // functional payloads execute on the host CPU), so it is diagnostics, not
 // the offload metric. See the BENCH_engine.json glossary in README.md.
 struct NpuPrefillResult {
   double makespan_ms = 0.0;  // Hybrid virtual makespan of one prefill pass.
   double wall_ms = 0.0;      // Best-of wall-clock (payloads on host).
-  double stall_ms = 0.0;     // CPU stalled in Await per pass (virtual).
+  double stall_ms = 0.0;     // CPU blocked on jobs per pass (virtual).
   uint64_t jobs = 0;         // Secure jobs per prefill.
   double matmuls_per_job = 0.0;    // Average fused-group size.
   double config_us_per_job = 0.0;  // TZPC/GIC/TZASC reprogramming.
@@ -183,7 +182,7 @@ struct NpuPrefillResult {
   double jobs_recovered = 0.0;     // Failed jobs a retry absorbed.
   double fallback_jobs = 0.0;      // Jobs re-executed on the CPU.
   double fallback_matmuls = 0.0;   // Matmuls inside those fallback jobs.
-  double jobs_abandoned = 0.0;     // Tickets written off during quiesce.
+  double jobs_abandoned = 0.0;     // Jobs a wait gave up on (timeout).
 };
 
 NpuPrefillResult MeasureNpuPrefill(const ModelSpec& spec,
@@ -229,7 +228,6 @@ NpuPrefillResult MeasureNpuPrefill(const ModelSpec& spec,
   config.ctx_base = tee.RegionBase(SecureRegionId::kScratch);
   config.ctx_bytes = NpuBackend::ContextBytes(spec, options);
   config.kernels = KernelsFor(options);
-  config.fuse_jobs = options.npu_fusion;
   if (fault_plan.active()) {
     // The sweep measures FALLBACK-mode prefill (the guard: completes within
     // 2x batched_t1), so a faulted job goes straight to its CPU re-run. The
@@ -402,19 +400,11 @@ int main() {
   const double batched4_ms =
       MeasurePrefillMs(prefill_spec, prefill_weights, batched4, kPromptTokens);
 
-  // NPU offload rows (ISSUE 5): fused per-layer jobs + the pipelined
-  // schedule, reported as the hybrid makespan (measured CPU segments +
-  // modeled NPU execution on one virtual timeline — see the glossary in
-  // README.md). The unfused row is the pre-fusion granularity ablation:
-  // same useful work, 3.5x the jobs, every extra job paying the co-driver
-  // world switch.
+  // NPU offload row: fused per-layer jobs, reported as the hybrid
+  // makespan (measured CPU segments + modeled NPU execution on one virtual
+  // timeline — see the glossary in README.md).
   const NpuPrefillResult npu =
       MeasureNpuPrefill(prefill_spec, prefill_weights, batched1, kPromptTokens);
-  EngineOptions unfused1 = batched1;
-  unfused1.npu_fusion = false;
-  const NpuPrefillResult npu_unfused =
-      MeasureNpuPrefill(prefill_spec, prefill_weights, unfused1,
-                        kPromptTokens);
 
   printf("\nPrefill latency (%d-token prompt):\n", kPromptTokens);
   PrintRow({"path", "threads", "ms", "vs per-pos"});
@@ -425,10 +415,8 @@ int main() {
             Fmt("%.2fx", per_pos_ms / batched4_ms)});
   PrintRow({"npu-fused x32", "1", Fmt("%.1f", npu.makespan_ms),
             Fmt("%.2fx", per_pos_ms / npu.makespan_ms)});
-  PrintRow({"npu-unfused x32", "1", Fmt("%.1f", npu_unfused.makespan_ms),
-            Fmt("%.2fx", per_pos_ms / npu_unfused.makespan_ms)});
   printf(
-      "npu co-driver (fused): %llu jobs/prefill, %.1f matmuls/job, config "
+      "npu co-driver: %llu jobs/prefill, %.1f matmuls/job, config "
       "%.1f us/job, smc %.1f us/job, switch %.1f us/job measured (model "
       "%.1f), npu busy %.2f ms, cpu stall %.2f ms, wall %.1f ms\n",
       static_cast<unsigned long long>(npu.jobs), npu.matmuls_per_job,
@@ -436,11 +424,6 @@ int main() {
       npu.measured_switch_us_per_job,
       ToMillis(TeeNpuDriver::PerJobSwitchCost()) * 1e3, npu.npu_busy_ms,
       npu.stall_ms, npu.wall_ms);
-  printf(
-      "npu co-driver (unfused ablation): %llu jobs/prefill, makespan %.2f "
-      "ms (fusion saves %.2f ms of switch overhead)\n",
-      static_cast<unsigned long long>(npu_unfused.jobs),
-      npu_unfused.makespan_ms, npu_unfused.makespan_ms - npu.makespan_ms);
   printf("npu fused prefill vs batched t1: %.2fx %s\n",
          batched1_ms / npu.makespan_ms,
          npu.makespan_ms < batched1_ms ? "(faster: PASS)" : "(slower: FAIL)");
@@ -449,7 +432,7 @@ int main() {
     printf(
         "fault sweep (%s): %.1f faults/prefill injected, %.1f jobs "
         "recovered by retry, %.1f jobs fell back to CPU (%.1f matmuls), "
-        "%.1f tickets abandoned\n",
+        "%.1f jobs abandoned\n",
         fault_plan.ToString().c_str(), npu.faults_injected,
         npu.jobs_recovered, npu.fallback_jobs, npu.fallback_matmuls,
         npu.jobs_abandoned);
@@ -509,15 +492,11 @@ int main() {
     fprintf(json, "    \"batched_t1\": %.2f,\n", batched1_ms);
     fprintf(json, "    \"batched_t4\": %.2f,\n", batched4_ms);
     fprintf(json, "    \"npu_offload\": %.2f,\n", npu.makespan_ms);
-    fprintf(json, "    \"npu_offload_unfused\": %.2f,\n",
-            npu_unfused.makespan_ms);
     fprintf(json, "    \"npu_offload_wall\": %.2f\n", npu.wall_ms);
     fprintf(json, "  },\n");
     fprintf(json, "  \"npu_codriver\": {\n");
     fprintf(json, "    \"jobs_per_prefill\": %llu,\n",
             static_cast<unsigned long long>(npu.jobs));
-    fprintf(json, "    \"jobs_per_prefill_unfused\": %llu,\n",
-            static_cast<unsigned long long>(npu_unfused.jobs));
     fprintf(json, "    \"matmuls_per_job\": %.2f,\n", npu.matmuls_per_job);
     fprintf(json, "    \"config_us_per_job\": %.2f,\n", npu.config_us_per_job);
     fprintf(json, "    \"smc_us_per_job\": %.2f,\n", npu.smc_us_per_job);

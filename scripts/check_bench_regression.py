@@ -5,8 +5,8 @@ Default mode parses a freshly produced BENCH_engine.json and fails CI when
 the NPU prefill trajectory regresses:
 
   1. prefill_ms.npu_offload must beat prefill_ms.batched_t1 — the whole
-     point of the fused/pipelined co-driver path (both measured in the same
-     run, so the check is host-independent).
+     point of the fused co-driver path (both measured in the same run, so
+     the check is host-independent).
   2. npu_codriver.jobs_per_prefill must stay within the fused budget
      (<= 48 on the bench-medium 96-token prompt): a job-granularity
      regression reintroduces per-job world switches long before it shows up

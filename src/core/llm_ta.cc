@@ -87,9 +87,9 @@ Status LlmTa::LoadModel(const std::string& model_id, SchedulePolicy policy) {
   //    store: KvArena::BudgetBytes accounts the shared KV page pool, plus a
   //    vocab-size logits row per admissible session — so accounted ==
   //    resident.
-  //    NPU prefill adds the job execution-context window (double-buffered
-  //    cmd/iopt/in/out slots) at the region tail, so CreateJob's TZASC
-  //    validation passes exactly because the budget covered it.
+  //    NPU prefill adds the job execution context (cmd/iopt/in/out
+  //    buffers of the largest fused job) at the region tail, so CreateJob's
+  //    TZASC validation passes exactly because the budget covered it.
   if (engine_options_.npu_prefill_active()) {
     if (npu_driver_ == nullptr) {
       return FailedPrecondition(
@@ -193,7 +193,6 @@ Status LlmTa::LoadModel(const std::string& model_id, SchedulePolicy policy) {
     // carries norm/silu glue whose floats have to match the CPU path
     // bit-for-bit, not just the (table-invariant) integer-dot rows.
     backend_config.kernels = KernelsFor(engine_options_);
-    backend_config.fuse_jobs = engine_options_.npu_fusion;
     backend_config.job_timeout = engine_options_.npu_job_timeout;
     backend_config.max_retries = engine_options_.npu_max_retries;
     backend_config.retry_backoff = engine_options_.npu_retry_backoff;

@@ -5,9 +5,13 @@
 
 namespace tzllm {
 
-void LayerTailProjResidualNormQuant(const LayerTailOp& op,
-                                    const KernelDispatch* kernels) {
+void RunLayerTail(const LayerTailOp& op, const Q8Acts& x_attn,
+                  const KernelDispatch* kernels, ThreadPool* pool) {
   const uint64_t d = static_cast<uint64_t>(op.d_model);
+  const uint64_t ff = static_cast<uint64_t>(op.d_ff);
+  // x_attn is consumed by the Wo matmul before the first requantization
+  // below may overwrite an aliased op.acts.
+  MatMatQ8(op.wo, d, d, x_attn, op.proj, pool, kernels);
   // Attention-output residual, then the FFN norm over all m positions.
   for (int i = 0; i < op.m * op.d_model; ++i) {
     op.hiddens[i] += op.proj[i];
@@ -18,52 +22,30 @@ void LayerTailProjResidualNormQuant(const LayerTailOp& op,
                       op.d_model);
   }
   op.acts->QuantizeRows(op.norm, op.m, d, kernels);
-}
-
-void LayerTailSwiGluQuant(const LayerTailOp& op,
-                          const KernelDispatch* kernels) {
+  MatMatQ8(op.w_gate, ff, d, *op.acts, op.gate, pool, kernels);
+  MatMatQ8(op.w_up, ff, d, *op.acts, op.up, pool, kernels);
   for (int i = 0; i < op.m * op.d_ff; ++i) {
     const float g = op.gate[i];
     const float silu = g / (1.0f + std::exp(-g));
     op.gate[i] = silu * op.up[i];
   }
-  op.acts->QuantizeRows(op.gate, op.m, static_cast<uint64_t>(op.d_ff),
-                        kernels);
-}
-
-void LayerTailDownResidual(const LayerTailOp& op) {
+  op.acts->QuantizeRows(op.gate, op.m, ff, kernels);
+  MatMatQ8(op.w_down, d, ff, *op.acts, op.down, pool, kernels);
   for (int i = 0; i < op.m * op.d_model; ++i) {
     op.hiddens[i] += op.down[i];
   }
 }
 
-void RunLayerTail(const LayerTailOp& op, const Q8Acts& x_attn,
-                  const KernelDispatch* kernels, ThreadPool* pool) {
-  const uint64_t d = static_cast<uint64_t>(op.d_model);
-  const uint64_t ff = static_cast<uint64_t>(op.d_ff);
-  // x_attn is consumed by the Wo matmul before the first requantization
-  // below may overwrite an aliased op.acts.
-  MatMatQ8(op.wo, d, d, x_attn, op.proj, pool, kernels);
-  LayerTailProjResidualNormQuant(op, kernels);
-  MatMatQ8(op.w_gate, ff, d, *op.acts, op.gate, pool, kernels);
-  MatMatQ8(op.w_up, ff, d, *op.acts, op.up, pool, kernels);
-  LayerTailSwiGluQuant(op, kernels);
-  MatMatQ8(op.w_down, d, ff, *op.acts, op.down, pool, kernels);
-  LayerTailDownResidual(op);
-}
-
-Result<BackendTicket> CpuBackend::SubmitMatMatGroup(const MatMatOp* ops, int n,
-                                                    const Q8Acts& x) {
+Status CpuBackend::MatMatGroup(const MatMatOp* ops, int n, const Q8Acts& x) {
   for (int i = 0; i < n; ++i) {
     MatMatQ8(ops[i].w, ops[i].rows, x.cols, x, ops[i].y, pool_, kernels_);
   }
-  return kCompletedTicket;
+  return OkStatus();
 }
 
-Result<BackendTicket> CpuBackend::SubmitLayerTail(const LayerTailOp& op,
-                                                  const Q8Acts& x_attn) {
+Status CpuBackend::LayerTail(const LayerTailOp& op, const Q8Acts& x_attn) {
   RunLayerTail(op, x_attn, kernels_, pool_);
-  return kCompletedTicket;
+  return OkStatus();
 }
 
 }  // namespace tzllm

@@ -62,9 +62,11 @@ struct EngineOptions {
   // --- NPU group: secure co-driver prefill offload. ---------------------
 
   // Routes the batched-prefill matmuls through the secure NPU co-driver
-  // (the ComputeBackend seam): each chunk's QKV/FFN matmuls become
-  // TZASC-validated NpuJobDesc execution contexts submitted via
-  // TeeNpuDriver::SubmitJob. Decode stays on the CPU KernelDispatch path.
+  // (the ComputeBackend seam): each chunk-layer runs as two fused,
+  // TZASC-validated secure NPU jobs submitted via TeeNpuDriver::SubmitJob —
+  // the QKV group, then the whole post-attention segment (Wo + residual +
+  // FFN norm + gate/up/silu/down). Decode stays on the CPU KernelDispatch
+  // path.
   // Requires the co-driver to be wired (LlmTa's npu_driver parameter, from
   // RuntimeConfig::use_npu) — loading fails with a clear Status otherwise.
   // Composes with TZLLM_SIMD: the NPU functional payload runs the engine's
@@ -74,13 +76,6 @@ struct EngineOptions {
   // prefill_batch <= 1, which keeps prefill on the CPU (see
   // npu_prefill_active()).
   bool npu_prefill = false;
-  // Fuses each chunk-layer's matmul group into one secure NPU job (QKV as
-  // one job; the whole post-attention segment — Wo + residual + FFN norm +
-  // gate/up/silu/down — as another), amortizing the per-job world-switch
-  // cost: 2 jobs per layer-chunk instead of 7. Off = one job per matmul
-  // (the pre-fusion granularity, kept for the fused-vs-unfused parity test
-  // and the co-driver ablation).
-  bool npu_fusion = true;
 
   // --- Fault group: NPU failure injection and recovery. -----------------
 

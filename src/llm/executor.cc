@@ -97,24 +97,24 @@ void TransformerExecutor::Rope(float* vec, int n_heads, int pos) const {
   }
 }
 
-void TransformerExecutor::Reserve(Activations* a, int m) const {
-  if (m <= a->capacity) {
+void TransformerExecutor::Reserve(int m) {
+  if (m <= act_.capacity) {
     return;
   }
   const LlmConfig& c = spec_->config();
   const size_t rows = static_cast<size_t>(m);
   const size_t d = c.d_model, kv = c.kv_dim(), ff = c.d_ff;
-  a->hiddens.resize(rows * d);
-  a->norm.resize(rows * d);
-  a->q.resize(rows * d);
-  a->k.resize(rows * kv);
-  a->v.resize(rows * kv);
-  a->attn.resize(rows * d);
-  a->proj.resize(rows * d);
-  a->gate.resize(rows * ff);
-  a->up.resize(rows * ff);
-  a->down.resize(rows * d);
-  a->capacity = m;
+  act_.hiddens.resize(rows * d);
+  act_.norm.resize(rows * d);
+  act_.q.resize(rows * d);
+  act_.k.resize(rows * kv);
+  act_.v.resize(rows * kv);
+  act_.attn.resize(rows * d);
+  act_.proj.resize(rows * d);
+  act_.gate.resize(rows * ff);
+  act_.up.resize(rows * ff);
+  act_.down.resize(rows * d);
+  act_.capacity = m;
 }
 
 Status TransformerExecutor::EmbedToken(TokenId token, float* hidden) {
@@ -271,21 +271,16 @@ Status TransformerExecutor::ForwardRows(const ForwardRow* rows, int n,
     spans_.push_back({rows[r].kv, rows[r].kv->seq_len(), rows[r].m});
     total += rows[r].m;
   }
-  Reserve(&act_, total);
+  Reserve(total);
   float* hidden = act_.hiddens.data();
   for (int r = 0; r < n; ++r) {
     for (int i = 0; i < rows[r].m; ++i, hidden += d) {
       TZLLM_RETURN_IF_ERROR(EmbedToken(rows[r].tokens[i], hidden));
     }
   }
-  // Each submission is awaited at once: this is the serial schedule (the
-  // wavefront in PrefillWavefront defers the awaits).
   for (int l = 0; l < c.n_layers; ++l) {
-    TZLLM_ASSIGN_OR_RETURN(qkv, SubmitQkv(l, total, &act_, backend));
-    TZLLM_RETURN_IF_ERROR(backend->Await(qkv));
-    TZLLM_ASSIGN_OR_RETURN(
-        tail, AttendAndSubmitTail(l, spans_.data(), n, &act_, backend));
-    TZLLM_RETURN_IF_ERROR(backend->Await(tail));
+    TZLLM_RETURN_IF_ERROR(RunQkv(l, total, backend));
+    TZLLM_RETURN_IF_ERROR(AttendAndRunTail(l, backend));
   }
   for (int r = 0; r < n; ++r) {
     rows[r].kv->FinishPositions(rows[r].m);
@@ -293,50 +288,45 @@ Status TransformerExecutor::ForwardRows(const ForwardRow* rows, int n,
   return LmHead(rows, n);
 }
 
-Result<BackendTicket> TransformerExecutor::SubmitQkv(int l, int m,
-                                                     Activations* a,
-                                                     ComputeBackend* backend) {
+Status TransformerExecutor::RunQkv(int l, int m, ComputeBackend* backend) {
   const LlmConfig& c = spec_->config();
   const size_t d = c.d_model;
   TZLLM_ASSIGN_OR_RETURN(w_norm, Weights(TensorRole::kAttnNorm, l));
   for (int i = 0; i < m; ++i) {
-    kernels_->rms_norm(a->hiddens.data() + i * d,
+    kernels_->rms_norm(act_.hiddens.data() + i * d,
                        reinterpret_cast<const float*>(w_norm),
-                       a->norm.data() + i * d, c.d_model);
+                       act_.norm.data() + i * d, c.d_model);
   }
-  a->qkv_acts.QuantizeRows(a->norm.data(), m, d, kernels_);
+  act_.qkv_acts.QuantizeRows(act_.norm.data(), m, d, kernels_);
   TZLLM_ASSIGN_OR_RETURN(wq, Weights(TensorRole::kWq, l));
   TZLLM_ASSIGN_OR_RETURN(wk, Weights(TensorRole::kWk, l));
   TZLLM_ASSIGN_OR_RETURN(wv, Weights(TensorRole::kWv, l));
   const MatMatOp qkv[] = {
-      {wq, static_cast<uint64_t>(d), a->q.data()},
-      {wk, static_cast<uint64_t>(c.kv_dim()), a->k.data()},
-      {wv, static_cast<uint64_t>(c.kv_dim()), a->v.data()}};
-  return backend->SubmitMatMatGroup(qkv, 3, a->qkv_acts);
+      {wq, static_cast<uint64_t>(d), act_.q.data()},
+      {wk, static_cast<uint64_t>(c.kv_dim()), act_.k.data()},
+      {wv, static_cast<uint64_t>(c.kv_dim()), act_.v.data()}};
+  return backend->MatMatGroup(qkv, 3, act_.qkv_acts);
 }
 
-Result<BackendTicket> TransformerExecutor::AttendAndSubmitTail(
-    int l, const RowSpan* spans, int n, Activations* a,
-    ComputeBackend* backend) {
+Status TransformerExecutor::AttendAndRunTail(int l, ComputeBackend* backend) {
   const LlmConfig& c = spec_->config();
   const size_t d = c.d_model, kv_dim = c.kv_dim();
   size_t off = 0;  // First activation row of the span.
-  for (int r = 0; r < n; ++r) {
-    const RowSpan& s = spans[r];
-    float* q = a->q.data() + off * d;
-    float* k = a->k.data() + off * kv_dim;
+  for (const RowSpan& s : spans_) {
+    float* q = act_.q.data() + off * d;
+    float* k = act_.k.data() + off * kv_dim;
     for (int i = 0; i < s.m; ++i) {
       Rope(q + i * d, c.n_heads, s.start + i);
       Rope(k + i * kv_dim, c.n_kv_heads, s.start + i);
     }
     TZLLM_RETURN_IF_ERROR(
-        s.kv->AppendBatch(l, s.m, k, a->v.data() + off * kv_dim));
+        s.kv->AppendBatch(l, s.m, k, act_.v.data() + off * kv_dim));
     // Every (position, head) pair of the span is independent once its K/V
     // rows are in the cache; causality is the p <= pos bound inside Attend.
-    Attend(l, s.start, s.m, q, a->attn.data() + off * d, *s.kv);
+    Attend(l, s.start, s.m, q, act_.attn.data() + off * d, *s.kv);
     off += s.m;
   }
-  a->attn_acts.QuantizeRows(a->attn.data(), off, d, kernels_);
+  act_.attn_acts.QuantizeRows(act_.attn.data(), off, d, kernels_);
   TZLLM_ASSIGN_OR_RETURN(wo, Weights(TensorRole::kWo, l));
   TZLLM_ASSIGN_OR_RETURN(w_ffn_norm, Weights(TensorRole::kFfnNorm, l));
   TZLLM_ASSIGN_OR_RETURN(w_gate, Weights(TensorRole::kWGate, l));
@@ -351,16 +341,16 @@ Result<BackendTicket> TransformerExecutor::AttendAndSubmitTail(
   tail.w_gate = w_gate;
   tail.w_up = w_up;
   tail.w_down = w_down;
-  tail.hiddens = a->hiddens.data();
-  tail.proj = a->proj.data();
-  tail.norm = a->norm.data();
-  tail.gate = a->gate.data();
-  tail.up = a->up.data();
-  tail.down = a->down.data();
+  tail.hiddens = act_.hiddens.data();
+  tail.proj = act_.proj.data();
+  tail.norm = act_.norm.data();
+  tail.gate = act_.gate.data();
+  tail.up = act_.up.data();
+  tail.down = act_.down.data();
   // The requantization scratch aliases the attention activations by
   // contract: the Wo matmul consumes them first.
-  tail.acts = &a->attn_acts;
-  return backend->SubmitLayerTail(tail, a->attn_acts);
+  tail.acts = &act_.attn_acts;
+  return backend->LayerTail(tail, act_.attn_acts);
 }
 
 Status TransformerExecutor::LmHead(const ForwardRow* rows, int n) {
@@ -386,9 +376,7 @@ Status TransformerExecutor::LmHead(const ForwardRow* rows, int n) {
   TZLLM_ASSIGN_OR_RETURN(w_head, Weights(TensorRole::kLmHead, -1));
   logits_rows_.resize(wanted * vocab);
   const MatMatOp head[] = {{w_head, vocab, logits_rows_.data()}};
-  TZLLM_ASSIGN_OR_RETURN(
-      ticket, cpu_backend_->SubmitMatMatGroup(head, 1, act_.qkv_acts));
-  TZLLM_RETURN_IF_ERROR(cpu_backend_->Await(ticket));
+  TZLLM_RETURN_IF_ERROR(cpu_backend_->MatMatGroup(head, 1, act_.qkv_acts));
   const float* out = logits_rows_.data();
   for (int r = 0; r < n; ++r) {
     if (rows[r].logits != nullptr) {
@@ -410,10 +398,6 @@ Result<std::vector<float>> TransformerExecutor::Prefill(
     return ResourceExhausted("KV cache full (context length exceeded)");
   }
   std::vector<float> logits(spec_->config().vocab_size);
-  if (prefill_backend_->asynchronous()) {
-    TZLLM_RETURN_IF_ERROR(PrefillWavefront(tokens, kv, logits.data()));
-    return logits;
-  }
   const int chunk = std::max(1, options_.prefill_batch);
   for (int off = 0; off < total; off += chunk) {
     const int m = std::min(chunk, total - off);
@@ -422,119 +406,6 @@ Result<std::vector<float>> TransformerExecutor::Prefill(
     TZLLM_RETURN_IF_ERROR(Forward(&row, 1, ForwardPhase::kPrefill));
   }
   return logits;
-}
-
-Status TransformerExecutor::PipeAdvance(PipeSlot* ch, KvCache* kv) {
-  ComputeBackend* backend = prefill_backend_;
-  if (!ch->attend_next) {
-    // The previous layer's tail must have landed in hiddens before the
-    // attention norm reads it. While we waited, the other chunk's jobs ran
-    // on the NPU timeline.
-    TZLLM_RETURN_IF_ERROR(backend->Await(ch->tail_ticket));
-    ch->tail_ticket = kCompletedTicket;
-    TZLLM_ASSIGN_OR_RETURN(ticket, SubmitQkv(ch->layer, ch->m, &ch->act,
-                                             backend));
-    ch->qkv_ticket = ticket;
-    ch->attend_next = true;
-    return OkStatus();
-  }
-  // This chunk's attention reads every earlier chunk's KV rows at this
-  // layer; the wavefront advances chunks in order within each layer, so
-  // they are appended already.
-  TZLLM_RETURN_IF_ERROR(backend->Await(ch->qkv_ticket));
-  ch->qkv_ticket = kCompletedTicket;
-  const RowSpan span{kv, ch->start, ch->m};
-  TZLLM_ASSIGN_OR_RETURN(
-      ticket, AttendAndSubmitTail(ch->layer, &span, 1, &ch->act, backend));
-  ch->tail_ticket = ticket;
-  ch->attend_next = false;
-  ++ch->layer;
-  return OkStatus();
-}
-
-Status TransformerExecutor::PrefillWavefront(
-    const std::vector<TokenId>& tokens, KvCache* kv, float* logits) {
-  const LlmConfig& c = spec_->config();
-  const size_t d = c.d_model;
-  const int total = static_cast<int>(tokens.size());
-  const int chunk = std::max(1, options_.prefill_batch);
-  const int n_chunks = (total + chunk - 1) / chunk;
-  const int base = kv->seq_len();
-  // Size the slots the wavefront occupies (a single-chunk prompt never
-  // touches the second one) for its largest chunk BEFORE it starts: once
-  // jobs are in flight they hold raw pointers into these buffers.
-  for (int s = 0; s < std::min(2, n_chunks); ++s) {
-    Reserve(&pipe_[s].act, std::min(chunk, total));
-  }
-  // One pin spans the whole wavefront: chunk attentions read earlier
-  // chunks' pages while later chunks append, so nothing may move.
-  TZLLM_ASSIGN_OR_RETURN(step_pin, kv->PinForStep());
-  (void)step_pin;
-
-  int next = 0;
-  PipeSlot* last = nullptr;
-  std::vector<PipeSlot*> active;
-  auto admit = [&](PipeSlot* ch) -> Status {
-    ch->index = next;
-    ch->start = base + next * chunk;
-    ch->m = std::min(chunk, total - next * chunk);
-    ch->layer = 0;
-    ch->attend_next = false;
-    for (int i = 0; i < ch->m; ++i) {
-      TZLLM_RETURN_IF_ERROR(EmbedToken(tokens[next * chunk + i],
-                                       ch->act.hiddens.data() + i * d));
-    }
-    active.push_back(ch);
-    ++next;
-    return OkStatus();
-  };
-  auto run = [&]() -> Status {
-    for (int s = 0; s < 2 && next < n_chunks; ++s) {
-      TZLLM_RETURN_IF_ERROR(admit(&pipe_[s]));
-    }
-    while (!active.empty()) {
-      // Advance every in-flight chunk one stage, in chunk order — that
-      // order is what serializes per-layer KV appends across chunks.
-      for (PipeSlot* ch : active) {
-        TZLLM_RETURN_IF_ERROR(PipeAdvance(ch, kv));
-      }
-      // Retire chunks that submitted their last layer tail; the slot is
-      // refilled with the next chunk, the youngest member of the wavefront.
-      for (size_t i = 0; i < active.size();) {
-        PipeSlot* ch = active[i];
-        if (ch->layer < c.n_layers || ch->attend_next) {
-          ++i;
-          continue;
-        }
-        TZLLM_RETURN_IF_ERROR(prefill_backend_->Await(ch->tail_ticket));
-        ch->tail_ticket = kCompletedTicket;
-        kv->FinishPositions(ch->m);
-        if (ch->index == n_chunks - 1) {
-          last = ch;
-        }
-        active.erase(active.begin() + i);
-        if (next < n_chunks) {
-          TZLLM_RETURN_IF_ERROR(admit(ch));
-        }
-      }
-    }
-    return OkStatus();
-  };
-  const Status st = run();
-  if (!st.ok()) {
-    // Drain in-flight jobs before surfacing the error: their payloads write
-    // through pointers into the slots. The original error is the one the
-    // caller needs; Sync's is at best a duplicate.
-    (void)prefill_backend_->Sync();
-    return st;
-  }
-  // The last chunk has retired, so every chunk has.
-  Reserve(&act_, 1);
-  std::memcpy(act_.hiddens.data(),
-              last->act.hiddens.data() + static_cast<size_t>(last->m - 1) * d,
-              sizeof(float) * d);
-  const ForwardRow row{kv, nullptr, 1, logits};
-  return LmHead(&row, 1);
 }
 
 }  // namespace tzllm

@@ -89,10 +89,7 @@ class TransformerExecutor {
 
   // Runs the whole prompt into `kv` and returns the last position's logits
   // (vocab_size floats): chunks of prefill_batch positions, each one
-  // Forward row. On an asynchronous prefill backend (NPU offload) the
-  // chunks run as a two-chunk wavefront instead, so one chunk's CPU
-  // attention overlaps the other chunk's jobs — same stages, same floats,
-  // reordered only across independent work.
+  // kPrefill Forward row — the same chunk loop the LLM TA runs.
   Result<std::vector<float>> Prefill(const std::vector<TokenId>& tokens,
                                      KvCache* kv);
 
@@ -114,8 +111,8 @@ class TransformerExecutor {
  private:
   // Activation buffers for a pass of up to `capacity` positions,
   // position-major (row i belongs to the pass's i-th position). Every
-  // buffer a submitted job references lives here, which is what makes the
-  // NPU jobs zero-copy (the ComputeBackend lifetime contract).
+  // buffer an NPU job references lives here, which is what makes the jobs
+  // zero-copy.
   struct Activations {
     int capacity = 0;
     std::vector<float> hiddens, norm, q, k, v, attn, proj, gate, up, down;
@@ -128,47 +125,19 @@ class TransformerExecutor {
     int start;
     int m;
   };
-  // One prompt chunk in the wavefront. Each slot owns its activations, so
-  // two chunks can be in flight at once.
-  struct PipeSlot {
-    Activations act;
-    int index = -1;  // Chunk ordinal within the prompt.
-    int start = 0;   // First absolute position of the chunk.
-    int m = 0;
-    int layer = 0;
-    // false: the next step submits this layer's QKV group. true: QKV is in
-    // flight; the next step attends and submits the layer tail.
-    bool attend_next = false;
-    BackendTicket qkv_ticket = kCompletedTicket;
-    BackendTicket tail_ticket = kCompletedTicket;
-  };
-
   // The quantized pass over pinned caches; leaves each row's cache one pass
   // further and its logits (if wanted) filled.
   Status ForwardRows(const ForwardRow* rows, int n, ComputeBackend* backend);
-  // The two stages of one layer, shared by ForwardRows and the wavefront.
-  // Stage one: attention norm and quantization of `m` rows, then the QKV
-  // group is submitted.
-  Result<BackendTicket> SubmitQkv(int layer, int m, Activations* a,
-                                  ComputeBackend* backend);
-  // Stage two, once QKV landed: per span RoPE at its positions, KV append
-  // and attention, then the whole post-attention segment (Wo + residual +
-  // FFN) is submitted as one fused layer tail over every span's rows.
-  Result<BackendTicket> AttendAndSubmitTail(int layer, const RowSpan* spans,
-                                            int n, Activations* a,
-                                            ComputeBackend* backend);
+  // The two stages of one layer over act_. Stage one: attention norm and
+  // quantization of `m` rows, then the QKV group on `backend`.
+  Status RunQkv(int layer, int m, ComputeBackend* backend);
+  // Stage two, once QKV landed: per span of spans_ RoPE at its positions,
+  // KV append and attention, then the whole post-attention segment (Wo +
+  // residual + FFN) as one fused layer tail over every span's rows.
+  Status AttendAndRunTail(int layer, ComputeBackend* backend);
   // The shared LM head: one CPU MatMat over the last position of every row
   // that wants logits (rows are laid out in act_ as ForwardRows packs them).
   Status LmHead(const ForwardRow* rows, int n);
-  // Prefill's schedule for asynchronous backends: a layer-major wavefront
-  // with up to two chunks in flight (one slot per NPU context buffer). Per
-  // layer, chunk c's KV rows are appended before chunk c+1 attends — the
-  // only cross-chunk dependency — so logits are bit-identical to running
-  // the chunks one Forward call at a time.
-  Status PrefillWavefront(const std::vector<TokenId>& tokens, KvCache* kv,
-                          float* logits);
-  // Advances a wavefront chunk by one stage.
-  Status PipeAdvance(PipeSlot* ch, KvCache* kv);
 
   // Fused causal attention for `m` consecutive positions starting at
   // `start`: fills out rows [m][d_model] from q rows [m][d_model] and the KV
@@ -184,8 +153,8 @@ class TransformerExecutor {
   Result<const uint8_t*> Weights(TensorRole role, int layer);
 
   void Rope(float* vec, int n_heads, int pos) const;
-  // Grows `a` to hold passes of up to `m` positions (never shrinks).
-  void Reserve(Activations* a, int m) const;
+  // Grows act_ to hold passes of up to `m` positions (never shrinks).
+  void Reserve(int m);
 
   const ModelSpec* spec_;
   WeightSource* weights_;
@@ -219,8 +188,6 @@ class TransformerExecutor {
   std::vector<KvCachePin> pins_;
   std::vector<float> logits_rows_;
   std::vector<float> scores_;
-  // Wavefront slots, each sized before the wavefront starts.
-  PipeSlot pipe_[2];
 };
 
 // Numerics helpers shared with tests — always the portable-scalar table

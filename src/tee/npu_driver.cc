@@ -302,15 +302,6 @@ Status TeeNpuDriver::WaitForJob(uint64_t job_id, SimDuration timeout) {
   return status;
 }
 
-Result<bool> TeeNpuDriver::TryPollJob(uint64_t job_id) const {
-  MutexLock lock(&mu_);
-  auto it = jobs_.find(job_id);
-  if (it == jobs_.end()) {
-    return NotFound("unknown secure NPU job");
-  }
-  return it->second.finished;
-}
-
 Status TeeNpuDriver::ValidateTakeoverLocked(uint64_t job_id) const {
   auto it = jobs_.find(job_id);
   // Arbitrary-launch defense: the job must exist and have been initialized

@@ -82,12 +82,6 @@ class TeeNpuDriver {
   Status WaitForJob(uint64_t job_id, SimDuration timeout = 0)
       TZLLM_EXCLUDES(mu_);
 
-  // Non-blocking completion query for the pipelined prefill schedule: true
-  // once the job's completion path has fired (WaitForJob would return
-  // without driving the simulator), false while in flight, NotFound for an
-  // unknown/already-consumed id. Never consumes the bookkeeping entry.
-  Result<bool> TryPollJob(uint64_t job_id) const TZLLM_EXCLUDES(mu_);
-
   // --- Deterministic fault injection (recovery tests, CI fault sweep). ---
   // Arms `plan` against jobs issued from now on: ordinals restart at 1,
   // driver-visible classes (kContext, kSubmit) are handled here, device-
@@ -104,9 +98,8 @@ class TeeNpuDriver {
                       uint64_t fallback_matmuls) TZLLM_EXCLUDES(mu_);
 
   // --- Statistics (§7.3 breakdown; per-job figures for the bench). ---
-  // Each getter takes mu_: the pipelined-prefill poll loop (and, soon, the
-  // serving layer's metrics scrape) reads these while the driver mutates
-  // them on the completion path.
+  // Each getter takes mu_: a metrics scrape may read these while the
+  // driver mutates them on the completion path.
   uint64_t jobs_created() const TZLLM_EXCLUDES(mu_);
   uint64_t secure_jobs_completed() const TZLLM_EXCLUDES(mu_);
   uint64_t validation_failures() const TZLLM_EXCLUDES(mu_);

@@ -1,9 +1,8 @@
 // Fault-injection matrix for the NPU offload path: every deterministic
 // fault class (payload fault, device stall, context-validation rejection,
-// lost post-submit shadow) crossed with {fused, unfused} job granularity
-// and the two prefill schedules: chunk by chunk (one Forward call per chunk,
-// the TA's schedule) and the pipelined wavefront (whole-prompt Prefill).
-// The contract under test:
+// lost post-submit shadow) crossed with {transient retry, persistent
+// fallback, recovery off}, on the one prefill schedule (one Forward call per
+// chunk, the TA's schedule). The contract under test:
 //
 //  - a transient fault is retried within the bounded backoff budget and the
 //    prefill completes with logits BIT-IDENTICAL to the CPU path;
@@ -11,12 +10,11 @@
 //    group re-executes on the CPU (transparent fallback) — still
 //    bit-identical, with the degradation visible in the driver stats;
 //  - with recovery disabled the failure surfaces as a clean Status (no
-//    hang, no leaked in-flight tickets, device reusable afterwards);
+//    hang, device reusable afterwards);
 //  - everything happens in bounded virtual time.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,32 +80,17 @@ struct SecureStack {
     config.ctx_base = scratch;
     config.ctx_bytes = NpuBackend::ContextBytes(spec, options);
     config.kernels = KernelsFor(options);
-    config.fuse_jobs = options.npu_fusion;
     config.job_timeout = kTestJobTimeout;
     return config;
   }
 
-  // `wavefront` picks the schedule by entry point: whole-prompt Prefill
-  // pipelines on the NPU; one Forward call per chunk is the serial schedule.
   Result<std::vector<float>> NpuPrefill(const EngineOptions& options,
-                                        bool wavefront,
                                         const std::vector<TokenId>& prompt,
                                         NpuBackend* backend) {
     HostWeightSource source(weights);
     TransformerExecutor exec(&spec, &source, options, backend);
     KvCache kv(spec, KernelsFor(options));
-    if (wavefront) {
-      return exec.Prefill(prompt, &kv);
-    }
-    std::vector<float> logits(spec.config().vocab_size);
-    const int total = static_cast<int>(prompt.size());
-    for (int off = 0; off < total; off += options.prefill_batch) {
-      const int m = std::min(options.prefill_batch, total - off);
-      const ForwardRow row{&kv, prompt.data() + off, m,
-                           off + m == total ? logits.data() : nullptr};
-      TZLLM_RETURN_IF_ERROR(exec.Forward(&row, 1, ForwardPhase::kPrefill));
-    }
-    return logits;
+    return exec.Prefill(prompt, &kv);
   }
 
   SocPlatform plat;
@@ -122,26 +105,13 @@ struct SecureStack {
   std::vector<Tensor> weights;
 };
 
-// The matrix axes.
+// The matrix axis.
 const char* const kFaultClasses[] = {"payload", "timeout", "ctx", "submit"};
 
-struct Schedule {
-  bool fused;
-  bool wavefront;
-};
-const Schedule kSchedules[] = {
-    {true, true}, {true, false}, {false, true}, {false, false}};
-
-EngineOptions ScheduleOptions(const Schedule& s) {
+EngineOptions PrefillOptions() {
   EngineOptions options;
   options.prefill_batch = 8;
-  options.npu_fusion = s.fused;
   return options;
-}
-
-std::string CellName(const char* cls, const Schedule& s) {
-  return std::string(cls) + (s.fused ? "/fused" : "/unfused") +
-         (s.wavefront ? "/wavefront" : "/chunked");
 }
 
 // CPU reference logits for `options` — computed on a stack-independent
@@ -215,38 +185,35 @@ TEST(NpuFaultMatrixTest, TransientFaultRecoversBitIdentically) {
   // the logits must match the CPU reference exactly — recovery replays the
   // same payload over the same bytes, so there is no tolerance to grant.
   for (const char* cls : kFaultClasses) {
-    for (const Schedule& sched : kSchedules) {
-      SCOPED_TRACE(CellName(cls, sched));
-      SecureStack stack;
-      const EngineOptions options = ScheduleOptions(sched);
-      const auto prompt = MakePrompt(stack.spec.config(), 20);
-      const std::vector<float> cpu =
-          CpuReference(stack.spec, stack.weights, options, prompt);
+    SCOPED_TRACE(cls);
+    SecureStack stack;
+    const EngineOptions options = PrefillOptions();
+    const auto prompt = MakePrompt(stack.spec.config(), 20);
+    const std::vector<float> cpu =
+        CpuReference(stack.spec, stack.weights, options, prompt);
 
-      auto plan = NpuFaultPlan::Parse(std::string(cls) + "@3");
-      ASSERT_TRUE(plan.ok());
-      stack.tee_npu->ArmFaultPlan(*plan);
-      NpuBackendConfig config = stack.BackendConfig(options);
-      NpuBackend backend(config);
-      const SimTime start = stack.plat.sim().Now();
-      auto npu = stack.NpuPrefill(options, sched.wavefront, prompt, &backend);
-      ASSERT_TRUE(npu.ok()) << npu.status().ToString();
-      ASSERT_EQ(npu->size(), cpu.size());
-      for (size_t i = 0; i < cpu.size(); ++i) {
-        ASSERT_EQ((*npu)[i], cpu[i]) << "logit " << i;
-      }
-      EXPECT_GE(stack.tee_npu->faults_injected(), 1u);
-      // A single transient fault must be absorbed by retries, never reach
-      // the CPU-fallback stage, and leave nothing in flight.
-      EXPECT_GE(backend.jobs_recovered(), 1u);
-      EXPECT_EQ(backend.fallback_jobs(), 0u);
-      EXPECT_EQ(backend.pending_jobs(), 0u);
-      EXPECT_EQ(stack.tee_npu->jobs_recovered(), backend.jobs_recovered());
-      // Bounded virtual time: a hang would blow far past a handful of
-      // deadline+backoff rounds.
-      EXPECT_LT(stack.plat.sim().Now() - start, 100 * kTestJobTimeout);
-      EXPECT_FALSE(stack.plat.tzpc().IsSecure(DeviceId::kNpu));
+    auto plan = NpuFaultPlan::Parse(std::string(cls) + "@3");
+    ASSERT_TRUE(plan.ok());
+    stack.tee_npu->ArmFaultPlan(*plan);
+    NpuBackendConfig config = stack.BackendConfig(options);
+    NpuBackend backend(config);
+    const SimTime start = stack.plat.sim().Now();
+    auto npu = stack.NpuPrefill(options, prompt, &backend);
+    ASSERT_TRUE(npu.ok()) << npu.status().ToString();
+    ASSERT_EQ(npu->size(), cpu.size());
+    for (size_t i = 0; i < cpu.size(); ++i) {
+      ASSERT_EQ((*npu)[i], cpu[i]) << "logit " << i;
     }
+    EXPECT_GE(stack.tee_npu->faults_injected(), 1u);
+    // A single transient fault must be absorbed by retries and never
+    // reach the CPU-fallback stage.
+    EXPECT_GE(backend.jobs_recovered(), 1u);
+    EXPECT_EQ(backend.fallback_jobs(), 0u);
+    EXPECT_EQ(stack.tee_npu->jobs_recovered(), backend.jobs_recovered());
+    // Bounded virtual time: a hang would blow far past a handful of
+    // deadline+backoff rounds.
+    EXPECT_LT(stack.plat.sim().Now() - start, 100 * kTestJobTimeout);
+    EXPECT_FALSE(stack.plat.tzpc().IsSecure(DeviceId::kNpu));
   }
 }
 
@@ -255,84 +222,73 @@ TEST(NpuFaultMatrixTest, PersistentFaultFallsBackToCpuBitIdentically) {
   // failed job's matmul group must re-execute on the CPU and the prefill
   // must continue — same logits, degradation visible in the stats.
   for (const char* cls : kFaultClasses) {
-    for (const Schedule& sched : kSchedules) {
-      SCOPED_TRACE(CellName(cls, sched));
-      SecureStack stack;
-      const EngineOptions options = ScheduleOptions(sched);
-      const auto prompt = MakePrompt(stack.spec.config(), 20);
-      const std::vector<float> cpu =
-          CpuReference(stack.spec, stack.weights, options, prompt);
+    SCOPED_TRACE(cls);
+    SecureStack stack;
+    const EngineOptions options = PrefillOptions();
+    const auto prompt = MakePrompt(stack.spec.config(), 20);
+    const std::vector<float> cpu =
+        CpuReference(stack.spec, stack.weights, options, prompt);
 
-      auto plan = NpuFaultPlan::Parse(std::string(cls) + "@3x1000000");
-      ASSERT_TRUE(plan.ok());
-      stack.tee_npu->ArmFaultPlan(*plan);
-      NpuBackendConfig config = stack.BackendConfig(options);
-      config.max_retries = 1;
-      NpuBackend backend(config);
-      const SimTime start = stack.plat.sim().Now();
-      auto npu = stack.NpuPrefill(options, sched.wavefront, prompt, &backend);
-      ASSERT_TRUE(npu.ok()) << npu.status().ToString();
-      ASSERT_EQ(npu->size(), cpu.size());
-      for (size_t i = 0; i < cpu.size(); ++i) {
-        ASSERT_EQ((*npu)[i], cpu[i]) << "logit " << i;
-      }
-      EXPECT_GE(backend.fallback_jobs(), 1u);
-      EXPECT_GE(backend.fallback_matmuls(), 1u);
-      EXPECT_EQ(backend.pending_jobs(), 0u);
-      EXPECT_EQ(stack.tee_npu->fallback_jobs(), backend.fallback_jobs());
-      EXPECT_EQ(stack.tee_npu->fallback_matmuls(),
-                backend.fallback_matmuls());
-      // Every job pays (1 + max_retries) deadline rounds at worst; the
-      // bound scales with the job count but must stay finite and modest.
-      EXPECT_LT(stack.plat.sim().Now() - start, 1000 * kTestJobTimeout);
+    auto plan = NpuFaultPlan::Parse(std::string(cls) + "@3x1000000");
+    ASSERT_TRUE(plan.ok());
+    stack.tee_npu->ArmFaultPlan(*plan);
+    NpuBackendConfig config = stack.BackendConfig(options);
+    config.max_retries = 1;
+    NpuBackend backend(config);
+    const SimTime start = stack.plat.sim().Now();
+    auto npu = stack.NpuPrefill(options, prompt, &backend);
+    ASSERT_TRUE(npu.ok()) << npu.status().ToString();
+    ASSERT_EQ(npu->size(), cpu.size());
+    for (size_t i = 0; i < cpu.size(); ++i) {
+      ASSERT_EQ((*npu)[i], cpu[i]) << "logit " << i;
     }
+    EXPECT_GE(backend.fallback_jobs(), 1u);
+    EXPECT_GE(backend.fallback_matmuls(), 1u);
+    EXPECT_EQ(stack.tee_npu->fallback_jobs(), backend.fallback_jobs());
+    EXPECT_EQ(stack.tee_npu->fallback_matmuls(),
+              backend.fallback_matmuls());
+    // Every job pays (1 + max_retries) deadline rounds at worst; the
+    // bound scales with the job count but must stay finite and modest.
+    EXPECT_LT(stack.plat.sim().Now() - start, 1000 * kTestJobTimeout);
   }
 }
 
 TEST(NpuFaultMatrixTest, RecoveryDisabledSurfacesCleanStatusAndDrains) {
   // max_retries=0 + cpu_fallback=false: the raw fault must surface as a
-  // clean Status out of Prefill — no hang, no in-flight tickets left
-  // against the caller's (about to be destroyed) workspace, and the device
-  // must be reusable for a subsequent unfaulted run on the same stack.
+  // clean Status out of Prefill — no hang — and the device must be
+  // reusable for a subsequent unfaulted run on the same stack.
   for (const char* cls : kFaultClasses) {
-    for (const Schedule& sched : kSchedules) {
-      SCOPED_TRACE(CellName(cls, sched));
-      SecureStack stack;
-      const EngineOptions options = ScheduleOptions(sched);
-      const auto prompt = MakePrompt(stack.spec.config(), 20);
+    SCOPED_TRACE(cls);
+    SecureStack stack;
+    const EngineOptions options = PrefillOptions();
+    const auto prompt = MakePrompt(stack.spec.config(), 20);
 
-      auto plan = NpuFaultPlan::Parse(std::string(cls) + "@3");
-      ASSERT_TRUE(plan.ok());
-      stack.tee_npu->ArmFaultPlan(*plan);
-      NpuBackendConfig config = stack.BackendConfig(options);
-      config.max_retries = 0;
-      config.cpu_fallback = false;
-      const SimTime start = stack.plat.sim().Now();
-      {
-        NpuBackend backend(config);
-        auto npu =
-            stack.NpuPrefill(options, sched.wavefront, prompt, &backend);
-        ASSERT_FALSE(npu.ok());
-        EXPECT_NE(npu.status().code(), ErrorCode::kOk);
-        // The ticket-leak contract: a failed prefill leaves no pending job
-        // whose payload writes through pointers into freed workspace.
-        EXPECT_EQ(backend.pending_jobs(), 0u);
-      }
-      EXPECT_LT(stack.plat.sim().Now() - start, 100 * kTestJobTimeout);
+    auto plan = NpuFaultPlan::Parse(std::string(cls) + "@3");
+    ASSERT_TRUE(plan.ok());
+    stack.tee_npu->ArmFaultPlan(*plan);
+    NpuBackendConfig config = stack.BackendConfig(options);
+    config.max_retries = 0;
+    config.cpu_fallback = false;
+    const SimTime start = stack.plat.sim().Now();
+    {
+      NpuBackend backend(config);
+      auto npu = stack.NpuPrefill(options, prompt, &backend);
+      ASSERT_FALSE(npu.ok());
+      EXPECT_NE(npu.status().code(), ErrorCode::kOk);
+    }
+    EXPECT_LT(stack.plat.sim().Now() - start, 100 * kTestJobTimeout);
 
-      // Disarm and rerun: the device and driver must have been handed back
-      // in a reusable state despite the failed run.
-      stack.tee_npu->ArmFaultPlan(NpuFaultPlan{});
-      NpuBackend retry_backend(stack.BackendConfig(options));
-      auto ok_run = stack.NpuPrefill(options, sched.wavefront, prompt,
-                                     &retry_backend);
-      ASSERT_TRUE(ok_run.ok()) << ok_run.status().ToString();
-      const std::vector<float> cpu =
-          CpuReference(stack.spec, stack.weights, options, prompt);
-      ASSERT_EQ(ok_run->size(), cpu.size());
-      for (size_t i = 0; i < cpu.size(); ++i) {
-        ASSERT_EQ((*ok_run)[i], cpu[i]) << "logit " << i;
-      }
+    // Disarm and rerun: the device and driver must have been handed back
+    // in a reusable state despite the failed run.
+    stack.tee_npu->ArmFaultPlan(NpuFaultPlan{});
+    NpuBackend retry_backend(stack.BackendConfig(options));
+    auto ok_run = stack.NpuPrefill(options, prompt, &retry_backend);
+    ASSERT_TRUE(ok_run.ok()) << ok_run.status().ToString();
+    const std::vector<float> cpu =
+        CpuReference(stack.spec, stack.weights, options, prompt);
+    ASSERT_EQ(ok_run->size(), cpu.size());
+    for (size_t i = 0; i < cpu.size(); ++i) {
+      ASSERT_EQ((*ok_run)[i], cpu[i]) << "logit " << i;
     }
   }
 }

@@ -1,11 +1,9 @@
 // ComputeBackend seam: NPU-offloaded prefill through the secure co-driver
-// must compute exactly the same function as the CPU path — under the fused
-// per-layer job format, the pipelined two-chunk wavefront of whole-prompt
-// Prefill AND the chunk-by-chunk Forward schedule the TA runs — and
-// the co-driver's TZASC validation must reject fused job contexts whose
-// sub-buffers stray outside the TA's protected regions, with the real
-// shadow-queue / takeover / world-switch machinery running under the
-// simulator clock for every job.
+// must compute exactly the same function as the CPU path under the fused
+// per-layer job format, and the co-driver's TZASC validation must reject
+// fused job contexts whose sub-buffers stray outside the TA's protected
+// regions, with the real shadow-queue / takeover / world-switch machinery
+// running under the simulator clock for every job.
 
 #include <gtest/gtest.h>
 
@@ -75,7 +73,6 @@ class NpuBackendTest : public ::testing::Test {
     // norm/silu glue matches the CPU path bit-for-bit (llm_ta.cc wires the
     // same way).
     config.kernels = KernelsFor(options);
-    config.fuse_jobs = options.npu_fusion;
     return config;
   }
 
@@ -91,28 +88,14 @@ class NpuBackendTest : public ::testing::Test {
   }
 
   // Prefill logits through an NPU-offloaded executor; `backend` outlives
-  // the call so the caller can inspect its stats. `wavefront` picks the
-  // schedule by entry point: whole-prompt Prefill pipelines two chunks, and
-  // one Forward call per chunk (the TA's schedule) awaits every dependency.
+  // the call so the caller can inspect its stats.
   Result<std::vector<float>> NpuPrefill(const EngineOptions& options,
                                         const std::vector<TokenId>& prompt,
-                                        NpuBackend* backend,
-                                        bool wavefront = true) {
+                                        NpuBackend* backend) {
     HostWeightSource source(weights_);
     TransformerExecutor exec(&spec_, &source, options, backend);
     KvCache kv(spec_, KernelsFor(options));
-    if (wavefront) {
-      return exec.Prefill(prompt, &kv);
-    }
-    std::vector<float> logits(spec_.config().vocab_size);
-    const int total = static_cast<int>(prompt.size());
-    for (int off = 0; off < total; off += options.prefill_batch) {
-      const int m = std::min(options.prefill_batch, total - off);
-      const ForwardRow row{&kv, prompt.data() + off, m,
-                           off + m == total ? logits.data() : nullptr};
-      TZLLM_RETURN_IF_ERROR(exec.Forward(&row, 1, ForwardPhase::kPrefill));
-    }
-    return logits;
+    return exec.Prefill(prompt, &kv);
   }
 
   SocPlatform plat_;
@@ -133,36 +116,28 @@ TEST_F(NpuBackendTest, NpuPrefillLogitsBitIdenticalToCpu) {
   const auto prompt = MakePrompt(spec_.config(), 20);  // 2.5 chunks.
   const std::vector<float> cpu = CpuPrefill(options, prompt);
 
-  for (bool wavefront : {true, false}) {
-    SCOPED_TRACE(wavefront ? "wavefront" : "chunk by chunk");
-    const uint64_t jobs0 = tee_npu_->secure_jobs_completed();
-    const uint64_t matmuls0 = tee_npu_->total_matmuls_completed();
-    NpuBackend backend(BackendConfig(options, scratch_));
-    auto npu = NpuPrefill(options, prompt, &backend, wavefront);
-    ASSERT_TRUE(npu.ok()) << npu.status().ToString();
+  NpuBackend backend(BackendConfig(options, scratch_));
+  auto npu = NpuPrefill(options, prompt, &backend);
+  ASSERT_TRUE(npu.ok()) << npu.status().ToString();
 
-    // Offloading moved only backend submissions, and the payloads run the
-    // same kernels through the same shared helpers: not one logit may
-    // differ — even when the wavefront interleaved two chunks.
-    ASSERT_EQ(npu->size(), cpu.size());
-    for (size_t i = 0; i < cpu.size(); ++i) {
-      ASSERT_EQ((*npu)[i], cpu[i]) << "logit " << i;
-    }
-    EXPECT_EQ(std::max_element(npu->begin(), npu->end()) - npu->begin(),
-              std::max_element(cpu.begin(), cpu.end()) - cpu.begin());
-
-    // Fused format: every chunk-layer is 2 jobs (QKV group + layer tail)
-    // carrying 7 matmuls between them — not 7 jobs.
-    const uint64_t chunks = (prompt.size() + 7) / 8;
-    const uint64_t layers = static_cast<uint64_t>(spec_.config().n_layers);
-    EXPECT_EQ(backend.jobs_submitted(), chunks * layers * 2);
-    EXPECT_EQ(backend.matmuls_submitted(), chunks * layers * 7);
-    EXPECT_EQ(backend.pending_jobs(), 0u);
-    EXPECT_EQ(tee_npu_->secure_jobs_completed() - jobs0,
-              backend.jobs_submitted());
-    EXPECT_EQ(tee_npu_->total_matmuls_completed() - matmuls0,
-              backend.matmuls_submitted());
+  // Offloading moved only the matmul groups, and the payloads run the same
+  // kernels through the same shared helpers: not one logit may differ.
+  ASSERT_EQ(npu->size(), cpu.size());
+  for (size_t i = 0; i < cpu.size(); ++i) {
+    ASSERT_EQ((*npu)[i], cpu[i]) << "logit " << i;
   }
+  EXPECT_EQ(std::max_element(npu->begin(), npu->end()) - npu->begin(),
+            std::max_element(cpu.begin(), cpu.end()) - cpu.begin());
+
+  // Fused format: every chunk-layer is 2 jobs (QKV group + layer tail)
+  // carrying 7 matmuls between them — not 7 jobs.
+  const uint64_t chunks = (prompt.size() + 7) / 8;
+  const uint64_t layers = static_cast<uint64_t>(spec_.config().n_layers);
+  EXPECT_EQ(backend.jobs_submitted(), chunks * layers * 2);
+  EXPECT_EQ(backend.matmuls_submitted(), chunks * layers * 7);
+  EXPECT_EQ(tee_npu_->secure_jobs_completed(), backend.jobs_submitted());
+  EXPECT_EQ(tee_npu_->total_matmuls_completed(),
+            backend.matmuls_submitted());
   EXPECT_EQ(plat_.npu().compute_failures(), 0u);
   // Co-driver overhead stats accumulated real (virtual) time.
   EXPECT_GT(tee_npu_->total_config_time(), 0u);
@@ -189,37 +164,6 @@ TEST_F(NpuBackendTest, NpuPrefillIdenticalToCpuScalarPath) {
   for (size_t i = 0; i < scalar_cpu.size(); ++i) {
     ASSERT_EQ((*npu)[i], scalar_cpu[i]) << "logit " << i;
   }
-}
-
-TEST_F(NpuBackendTest, FusedAndUnfusedJobShapesBitIdentical) {
-  // The fused 2-jobs-per-layer format against the pre-fusion 7-jobs format:
-  // same floats (the unfused payloads compose the same stage helpers), very
-  // different job counts — the whole point of fusion.
-  EngineOptions fused;
-  fused.prefill_batch = 8;
-  EngineOptions unfused = fused;
-  unfused.npu_fusion = false;
-  const auto prompt = MakePrompt(spec_.config(), 20);
-
-  NpuBackend fused_backend(BackendConfig(fused, scratch_));
-  auto fused_logits = NpuPrefill(fused, prompt, &fused_backend);
-  ASSERT_TRUE(fused_logits.ok()) << fused_logits.status().ToString();
-
-  NpuBackend unfused_backend(BackendConfig(unfused, scratch_));
-  auto unfused_logits = NpuPrefill(unfused, prompt, &unfused_backend);
-  ASSERT_TRUE(unfused_logits.ok()) << unfused_logits.status().ToString();
-
-  ASSERT_EQ(fused_logits->size(), unfused_logits->size());
-  for (size_t i = 0; i < fused_logits->size(); ++i) {
-    ASSERT_EQ((*fused_logits)[i], (*unfused_logits)[i]) << "logit " << i;
-  }
-  // Identical useful work, 3.5x fewer world switches.
-  EXPECT_EQ(fused_backend.matmuls_submitted(),
-            unfused_backend.matmuls_submitted());
-  EXPECT_EQ(unfused_backend.jobs_submitted(),
-            unfused_backend.matmuls_submitted());
-  EXPECT_EQ(fused_backend.jobs_submitted() * 7,
-            unfused_backend.jobs_submitted() * 2);
 }
 
 TEST_F(NpuBackendTest, DecodeStaysOnCpuAfterNpuPrefill) {
@@ -255,6 +199,8 @@ TEST_F(NpuBackendTest, JobContextOutsideTzascRejectedAtCreateJob) {
   EXPECT_EQ(logits.status().code(), ErrorCode::kSecurityViolation);
   EXPECT_GE(tee_npu_->validation_failures(), 1u);
   EXPECT_EQ(tee_npu_->secure_jobs_completed(), 0u);
+  // A refusal at submit is never laundered through the recovery path.
+  EXPECT_EQ(backend.fallback_jobs(), 0u);
 }
 
 TEST_F(NpuBackendTest, FusedJobSubBufferOutsideTzascRejected) {
@@ -279,9 +225,11 @@ TEST_F(NpuBackendTest, FusedJobSubBufferOutsideTzascRejected) {
   EXPECT_EQ(id.status().code(), ErrorCode::kSecurityViolation);
   EXPECT_GE(tee_npu_->validation_failures(), 1u);
 
-  // End to end: a context window whose second slot lies beyond the
-  // protected region fails the prefill closed partway through (the first
-  // slot's jobs validate, the second slot's cannot).
+  // End to end: an execution context whose first half lies inside the
+  // protected region and whose second half strays past its end. The QKV
+  // job fits the first half and validates; the layer tail's sub-buffers
+  // reach into the second half, so the prefill fails closed partway
+  // through — no retry, no CPU fallback.
   EngineOptions options;
   options.prefill_batch = 8;
   NpuBackendConfig config = BackendConfig(options, 0);
@@ -290,6 +238,8 @@ TEST_F(NpuBackendTest, FusedJobSubBufferOutsideTzascRejected) {
   auto logits = NpuPrefill(options, MakePrompt(spec_.config(), 16), &backend);
   ASSERT_FALSE(logits.ok());
   EXPECT_EQ(logits.status().code(), ErrorCode::kSecurityViolation);
+  EXPECT_GE(tee_npu_->secure_jobs_completed(), 1u);
+  EXPECT_EQ(backend.fallback_jobs(), 0u);
 }
 
 TEST_F(NpuBackendTest, PayloadFailureSurfacesOutOfPrefill) {
@@ -317,11 +267,9 @@ TEST_F(NpuBackendTest, PayloadFailureSurfacesOutOfPrefill) {
   EXPECT_FALSE(plat_.tzpc().IsSecure(DeviceId::kNpu));
 }
 
-TEST_F(NpuBackendTest, BackendTryPollObservesTicketLifecycle) {
-  // The non-blocking half of the async backend contract, driven directly:
-  // a submitted ticket polls incomplete until the simulator runs the job,
-  // Await retires it, and the payload's output matches the host kernel bit
-  // for bit.
+TEST_F(NpuBackendTest, BackendMatMatGroupMatchesHostKernel) {
+  // One MatMatGroup call driven directly: it returns with its job complete
+  // and the payload's output equal to the host kernel's bit for bit.
   EngineOptions options;
   options.prefill_batch = 4;
   NpuBackend backend(BackendConfig(options, scratch_));
@@ -330,15 +278,9 @@ TEST_F(NpuBackendTest, BackendTryPollObservesTicketLifecycle) {
   Q8Acts acts;
   acts.QuantizeRows(x.data(), 4, 32);
   const MatMatOp op{w.data.data(), 8, y.data()};
-  auto ticket = backend.SubmitMatMatGroup(&op, 1, acts);
-  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
-  auto inflight = backend.TryPoll(*ticket);
-  ASSERT_TRUE(inflight.ok());
-  EXPECT_FALSE(*inflight);  // Submitted; nothing drove the simulator yet.
-  ASSERT_TRUE(backend.Await(*ticket).ok());
-  auto done = backend.TryPoll(*ticket);
-  ASSERT_TRUE(done.ok());
-  EXPECT_TRUE(*done);  // Retired tickets poll complete.
+  ASSERT_TRUE(backend.MatMatGroup(&op, 1, acts).ok());
+  EXPECT_EQ(backend.jobs_submitted(), 1u);
+  EXPECT_EQ(tee_npu_->secure_jobs_completed(), 1u);
   MatMatQ8(w.data.data(), 8, 32, acts, y_ref.data(), /*pool=*/nullptr,
            KernelsFor(options));
   EXPECT_EQ(y, y_ref);

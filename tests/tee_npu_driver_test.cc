@@ -292,19 +292,13 @@ TEST_F(CoDriverTest, TimedOutLaunchedJobPayloadNeverFires) {
   EXPECT_FALSE(plat_.tzpc().IsSecure(DeviceId::kNpu));
 }
 
-TEST_F(CoDriverTest, TryPollJobObservesCompletionWithoutConsuming) {
+TEST_F(CoDriverTest, WaitForJobConsumesItsEntry) {
   auto id = tee_npu_->SubmitJob(ta_, SecureJob(), nullptr);
   ASSERT_TRUE(id.ok());
-  auto before = tee_npu_->TryPollJob(*id);
-  ASSERT_TRUE(before.ok());
-  EXPECT_FALSE(*before);  // Submitted, not yet driven to completion.
-  plat_.sim().Run();
-  auto after = tee_npu_->TryPollJob(*id);
-  ASSERT_TRUE(after.ok());
-  EXPECT_TRUE(*after);  // Poll does not consume...
   EXPECT_TRUE(tee_npu_->WaitForJob(*id).ok());
-  // ...but the consuming wait does: the entry is gone now.
-  EXPECT_EQ(tee_npu_->TryPollJob(*id).status().code(), ErrorCode::kNotFound);
+  // The wait consumed the job's bookkeeping entry: a second wait on the
+  // same id finds nothing.
+  EXPECT_EQ(tee_npu_->WaitForJob(*id).code(), ErrorCode::kNotFound);
 }
 
 }  // namespace
