@@ -235,7 +235,7 @@ FaultBenchResult MeasureRecoveryUnderFault(
   out.plan = (env != nullptr && env[0] != '\0') ? env : "payload@3";
 
   RuntimeConfig config = FunctionalConfig(true);
-  config.engine.npu_fault_plan = out.plan;
+  config.engine.fault_plan = out.plan;
   // Keep timeout-class sweeps on a deadline proportionate to test-small
   // jobs, not the 2 s default meant for paper-scale models.
   config.engine.npu_job_timeout = 25 * kMillisecond;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/common/fault_plan.h"
 #include "src/hw/npu.h"
 #include "src/llm/backend/backend.h"
 #include "src/llm/engine.h"
@@ -209,7 +210,7 @@ NpuPrefillResult MeasureNpuPrefill(const ModelSpec& spec,
   // Fault-sweep mode (PR 6): TZLLM_FAULT_PLAN arms the same deterministic
   // injection harness the LlmTa path uses, so CI can measure the degraded
   // (retry / CPU-fallback) prefill on the identical schedule.
-  const NpuFaultPlan fault_plan = NpuFaultPlan::FromEnv();
+  const FaultPlan fault_plan = FaultPlan::FromEnv();
   if (fault_plan.active()) {
     tee_npu.ArmFaultPlan(fault_plan);
   }
@@ -427,7 +428,7 @@ int main() {
   printf("npu fused prefill vs batched t1: %.2fx %s\n",
          batched1_ms / npu.makespan_ms,
          npu.makespan_ms < batched1_ms ? "(faster: PASS)" : "(slower: FAIL)");
-  const NpuFaultPlan fault_plan = NpuFaultPlan::FromEnv();
+  const FaultPlan fault_plan = FaultPlan::FromEnv();
   if (fault_plan.active()) {
     printf(
         "fault sweep (%s): %.1f faults/prefill injected, %.1f jobs "

@@ -487,7 +487,7 @@ std::vector<ChaosRun> RunChaosSweep(
   std::vector<ChaosRun> runs;
   for (const char* plan : {"spill_tamper@1x1000000", "spill_drop@1x1000000"}) {
     RuntimeConfig config = configs.paged;
-    config.engine.serve_fault_plan = plan;
+    config.engine.fault_plan = plan;
     // EVERY spill is lost: the recompute budget must cover sustained
     // re-prefill for the whole run, not a one-off incident.
     config.engine.kv_recompute_max = 1 << 20;
@@ -495,8 +495,8 @@ std::vector<ChaosRun> RunChaosSweep(
   }
   {
     RuntimeConfig config = configs.evict;
-    config.engine.serve_fault_plan = "ckpt_drop@1x1000000";
-    runs.push_back({config.engine.serve_fault_plan, "evict",
+    config.engine.fault_plan = "ckpt_drop@1x1000000";
+    runs.push_back({config.engine.fault_plan, "evict",
                     RunOversubPoint(config, solo)});
   }
   return runs;
@@ -525,9 +525,9 @@ TaCrashResult RunTaCrashScenario(
     const std::vector<std::vector<TokenId>>& solo) {
   RuntimeConfig config = configs.paged;
   config.engine.serve_checkpoint_every_n_ticks = 8;
-  config.engine.serve_fault_plan = "ta_crash@30";
+  config.engine.fault_plan = "ta_crash@30";
   TaCrashResult out;
-  out.plan = config.engine.serve_fault_plan;
+  out.plan = config.engine.fault_plan;
 
   SocPlatform plat;
   SystemRuntime runtime(&plat, config);

@@ -41,19 +41,20 @@ Status LlmTa::LoadModel(const std::string& model_id, SchedulePolicy policy) {
   TZLLM_RETURN_IF_ERROR(engine_options_.Validate());
   model_id_ = model_id;
 
-  // Serving-layer fault plan: the options string wins (Validate() vetted
-  // its syntax); otherwise the TZLLM_SERVE_FAULT_PLAN environment variable
-  // (the CI chaos sweep). Resolved once here so every injection point — the
-  // KV pool's spill path, the checkpoint saves, the serving runtime's tick
-  // crash — reads the same plan.
-  if (!engine_options_.serve_fault_plan.empty()) {
-    auto serve_plan = ServeFaultPlan::Parse(engine_options_.serve_fault_plan);
-    if (!serve_plan.ok()) {
-      return serve_plan.status();
-    }
-    serve_fault_plan_ = *serve_plan;
+  // Fault plan: the options string wins (Validate() vetted its syntax);
+  // otherwise the TZLLM_FAULT_PLAN environment variable (the CI sweeps).
+  // Resolved once here so every injection point — the co-driver and the
+  // device, the KV pool's spill path, the checkpoint saves, the serving
+  // runtime's tick crash — reads the same plan.
+  if (engine_options_.fault_plan.empty()) {
+    fault_plan_ = FaultPlan::FromEnv();
   } else {
-    serve_fault_plan_ = ServeFaultPlan::FromEnv();
+    TZLLM_ASSIGN_OR_RETURN(plan, FaultPlan::Parse(engine_options_.fault_plan));
+    fault_plan_ = plan;
+  }
+  if (fault_plan_.active()) {
+    TZLLM_LOG_INFO("llm-ta", "armed fault plan %s",
+                   fault_plan_.ToString().c_str());
   }
 
   // 1. Key: only the TEE can unwrap; only this TA is authorized.
@@ -98,23 +99,8 @@ Status LlmTa::LoadModel(const std::string& model_id, SchedulePolicy policy) {
           "TeeNpuDriver was not wired into this TA)");
     }
     npu_ctx_bytes_ = NpuBackend::ContextBytes(*spec_, engine_options_);
-    // Fault-injection plan: the options string wins (Validate() already
-    // vetted its syntax); otherwise the TZLLM_FAULT_PLAN environment
-    // variable (CI fault sweeps).
-    NpuFaultPlan fault_plan;
-    if (!engine_options_.npu_fault_plan.empty()) {
-      auto parsed = NpuFaultPlan::Parse(engine_options_.npu_fault_plan);
-      if (!parsed.ok()) {
-        return parsed.status();
-      }
-      fault_plan = *parsed;
-    } else {
-      fault_plan = NpuFaultPlan::FromEnv();
-    }
-    if (fault_plan.active()) {
-      npu_driver_->ArmFaultPlan(fault_plan);
-      TZLLM_LOG_INFO("llm-ta", "armed NPU fault plan %s",
-                     fault_plan.ToString().c_str());
+    if (fault_plan_.active()) {
+      npu_driver_->ArmFaultPlan(fault_plan_);
     }
   }
   // The KV share of the budget comes from the SAME static the arena itself
@@ -126,7 +112,6 @@ Status LlmTa::LoadModel(const std::string& model_id, SchedulePolicy policy) {
   arena_options.kernels = KernelsFor(engine_options_);
   arena_options.pool.page_positions = engine_options_.kv_page_positions;
   arena_options.pool.pool_bytes = engine_options_.kv_pool_bytes;
-  arena_options.pool.spill = engine_options_.kv_spill;
   // Spills are sealed under the model key; the seal derives its own keys,
   // so no spill runs CTR under the key that encrypts the weights.
   arena_options.pool.spill_key = model_key_;
@@ -170,14 +155,7 @@ Status LlmTa::LoadModel(const std::string& model_id, SchedulePolicy policy) {
   // Spill-class fault plans arm the pool itself: every Nth spill blob is
   // tampered with (or truncated) on its way into REE memory, modeling a
   // hostile normal world — detected at restore, recovered by recompute.
-  if (serve_fault_plan_.active() &&
-      (serve_fault_plan_.fault == ServeFaultClass::kSpillTamper ||
-       serve_fault_plan_.fault == ServeFaultClass::kSpillDrop)) {
-    pool->ArmSpillFault(serve_fault_plan_.fault == ServeFaultClass::kSpillDrop,
-                        serve_fault_plan_.first, serve_fault_plan_.count);
-    TZLLM_LOG_INFO("llm-ta", "armed serve fault plan %s on the KV pool",
-                   serve_fault_plan_.ToString().c_str());
-  }
+  pool->ArmFaultPlan(fault_plan_);
   if (engine_options_.npu_prefill_active()) {
     NpuBackendConfig backend_config;
     backend_config.platform = platform_;
@@ -194,9 +172,6 @@ Status LlmTa::LoadModel(const std::string& model_id, SchedulePolicy policy) {
     // bit-for-bit, not just the (table-invariant) integer-dot rows.
     backend_config.kernels = KernelsFor(engine_options_);
     backend_config.job_timeout = engine_options_.npu_job_timeout;
-    backend_config.max_retries = engine_options_.npu_max_retries;
-    backend_config.retry_backoff = engine_options_.npu_retry_backoff;
-    backend_config.cpu_fallback = engine_options_.npu_cpu_fallback;
     npu_backend_ =
         std::make_unique<NpuBackend>(backend_config);
   }
@@ -897,9 +872,7 @@ Result<uint64_t> LlmTa::SaveSessionBlob(const std::string& ckpt_id,
   // ckpt_drop fault: the REE discards the blob it just promised to keep —
   // the restore path must then surface kNotFound, and the serving runtime
   // restarts the session from its prompt.
-  if (serve_fault_plan_.active() &&
-      serve_fault_plan_.fault == ServeFaultClass::kCkptDrop &&
-      serve_fault_plan_.Hits(ckpt_saves_)) {
+  if (fault_plan_.Hits(FaultClass::kCkptDrop, ckpt_saves_)) {
     TZLLM_RETURN_IF_ERROR(checkpoints.Delete(ckpt_id));
     ++ckpt_drops_injected_;
     TZLLM_LOG_WARN("llm-ta", "ckpt_drop fault: dropped %s after sealing",

@@ -25,12 +25,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/fault_plan.h"
 #include "src/common/status.h"
 #include "src/core/pipeline.h"
 #include "src/core/restore_plan.h"
 #include "src/hw/platform.h"
 #include "src/llm/engine.h"
-#include "src/llm/serve_fault.h"
 #include "src/llm/tzguf.h"
 #include "src/tee/npu_driver.h"
 #include "src/tee/tee_os.h"
@@ -187,10 +187,10 @@ class LlmTa {
   bool HasServeManifest() const;
   Status DropServeManifest();
 
-  // The armed serving-layer fault plan (options string wins over
-  // TZLLM_SERVE_FAULT_PLAN, parsed at LoadModel). The runtime reads it for
-  // the ta_crash class; spill/ckpt classes inject below this accessor.
-  const ServeFaultPlan& serve_fault_plan() const { return serve_fault_plan_; }
+  // The fault plan LoadModel resolved (EngineOptions::fault_plan, else
+  // TZLLM_FAULT_PLAN) and armed on every layer. The serving runtime reads
+  // it for the ta_crash class.
+  const FaultPlan& fault_plan() const { return fault_plan_; }
   // Session-checkpoint blobs deleted right after sealing by an armed
   // ckpt_drop plan.
   uint64_t ckpt_drops_injected() const { return ckpt_drops_injected_; }
@@ -332,8 +332,8 @@ class LlmTa {
   uint64_t scratch_bytes_ = 0;
   uint64_t npu_ctx_bytes_ = 0;
   bool loaded_ = false;
-  // Serving-layer fault injection + recovery accounting (ISSUE 10).
-  ServeFaultPlan serve_fault_plan_;
+  // Fault injection + serving recovery accounting.
+  FaultPlan fault_plan_;
   KvRecoveryStats kv_recovery_stats_;
   uint64_t ckpt_saves_ = 0;  // ckpt_drop ordinal: session blobs sealed.
   uint64_t ckpt_drops_injected_ = 0;

@@ -1,8 +1,5 @@
 #include "src/hw/npu.h"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "src/common/log.h"
 #include "src/hw/types.h"
 
@@ -17,94 +14,10 @@ constexpr SimDuration kAbortResetDelay = 10 * kMicrosecond;
 
 }  // namespace
 
-std::string NpuFaultPlan::ToString() const {
-  if (!active()) {
-    return "none";
-  }
-  const char* name = "?";
-  switch (fault) {
-    case NpuFaultClass::kNone:
-      name = "none";
-      break;
-    case NpuFaultClass::kPayload:
-      name = "payload";
-      break;
-    case NpuFaultClass::kTimeout:
-      name = "timeout";
-      break;
-    case NpuFaultClass::kContext:
-      name = "ctx";
-      break;
-    case NpuFaultClass::kSubmit:
-      name = "submit";
-      break;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s@%llu x%llu", name,
-                static_cast<unsigned long long>(first),
-                static_cast<unsigned long long>(count));
-  return buf;
-}
-
-Result<NpuFaultPlan> NpuFaultPlan::Parse(const std::string& text) {
-  NpuFaultPlan plan;
-  if (text.empty() || text == "none") {
-    return plan;
-  }
-  const size_t at = text.find('@');
-  if (at == std::string::npos || at == 0 || at + 1 >= text.size()) {
-    return InvalidArgument(
-        "fault plan must be <class>@<first>[x<count>], got: " + text);
-  }
-  const std::string cls = text.substr(0, at);
-  if (cls == "payload") {
-    plan.fault = NpuFaultClass::kPayload;
-  } else if (cls == "timeout" || cls == "stall") {
-    plan.fault = NpuFaultClass::kTimeout;
-  } else if (cls == "ctx" || cls == "context") {
-    plan.fault = NpuFaultClass::kContext;
-  } else if (cls == "submit") {
-    plan.fault = NpuFaultClass::kSubmit;
-  } else {
-    return InvalidArgument("unknown fault class: " + cls);
-  }
-  const std::string ords = text.substr(at + 1);
-  const size_t x = ords.find('x');
-  char* end = nullptr;
-  const std::string first_str = x == std::string::npos ? ords
-                                                       : ords.substr(0, x);
-  plan.first = std::strtoull(first_str.c_str(), &end, 10);
-  if (end == first_str.c_str() || *end != '\0' || plan.first == 0) {
-    return InvalidArgument("bad fault ordinal in plan: " + text);
-  }
-  if (x != std::string::npos) {
-    const std::string count_str = ords.substr(x + 1);
-    plan.count = std::strtoull(count_str.c_str(), &end, 10);
-    if (end == count_str.c_str() || *end != '\0' || plan.count == 0) {
-      return InvalidArgument("bad fault count in plan: " + text);
-    }
-  }
-  return plan;
-}
-
-NpuFaultPlan NpuFaultPlan::FromEnv() {
-  const char* env = std::getenv("TZLLM_FAULT_PLAN");
-  if (env == nullptr || *env == '\0') {
-    return NpuFaultPlan{};
-  }
-  auto plan = Parse(env);
-  if (!plan.ok()) {
-    TZLLM_LOG_WARN("npu", "ignoring malformed TZLLM_FAULT_PLAN: %s",
-                   plan.status().ToString().c_str());
-    return NpuFaultPlan{};
-  }
-  return *plan;
-}
-
 NpuDevice::NpuDevice(Simulator* sim, Tzasc* tzasc, Tzpc* tzpc, Gic* gic)
     : sim_(sim), tzasc_(tzasc), tzpc_(tzpc), gic_(gic) {}
 
-void NpuDevice::ArmFaultPlan(const NpuFaultPlan& plan) {
+void NpuDevice::ArmFaultPlan(const FaultPlan& plan) {
   MutexLock lock(&mu_);
   fault_plan_ = plan;
   secure_launches_ = 0;
@@ -168,24 +81,19 @@ Status NpuDevice::MmioLaunch(World caller, const NpuJobDesc& job) {
 
     // Deterministic fault injection (device-visible classes), counted per
     // secure launch so a retried job occupies the next ordinal.
-    if (caller == World::kSecure && fault_plan_.active()) {
-      const uint64_t ordinal = ++secure_launches_;
-      if (fault_plan_.fault == NpuFaultClass::kPayload &&
-          fault_plan_.Hits(ordinal)) {
-        ++faults_injected_;
-        pending_compute_ = [] {
-          return Internal("injected NPU payload fault (fault plan)");
-        };
-      } else if (fault_plan_.fault == NpuFaultClass::kTimeout &&
-                 fault_plan_.Hits(ordinal)) {
-        // The device wedges: launch accepted, no completion event exists.
-        // Only the abort doorbell's reset path can revive it.
-        ++faults_injected_;
-        stalled_ = true;
-        schedule_completion = false;
-      }
-    } else if (caller == World::kSecure) {
-      ++secure_launches_;
+    const uint64_t ordinal =
+        caller == World::kSecure ? ++secure_launches_ : 0;
+    if (fault_plan_.Hits(FaultClass::kPayload, ordinal)) {
+      ++faults_injected_;
+      pending_compute_ = [] {
+        return Internal("injected NPU payload fault (fault plan)");
+      };
+    } else if (fault_plan_.Hits(FaultClass::kTimeout, ordinal)) {
+      // The device wedges: launch accepted, no completion event exists.
+      // Only the abort doorbell's reset path can revive it.
+      ++faults_injected_;
+      stalled_ = true;
+      schedule_completion = false;
     }
   }
 

@@ -12,10 +12,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/fault_plan.h"
 #include "src/common/mutex.h"
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
@@ -26,55 +26,6 @@
 #include "src/sim/simulator.h"
 
 namespace tzllm {
-
-// Deterministic fault injection for the secure-NPU offload path. One plan
-// names a fault class and the 1-based ordinal window of secure jobs it hits
-// — "the Nth secure launch fails", repeatable, so a CI sweep can walk every
-// class and the recovery tests can pin a fault to an exact job of an exact
-// schedule. Device-visible classes (payload, timeout) are armed on the
-// NpuDevice and count secure MmioLaunch doorbells; driver-visible classes
-// (ctx, submit) are armed on the TeeNpuDriver and count issue sequence
-// numbers. A retried job rings the doorbell again, so `count` is what
-// separates a transient fault (retry succeeds) from a persistent one
-// (retries exhaust, CPU fallback takes over).
-enum class NpuFaultClass : uint8_t {
-  kNone = 0,
-  // The functional payload reports a failure through the job-status
-  // register (the device still completes and interrupts).
-  kPayload,
-  // The device accepts the launch and never completes: no interrupt, no
-  // status — the job is only recoverable through the waiter's deadline and
-  // an MMIO abort/reset.
-  kTimeout,
-  // The co-driver's takeover-time context validation rejects the job (as if
-  // its execution context failed revalidation at the secure boundary).
-  kContext,
-  // Post-submit stall: the job is issued but its shadow never reaches the
-  // REE scheduling queue, so no takeover ever arrives.
-  kSubmit,
-};
-
-struct NpuFaultPlan {
-  NpuFaultClass fault = NpuFaultClass::kNone;
-  uint64_t first = 0;  // 1-based ordinal of the first faulted job; 0 = never.
-  uint64_t count = 1;  // Consecutive faulted ordinals starting at `first`.
-
-  bool active() const { return fault != NpuFaultClass::kNone && first > 0; }
-  bool Hits(uint64_t ordinal) const {
-    return active() && ordinal >= first && ordinal < first + count;
-  }
-  std::string ToString() const;
-
-  // "<class>@<first>[x<count>]" with class one of payload | timeout (alias
-  // stall) | ctx (alias context) | submit; "" or "none" parse to the
-  // inactive plan. Examples: "payload@5", "timeout@3x2".
-  static Result<NpuFaultPlan> Parse(const std::string& text);
-  // Parses the TZLLM_FAULT_PLAN environment variable (the CI fault-sweep
-  // hook); unset or empty means no faults. A malformed value is a test-rig
-  // error: it is logged and treated as inactive rather than silently
-  // faulting job 0.
-  static NpuFaultPlan FromEnv();
-};
 
 // Shape of one matmul inside a (possibly fused) NPU job: an m-position
 // batch over a rows x cols weight. Carried on the job descriptor so the
@@ -141,10 +92,10 @@ class NpuDevice {
   // the driver's exit path runs and the device is reusable.
   Status MmioAbort(World caller) TZLLM_EXCLUDES(mu_);
 
-  // Arms `plan` for the device-visible fault classes (kPayload, kTimeout),
-  // counting secure launches from zero again; other classes are ignored
-  // here (the co-driver arms them). Arming the inactive plan disarms.
-  void ArmFaultPlan(const NpuFaultPlan& plan) TZLLM_EXCLUDES(mu_);
+  // Arms `plan` (src/common/fault_plan.h) and counts secure launches from
+  // zero again. Only the device-visible classes, payload and timeout, act
+  // here; arming the inactive plan disarms.
+  void ArmFaultPlan(const FaultPlan& plan) TZLLM_EXCLUDES(mu_);
   // Secure launches whose behavior the armed plan altered.
   uint64_t faults_injected() const TZLLM_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
@@ -212,7 +163,7 @@ class NpuDevice {
   // Fault-plan ordinal counter.
   uint64_t secure_launches_ TZLLM_GUARDED_BY(mu_) = 0;
   uint64_t faults_injected_ TZLLM_GUARDED_BY(mu_) = 0;
-  NpuFaultPlan fault_plan_ TZLLM_GUARDED_BY(mu_);
+  FaultPlan fault_plan_ TZLLM_GUARDED_BY(mu_);
   SimDuration busy_time_ TZLLM_GUARDED_BY(mu_) = 0;
   // Latched at each job completion.
   Status last_job_status_ TZLLM_GUARDED_BY(mu_);

@@ -159,6 +159,8 @@ struct NpuBackendConfig {
   // re-executed on the CPU path and the prefill continues. Both paths run
   // the same kernel-table helpers the NPU payload would have, so recovery
   // never changes a logit. cpu_fallback=false surfaces the final Status.
+  // The TA runs these defaults; outcomes are counted once, by
+  // TeeNpuDriver::RecordRecovery.
   int max_retries = 2;
   SimDuration retry_backoff = 1 * kMillisecond;
   bool cpu_fallback = true;
@@ -214,23 +216,6 @@ class NpuBackend : public ComputeBackend {
     MutexLock lock(&mu_);
     return await_stall_time_;
   }
-  // Degradation stats: jobs that failed at least once and then completed on
-  // the NPU via resubmission, and jobs (plus the matmuls they carried)
-  // re-executed on the CPU after retries were exhausted. Mirrored into
-  // TeeNpuDriver::RecordRecovery so the driver's stats surface carries the
-  // whole fault story.
-  uint64_t jobs_recovered() const TZLLM_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return jobs_recovered_;
-  }
-  uint64_t fallback_jobs() const TZLLM_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return fallback_jobs_;
-  }
-  uint64_t fallback_matmuls() const TZLLM_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return fallback_matmuls_;
-  }
 
  private:
   // Charges host wall time since the last backend call to the virtual
@@ -261,9 +246,6 @@ class NpuBackend : public ComputeBackend {
   mutable Mutex mu_;
   uint64_t jobs_submitted_ TZLLM_GUARDED_BY(mu_) = 0;
   uint64_t matmuls_submitted_ TZLLM_GUARDED_BY(mu_) = 0;
-  uint64_t jobs_recovered_ TZLLM_GUARDED_BY(mu_) = 0;
-  uint64_t fallback_jobs_ TZLLM_GUARDED_BY(mu_) = 0;
-  uint64_t fallback_matmuls_ TZLLM_GUARDED_BY(mu_) = 0;
   SimDuration await_stall_time_ TZLLM_GUARDED_BY(mu_) = 0;
   bool host_mark_valid_ TZLLM_GUARDED_BY(mu_) = false;
   std::chrono::steady_clock::time_point host_mark_ TZLLM_GUARDED_BY(mu_);

@@ -155,21 +155,12 @@ Status NpuBackend::RunJob(const std::vector<NpuMatmulShape>& shapes,
     }
     st = config_.driver->WaitForJob(*retry, config_.job_timeout);
     if (st.ok()) {
-      {
-        MutexLock lock(&mu_);
-        ++jobs_recovered_;
-      }
       config_.driver->RecordRecovery(1, 0, 0);
     }
   }
   if (!st.ok() && config_.cpu_fallback) {
     st = compute();
     if (st.ok()) {
-      {
-        MutexLock lock(&mu_);
-        ++fallback_jobs_;
-        fallback_matmuls_ += shapes.size();
-      }
       config_.driver->RecordRecovery(0, 1, shapes.size());
     }
   }

@@ -1,7 +1,6 @@
 #include "src/llm/engine_options.h"
 
-#include "src/hw/npu.h"
-#include "src/llm/serve_fault.h"
+#include "src/common/fault_plan.h"
 
 namespace tzllm {
 
@@ -28,12 +27,6 @@ Status EngineOptions::Validate() const {
         "EngineOptions::serve_checkpoint_every_n_ticks must be >= 0 (0 "
         "disables auto-checkpointing)");
   }
-  if (!serve_fault_plan.empty()) {
-    auto parsed = ServeFaultPlan::Parse(serve_fault_plan);
-    if (!parsed.ok()) {
-      return parsed.status();
-    }
-  }
 
   // Paged KV group: the pool is carved out of the secure scratch region at
   // load, so bad geometry must fail here, not as a mis-sized budget.
@@ -53,26 +46,17 @@ Status EngineOptions::Validate() const {
         "recompute-on-loss)");
   }
 
-  // NPU / fault groups apply only when the configuration actually routes
+  // The NPU group applies only when the configuration actually routes
   // prefill to the NPU backend; an inert combination (prefill_batch <= 1)
   // stays valid whatever the NPU knobs say.
-  if (npu_prefill_active()) {
-    if (npu_job_timeout == 0) {
-      return InvalidArgument(
-          "EngineOptions::npu_job_timeout must be positive: a zero per-job "
-          "deadline would classify every NPU job as timed out");
-    }
-    if (npu_max_retries < 0) {
-      return InvalidArgument("EngineOptions::npu_max_retries must be >= 0");
-    }
-    if (!npu_fault_plan.empty()) {
-      auto parsed = NpuFaultPlan::Parse(npu_fault_plan);
-      if (!parsed.ok()) {
-        return parsed.status();
-      }
-    }
+  if (npu_prefill_active() && npu_job_timeout == 0) {
+    return InvalidArgument(
+        "EngineOptions::npu_job_timeout must be positive: a zero per-job "
+        "deadline would classify every NPU job as timed out");
   }
-  return OkStatus();
+  // The fault plan reaches every layer, so its syntax is checked for every
+  // configuration: a typo'd plan must not run silently unfaulted.
+  return FaultPlan::Parse(fault_plan).status();
 }
 
 }  // namespace tzllm

@@ -3,11 +3,11 @@
 // can sweep thread counts, prefill batching, NPU offload and serving
 // concurrency.
 //
-// The knobs are grouped (kernel, npu, fault, serving) and validated by ONE
-// entry point — EngineOptions::Validate() — instead of scattered per-knob
-// checks in LoadModel / llm_ta.cc: a configuration either passes Validate()
-// or the load fails with a clear InvalidArgument before any secure memory
-// is touched.
+// The knobs are grouped (kernel, npu, fault, serving, paged KV) and
+// validated by ONE entry point — EngineOptions::Validate() — instead of
+// scattered per-knob checks in LoadModel / llm_ta.cc: a configuration either
+// passes Validate() or the load fails with a clear InvalidArgument before
+// any secure memory is touched.
 
 #ifndef SRC_LLM_ENGINE_OPTIONS_H_
 #define SRC_LLM_ENGINE_OPTIONS_H_
@@ -77,30 +77,23 @@ struct EngineOptions {
   // npu_prefill_active()).
   bool npu_prefill = false;
 
-  // --- Fault group: NPU failure injection and recovery. -----------------
-
   // Per-job wait deadline for secure NPU jobs, on the virtual clock. Must
   // be positive when NPU prefill is active: Validate() / the backend reject
   // non-positive values with InvalidArgument (a zero deadline would mean
-  // "wait forever", which a lost job turns into a hang).
+  // "wait forever", which a lost job turns into a hang). A failed or
+  // timed-out job is retried, then re-run on the CPU — bit-identical either
+  // way (NpuBackendConfig holds the recovery policy).
   SimDuration npu_job_timeout = 2000 * kMillisecond;
-  // Recovery policy for a failed or timed-out secure job: up to
-  // npu_max_retries resubmissions (each preceded by npu_retry_backoff of
-  // virtual time, charged to the sim clock so the makespan metric stays
-  // honest), then — if npu_cpu_fallback — the failed fused job's matmul
-  // group is re-executed on the CPU path and the prefill continues.
-  // Bit-identical either way: retry and fallback both run the same kernel
-  // table the NPU payload would have. npu_cpu_fallback=false surfaces the
-  // final Status to the caller instead (the pre-recovery behavior).
-  int npu_max_retries = 2;
-  SimDuration npu_retry_backoff = 1 * kMillisecond;
-  bool npu_cpu_fallback = true;
-  // Deterministic fault plan ("payload@5", "timeout@3x2", "ctx@1",
-  // "submit@4" — see NpuFaultPlan::Parse). Empty = fall back to the
-  // TZLLM_FAULT_PLAN environment variable (the CI fault-sweep hook); both
-  // empty = no injection. A malformed plan string fails Validate() with
-  // InvalidArgument.
-  std::string npu_fault_plan;
+
+  // --- Fault group: deterministic fault injection. ----------------------
+
+  // One plan for every layer ("payload@5", "timeout@3x2",
+  // "spill_tamper@1x100", "ckpt_drop@2", "ta_crash@40" — see
+  // src/common/fault_plan.h). Empty = fall back to the TZLLM_FAULT_PLAN
+  // environment variable (the CI fault and chaos sweeps); both empty = no
+  // injection. A malformed plan string fails Validate() with
+  // InvalidArgument, whatever the rest of the configuration.
+  std::string fault_plan;
 
   // --- Serving group: multi-session concurrency (src/serve/). -----------
 
@@ -129,16 +122,12 @@ struct EngineOptions {
   // serving manifest through tee/checkpoint, so a fresh TA can
   // ServingRuntime::Recover() the whole fleet. 0 disables.
   int serve_checkpoint_every_n_ticks = 0;
-  // Deterministic serving-layer fault plan ("spill_tamper@1x100",
-  // "ckpt_drop@2", "ta_crash@40" — see ServeFaultPlan::Parse). Empty =
-  // fall back to TZLLM_SERVE_FAULT_PLAN (the CI chaos-sweep hook); both
-  // empty = no injection. Malformed strings fail Validate().
-  std::string serve_fault_plan;
 
   // --- Paged KV group: page pool, REE spill and prefix sharing. ---------
   // The session KV slots are page tables over one shared page pool (fixed
   // pages of kv_page_positions positions x all layers, refcounted,
-  // LRU-spilled to encrypted REE memory under pressure).
+  // LRU-spilled under pressure to REE blobs sealed under the model key,
+  // restored and integrity-checked on demand).
 
   // Sequence positions per KV page. Smaller pages spill and share at finer
   // grain but add page hops to the attention walk.
@@ -149,10 +138,6 @@ struct EngineOptions {
   // resident. Smaller values over-subscribe physical residency and lean on
   // spill; the pool must still hold one session's full context.
   uint64_t kv_pool_bytes = 0;
-  // Allow evicting cold pages to AES-CTR + SHA-256 protected REE blobs
-  // (restored and integrity-checked on demand; tamper => kDataCorruption).
-  // Off = the pool is a hard allocation budget.
-  bool kv_spill = true;
   // Capacity of the cross-session shared-prefix registry (sessions whose
   // prompts share a registered token prefix map the same read-only pages,
   // copy-on-write past the fork point). 0 disables sharing.
@@ -168,14 +153,14 @@ struct EngineOptions {
   // True exactly when this configuration routes prefill to the NPU backend
   // (prefill_batch <= 1 keeps prefill on the CPU, making npu_prefill
   // genuinely inert) — THE predicate LoadModel budgets job contexts with,
-  // and the one Validate() gates the NPU/fault knob checks on, so there is
-  // no second spelling to drift.
+  // and the one Validate() gates the NPU knob checks on, so there is no
+  // second spelling to drift.
   bool npu_prefill_active() const {
     return npu_prefill && prefill_batch > 1;
   }
 
   // Validates the whole configuration, cross-knob effects included
-  // (NPU/fault checks apply only when npu_prefill_active()). The single
+  // (NPU checks apply only when npu_prefill_active()). The single
   // validation entry point: LoadModel calls this once instead of scattering
   // per-knob checks, so every rejected configuration fails before secure
   // memory is allocated. Does NOT check driver wiring (that is runtime

@@ -83,7 +83,7 @@ Result<int> KvPagePool::TakeFrame() {
   if (!spill_) {
     return Status(ErrorCode::kResourceExhausted,
                   "KV page pool full and spill is disabled "
-                  "(EngineOptions::kv_spill): raise kv_pool_bytes or finish "
+                  "(KvPagePoolOptions::spill): raise pool_bytes or finish "
                   "a session");
   }
   TZLLM_RETURN_IF_ERROR(SpillPage(victim));
@@ -100,20 +100,16 @@ Status KvPagePool::SpillPage(KvPageId id) {
   p.spill_seq = ++spill_clock_;
   std::vector<uint8_t> blob = Seal(spill_key_, SpillContext(id, p.spill_seq),
                                    FrameBytes(p.frame), page_bytes_);
-  if (spill_fault_armed_) {
-    const uint64_t ordinal = stats_.spills + 1;  // 1-based, like NpuFaultPlan.
-    if (ordinal >= spill_fault_first_ &&
-        ordinal < spill_fault_first_ + spill_fault_count_) {
-      if (spill_fault_drop_) {
-        // The REE "loses" the blob: nothing but a stub survives, so restore
-        // fails the size check.
-        blob.resize(kSealHeaderBytes / 2);
-      } else {
-        // One ciphertext byte flipped: decrypts fine, fails the tag.
-        blob[kSealHeaderBytes + page_bytes_ / 2] ^= 0x5a;
-      }
-      ++stats_.spill_faults_injected;
-    }
+  const uint64_t ordinal = stats_.spills + 1;
+  if (fault_plan_.Hits(FaultClass::kSpillDrop, ordinal)) {
+    // The REE "loses" the blob: nothing but a stub survives, so restore
+    // fails the size check.
+    blob.resize(kSealHeaderBytes / 2);
+    ++stats_.spill_faults_injected;
+  } else if (fault_plan_.Hits(FaultClass::kSpillTamper, ordinal)) {
+    // One ciphertext byte flipped: decrypts fine, fails the tag.
+    blob[kSealHeaderBytes + page_bytes_ / 2] ^= 0x5a;
+    ++stats_.spill_faults_injected;
   }
   p.ree_blob = std::move(blob);
   // Scrub before the frame is reused: no KV plaintext outlives eviction.
@@ -293,13 +289,6 @@ Status KvPagePool::ClearLost(KvPageId id) {
   pages_[id].lost = false;
   pages_[id].lru = ++lru_clock_;
   return OkStatus();
-}
-
-void KvPagePool::ArmSpillFault(bool drop, uint64_t first, uint64_t count) {
-  spill_fault_armed_ = count > 0;
-  spill_fault_drop_ = drop;
-  spill_fault_first_ = first;
-  spill_fault_count_ = count;
 }
 
 uint16_t* KvPagePool::Data16(KvPageId id) {

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/fault_plan.h"
 #include "src/common/status.h"
 #include "src/crypto/aes.h"
 #include "src/llm/model_spec.h"
@@ -59,6 +60,8 @@ struct KvPagePoolOptions {
   uint64_t pool_bytes = 0;
   // Allow evicting cold pages to encrypted REE memory. Off = the pool is a
   // hard budget: allocation beyond the frames fails with ResourceExhausted.
+  // The TA's shared pool always spills; a standalone cache's private
+  // one-page pool does not.
   bool spill = true;
   // Key the spill blobs are sealed under (the model key in the TA; tests
   // may use any fixed key).
@@ -133,11 +136,12 @@ class KvPagePool {
   // Recompute finished: the frame holds valid data again.
   Status ClearLost(KvPageId id);
 
-  // Deterministic REE-misbehavior injection (ServeFaultPlan): sabotage the
-  // 1-based `first..first+count-1`-th spills right after sealing — a
-  // flipped ciphertext byte (tamper) or a truncated blob (drop). Restores
-  // of those generations then fail exactly like a real adversarial REE.
-  void ArmSpillFault(bool drop, uint64_t first, uint64_t count);
+  // Deterministic REE-misbehavior injection (src/common/fault_plan.h): the
+  // spill_tamper and spill_drop classes sabotage the plan's window of
+  // 1-based spills right after sealing — a flipped ciphertext byte or a
+  // truncated blob. Restores of those generations then fail exactly like a
+  // real adversarial REE. Other classes are ignored here.
+  void ArmFaultPlan(const FaultPlan& plan) { fault_plan_ = plan; }
 
   // --- Frame data (valid only while resident; callers pin around use). ---
 
@@ -231,11 +235,7 @@ class KvPagePool {
   int spilled_pages_ = 0;
   uint64_t lru_clock_ = 0;   // Monotonic recency counter — never wall time.
   uint64_t spill_clock_ = 0;
-  // Armed spill-fault window (ArmSpillFault): ordinal is stats_.spills.
-  bool spill_fault_armed_ = false;
-  bool spill_fault_drop_ = false;
-  uint64_t spill_fault_first_ = 0;
-  uint64_t spill_fault_count_ = 0;
+  FaultPlan fault_plan_;  // Spill ordinal: stats_.spills + 1.
   KvPageStats stats_;
 };
 

@@ -163,9 +163,7 @@ Result<bool> ServingRuntime::Tick() {
   // ta_crash fault: the whole TA dies at this tick ordinal — the caller
   // sees kAborted mid-run and must boot a fresh TA + Recover(), exactly the
   // crash the auto-checkpoint cadence exists for.
-  const ServeFaultPlan& plan = ta_->serve_fault_plan();
-  if (plan.active() && plan.fault == ServeFaultClass::kTaCrash &&
-      plan.Hits(stats_.ticks)) {
+  if (ta_->fault_plan().Hits(FaultClass::kTaCrash, stats_.ticks)) {
     return Aborted("ta_crash fault: serving TA crashed at tick " +
                    std::to_string(stats_.ticks));
   }

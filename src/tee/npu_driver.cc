@@ -19,15 +19,15 @@ void TeeNpuDriver::Init() {
                                    [this] { OnSecureCompletion(); });
 }
 
-void TeeNpuDriver::ArmFaultPlan(const NpuFaultPlan& plan) {
+void TeeNpuDriver::ArmFaultPlan(const FaultPlan& plan) {
   {
     MutexLock lock(&mu_);
     fault_plan_ = plan;
     fault_seq_base_ = next_issue_seq_ - 1;
     injected_faults_ = 0;
   }
-  // Device-visible classes (payload, timeout) live at the NPU; forwarding
-  // the whole plan is harmless — each layer only acts on its own classes.
+  // Device-visible classes (payload, timeout) live at the NPU; each layer
+  // acts only on its own classes.
   platform_->npu().ArmFaultPlan(plan);
 }
 
@@ -170,8 +170,7 @@ Status TeeNpuDriver::IssueJob(uint64_t job_id,
     // waiter's deadline (and the sequence-hole bookkeeping in WaitForJob's
     // abandon path) is the only way out. Models a dropped RPC / wedged
     // control plane.
-    if (fault_plan_.fault == NpuFaultClass::kSubmit &&
-        fault_plan_.Hits(FaultOrdinalLocked(job.seq))) {
+    if (fault_plan_.Hits(FaultClass::kSubmit, FaultOrdinalLocked(job.seq))) {
       ++injected_faults_;
       inject_submit_stall = true;
     }
@@ -340,8 +339,8 @@ SmcResult TeeNpuDriver::OnTakeover(const SmcArgs& args) {
       outcome = Outcome::kReject;
     } else {
       SecureJob& job = jobs_[job_id];
-      if (fault_plan_.fault == NpuFaultClass::kContext &&
-          fault_plan_.Hits(FaultOrdinalLocked(job.seq))) {
+      if (fault_plan_.Hits(FaultClass::kContext,
+                           FaultOrdinalLocked(job.seq))) {
         // Injected context-validation fault: an otherwise-valid takeover is
         // rejected as if the job's execution context failed revalidation at
         // the secure boundary. Toward the REE this is exactly a real

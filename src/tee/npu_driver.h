@@ -32,6 +32,7 @@
 #include <unordered_map>
 
 #include "src/common/calibration.h"
+#include "src/common/fault_plan.h"
 #include "src/common/mutex.h"
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
@@ -83,17 +84,17 @@ class TeeNpuDriver {
       TZLLM_EXCLUDES(mu_);
 
   // --- Deterministic fault injection (recovery tests, CI fault sweep). ---
-  // Arms `plan` against jobs issued from now on: ordinals restart at 1,
-  // driver-visible classes (kContext, kSubmit) are handled here, device-
-  // visible classes (kPayload, kTimeout) are forwarded to the NPU device.
-  // Arming the inactive plan disarms everything.
-  void ArmFaultPlan(const NpuFaultPlan& plan) TZLLM_EXCLUDES(mu_);
+  // Arms `plan` (src/common/fault_plan.h) against jobs issued from now on:
+  // ordinals restart at 1, the ctx and submit classes act here, and the
+  // plan is forwarded to the NPU device for payload and timeout. Arming
+  // the inactive plan disarms everything.
+  void ArmFaultPlan(const FaultPlan& plan) TZLLM_EXCLUDES(mu_);
 
   // Degradation accounting for the recovery layer. The NPU prefill backend
-  // reports its per-job recovery outcomes here so one stats surface (this
-  // driver — what the benches and the crosscheck already read) carries the
-  // whole fault story: injected faults, abandoned jobs, retried-to-success
-  // jobs and CPU-fallback re-executions.
+  // reports its per-job recovery outcomes here, and only here, so one stats
+  // surface (this driver — what the benches and the crosscheck read)
+  // carries the whole fault story: injected faults, abandoned jobs,
+  // retried-to-success jobs and CPU-fallback re-executions.
   void RecordRecovery(uint64_t recovered_jobs, uint64_t fallback_jobs,
                       uint64_t fallback_matmuls) TZLLM_EXCLUDES(mu_);
 
@@ -221,7 +222,7 @@ class TeeNpuDriver {
   uint64_t fallback_jobs_ TZLLM_GUARDED_BY(mu_) = 0;
   uint64_t fallback_matmuls_ TZLLM_GUARDED_BY(mu_) = 0;
   uint64_t injected_faults_ TZLLM_GUARDED_BY(mu_) = 0;
-  NpuFaultPlan fault_plan_ TZLLM_GUARDED_BY(mu_);
+  FaultPlan fault_plan_ TZLLM_GUARDED_BY(mu_);
   // Issue seq when the plan was armed.
   uint64_t fault_seq_base_ TZLLM_GUARDED_BY(mu_) = 0;
   SimDuration total_config_time_ TZLLM_GUARDED_BY(mu_) = 0;

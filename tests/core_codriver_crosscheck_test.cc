@@ -88,7 +88,7 @@ TEST(CodriverCrossCheckTest, RecoveryStatsStayConsistentUnderFaults) {
   // the retry absorb it, and cross-check the driver's counters against the
   // fused-format invariant and the CPU-reference tokens.
   RuntimeConfig config = FunctionalNpuConfig();
-  config.engine.npu_fault_plan = "payload@3";
+  config.engine.fault_plan = "payload@3";
   config.engine.npu_job_timeout = 50 * kMillisecond;
   SocPlatform plat;
   SystemRuntime runtime(&plat, config);
@@ -122,7 +122,7 @@ TEST(CodriverCrossCheckTest, RecoveryStatsStayConsistentUnderFaults) {
   // Recovery changed no math: tokens still match the unfaulted CPU engine.
   EngineOptions cpu_options = runtime.config().engine;
   cpu_options.npu_prefill = false;
-  cpu_options.npu_fault_plan.clear();
+  cpu_options.fault_plan.clear();
   auto reference =
       LlmEngine::CreateUnprotected(runtime.spec(), 0xC0FFEE, cpu_options)
           ->Generate("cross check the co driver overheads", 6);
@@ -132,10 +132,14 @@ TEST(CodriverCrossCheckTest, RecoveryStatsStayConsistentUnderFaults) {
 
 TEST(CodriverCrossCheckTest, LoadModelRejectsBadFaultAndDeadlineConfig) {
   // Malformed plan string: LoadModel fails with InvalidArgument instead of
-  // silently running unfaulted (the CI sweep must notice a typo'd plan).
-  {
-    RuntimeConfig config = FunctionalNpuConfig();
-    config.engine.npu_fault_plan = "bogus@1";
+  // silently running unfaulted (the CI sweep must notice a typo'd plan) —
+  // with NPU prefill on, and on a CPU-only configuration too.
+  RuntimeConfig cpu_only = FunctionalNpuConfig();
+  cpu_only.use_npu = false;
+  cpu_only.engine.npu_prefill = false;
+  for (RuntimeConfig config : {FunctionalNpuConfig(), cpu_only}) {
+    SCOPED_TRACE(config.engine.npu_prefill ? "npu" : "cpu");
+    config.engine.fault_plan = "bogus@1";
     SocPlatform plat;
     SystemRuntime runtime(&plat, config);
     ASSERT_TRUE(runtime.Setup().ok());

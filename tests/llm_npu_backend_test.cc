@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/fault_plan.h"
 #include "src/llm/backend/backend.h"
 #include "src/llm/executor.h"
 #include "src/llm/kv_cache.h"
@@ -200,7 +201,7 @@ TEST_F(NpuBackendTest, JobContextOutsideTzascRejectedAtCreateJob) {
   EXPECT_GE(tee_npu_->validation_failures(), 1u);
   EXPECT_EQ(tee_npu_->secure_jobs_completed(), 0u);
   // A refusal at submit is never laundered through the recovery path.
-  EXPECT_EQ(backend.fallback_jobs(), 0u);
+  EXPECT_EQ(tee_npu_->fallback_jobs(), 0u);
 }
 
 TEST_F(NpuBackendTest, FusedJobSubBufferOutsideTzascRejected) {
@@ -239,7 +240,7 @@ TEST_F(NpuBackendTest, FusedJobSubBufferOutsideTzascRejected) {
   ASSERT_FALSE(logits.ok());
   EXPECT_EQ(logits.status().code(), ErrorCode::kSecurityViolation);
   EXPECT_GE(tee_npu_->secure_jobs_completed(), 1u);
-  EXPECT_EQ(backend.fallback_jobs(), 0u);
+  EXPECT_EQ(tee_npu_->fallback_jobs(), 0u);
 }
 
 TEST_F(NpuBackendTest, PayloadFailureSurfacesOutOfPrefill) {
@@ -253,7 +254,7 @@ TEST_F(NpuBackendTest, PayloadFailureSurfacesOutOfPrefill) {
   NpuBackendConfig config = BackendConfig(options, scratch_);
   config.max_retries = 0;
   config.cpu_fallback = false;
-  auto plan = NpuFaultPlan::Parse("payload@5");
+  auto plan = FaultPlan::Parse("payload@5");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   tee_npu_->ArmFaultPlan(*plan);
   NpuBackend backend(config);

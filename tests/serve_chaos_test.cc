@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/fault_plan.h"
 #include "src/core/runtime.h"
 #include "src/llm/model_spec.h"
 #include "src/serve/serving.h"
@@ -57,7 +58,7 @@ RuntimeConfig PagedChaosConfig(const std::string& plan) {
   // EVERY spill is lost under the tamper/drop plans: the budget must cover
   // sustained re-prefill, not a one-off incident.
   config.engine.kv_recompute_max = 1 << 20;
-  config.engine.serve_fault_plan = plan;
+  config.engine.fault_plan = plan;
   return config;
 }
 
@@ -73,7 +74,7 @@ RuntimeConfig ResidentConfig(int max_sessions, ServeEvictPolicy eviction,
   config.engine.max_sessions = max_sessions;
   config.engine.serve_eviction = eviction;
   config.engine.kv_prefix_entries = 0;
-  config.engine.serve_fault_plan = plan;
+  config.engine.fault_plan = plan;
   return config;
 }
 
@@ -107,8 +108,10 @@ std::map<uint64_t, const ServeRequestResult*> ById(
 
 // Runs all four prompts through a serving runtime on `config` and checks
 // every completed request against the solo references. Returns the final
-// stats for plan-specific assertions.
-ServeStats RunAllAndExpectSoloTokens(const RuntimeConfig& config) {
+// stats for plan-specific assertions; `ckpt_drops`, when given, receives
+// the checkpoints the plan deleted.
+ServeStats RunAllAndExpectSoloTokens(const RuntimeConfig& config,
+                                     uint64_t* ckpt_drops = nullptr) {
   const auto solo = SoloRuns();
   SocPlatform plat;
   SystemRuntime runtime(&plat, config);
@@ -139,6 +142,9 @@ ServeStats RunAllAndExpectSoloTokens(const RuntimeConfig& config) {
     EXPECT_TRUE(r.status.ok()) << r.status.ToString();
     EXPECT_EQ(r.generation.output_tokens, solo[i])
         << "request " << i << " diverged under the armed fault plan";
+  }
+  if (ckpt_drops != nullptr) {
+    *ckpt_drops = (*ta)->ckpt_drops_injected();
   }
   return serve.stats();
 }
@@ -433,20 +439,38 @@ TEST(ServeChaosTest, WatchdogOffKeepsImmediateInternalError) {
 // --- CI chaos matrix: whatever plan the environment arms, tokens hold. ----
 
 TEST(ServeChaosTest, EnvPlanRunMatchesSolo) {
-  const char* env = std::getenv("TZLLM_SERVE_FAULT_PLAN");
+  const char* env = std::getenv("TZLLM_FAULT_PLAN");
   if (env == nullptr || *env == '\0') {
-    GTEST_SKIP() << "TZLLM_SERVE_FAULT_PLAN not set";
+    GTEST_SKIP() << "TZLLM_FAULT_PLAN not set";
   }
-  if (std::string(env).rfind("ta_crash", 0) == 0) {
-    GTEST_SKIP() << "ta_crash needs the reboot harness (see "
-                    "TaCrashRecoverResumesFleetIdentically / fig18)";
+  // A misspelt plan must fail here, not run unfaulted and pass.
+  auto plan = FaultPlan::Parse(env);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  switch (plan->fault) {
+    case FaultClass::kSpillTamper:
+    case FaultClass::kSpillDrop:
+    case FaultClass::kCkptDrop:
+      break;
+    case FaultClass::kTaCrash:
+      GTEST_SKIP() << "ta_crash needs the reboot harness (see "
+                      "TaCrashRecoverResumesFleetIdentically / fig18)";
+    default:
+      GTEST_SKIP() << plan->ToString()
+                   << " is an NPU class; this config has no NPU";
   }
-  // No serve_fault_plan in the options: the environment plan applies. The
-  // paged oversubscribed config gives the spill classes real traffic; the
+  // No fault_plan in the options: the environment plan applies. The paged
+  // oversubscribed config gives the spill classes real traffic; the
   // checkpoint cadence gives ckpt_drop real seals.
   RuntimeConfig config = PagedChaosConfig("");
   config.engine.serve_checkpoint_every_n_ticks = 4;
-  (void)RunAllAndExpectSoloTokens(config);
+  uint64_t ckpt_drops = 0;
+  const ServeStats stats = RunAllAndExpectSoloTokens(config, &ckpt_drops);
+  // The plan must have fired, or the run proved nothing.
+  if (plan->fault == FaultClass::kCkptDrop) {
+    EXPECT_GT(ckpt_drops, 0u);
+  } else {
+    EXPECT_GT(stats.pages_lost, 0u);
+  }
 }
 
 }  // namespace
