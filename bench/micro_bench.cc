@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -199,12 +200,13 @@ void BM_MatMatQ8(benchmark::State& state) {
   // rows x cols Q8_0 weights against m positions of random activations,
   // through one path: tile = 0 runs MatMatQ8's dot_rows_q8 groups on the
   // row table (AVX2 on x86); tile = 1 calls the AMX-INT8 table's
-  // matmat_rows_q8 over every row directly, so it is timed below
-  // kTileMinPositions too. m = 1..8 are batched decode steps, 16 a prefill
-  // quantum or NPU payload. Comparing the two paths per m locates the
-  // crossover kTileMinPositions records (simd/kernels.h); the shapes are
-  // bench-medium's Wq/Wo (512 x 512), gate/up (1408 x 512) and down
-  // (512 x 1408). Items/s counts multiply-accumulates.
+  // matmat_rows_q8 over every row directly, the path MatMatQ8 takes at
+  // every m on that table. m = 1 is batch-1 decode, 2..8 batched decode
+  // steps, 16 a prefill quantum or NPU payload; the matrix stays in L2, so
+  // this times the kernels' arithmetic per m (BM_WeightPass times the
+  // weight stream). The shapes are bench-medium's Wq/Wo (512 x 512),
+  // gate/up (1408 x 512) and down (512 x 1408). Items/s counts
+  // multiply-accumulates.
   const uint64_t rows = state.range(0);
   const uint64_t cols = state.range(1);
   const uint64_t m = state.range(2);
@@ -321,7 +323,41 @@ void BM_WeightPass(benchmark::State& state) {
 }
 BENCHMARK(BM_WeightPass)
     ->ArgNames({"m", "tile"})
-    ->ArgsProduct({{1, 6, 16}, {0, 1}});
+    ->ArgsProduct({{1, 2, 6, 8, 16}, {0, 1}});
+
+void BM_WeightRead(benchmark::State& state) {
+  // The rate BM_WeightPass is held against, on the same host and in the
+  // same run: the same 57 matrices read once with plain loads, 32 bytes
+  // per step (two 16-byte GCC vectors, native on SSE2 and NEON) OR-folded
+  // so none is dead, and nothing else. A pass's bytes/s over this one's is
+  // its share of the weight stream; a pass that prefetches can exceed it.
+  using Bytes16 = uint64_t __attribute__((vector_size(16)));
+  const std::vector<Tensor>& weights = BenchMediumWeights();
+  uint64_t bytes = 0;
+  for (const Tensor& w : weights) {
+    bytes += w.data.size() / 32 * 32;
+  }
+  for (auto _ : state) {
+    Bytes16 lo = {};
+    Bytes16 hi = {};
+    for (const Tensor& w : weights) {
+      const uint8_t* data = w.data.data();
+      const uint64_t n = w.data.size() / 32 * 32;
+      for (uint64_t i = 0; i < n; i += 32) {
+        Bytes16 a = {};
+        Bytes16 b = {};
+        std::memcpy(&a, data + i, sizeof(a));
+        std::memcpy(&b, data + i + 16, sizeof(b));
+        lo |= a;
+        hi |= b;
+      }
+    }
+    uint64_t folded = lo[0] | lo[1] | hi[0] | hi[1];
+    benchmark::DoNotOptimize(folded);
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_WeightRead);
 
 void BM_BuddyAllocFree(benchmark::State& state) {
   BuddyAllocator buddy(0, 1 << 18);

@@ -105,11 +105,9 @@ Status KvPagePool::SpillPage(KvPageId id) {
     // The REE "loses" the blob: nothing but a stub survives, so restore
     // fails the size check.
     blob.resize(kSealHeaderBytes / 2);
-    ++stats_.spill_faults_injected;
   } else if (fault_plan_.Hits(FaultClass::kSpillTamper, ordinal)) {
     // One ciphertext byte flipped: decrypts fine, fails the tag.
     blob[kSealHeaderBytes + page_bytes_ / 2] ^= 0x5a;
-    ++stats_.spill_faults_injected;
   }
   p.ree_blob = std::move(blob);
   // Scrub before the frame is reused: no KV plaintext outlives eviction.

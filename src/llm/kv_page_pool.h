@@ -73,7 +73,6 @@ struct KvPageStats {
   uint64_t restores = 0;  // Pages decrypted back into a frame.
   uint64_t cow_copies = 0;  // Shared pages privatized before a write.
   uint64_t pages_lost = 0;  // Spilled pages quarantined after failed restore.
-  uint64_t spill_faults_injected = 0;  // Blobs tampered/dropped by the plan.
 };
 
 class KvPagePool {

@@ -45,11 +45,15 @@
 //    block headers expand through vcvtph2ps, exact for every half like
 //    F16ToF32. The AVX-512 epilogue then advances each (row, position)
 //    float accumulator serially in block order as
-//    acc += (wscale * xscale) * dot — lanes are positions, mul then mul
-//    then add, no FMA (the TU is built with -ffp-contract=off and uses no
-//    fmadd intrinsic) — the scalar table's exact operation sequence. Lanes
-//    of positions >= m and rows outside the range are masked: never
-//    loaded from the headers or scales, never stored.
+//    acc += (wscale * xscale) * dot — lanes are (row, position) pairs, mul
+//    then mul then add, no FMA (the TU is built with -ffp-contract=off and
+//    uses no fmadd intrinsic) — the scalar table's exact operation
+//    sequence. C is stored dense, at the position count padded to 1, 2, 4,
+//    8 or 16 int32 per row, so the epilogue's cost follows m. Lanes of
+//    positions >= m and rows outside the range are masked: never loaded
+//    from the headers or scales, never stored. The slot prefetches the
+//    next 16 weight rows while it runs a row group, only rows inside
+//    [r0, r1), so a thread's part never reads its neighbour's rows.
 //  - f32_to_f16 is bit-identical across backends for FINITE inputs (the
 //    AVX2 path reproduces the scalar converter's flush-subnormals-to-zero
 //    behavior; NaN diverges — scalar emits inf, AVX2 flushes to zero — but
@@ -81,15 +85,6 @@ const char* SimdIsaName(SimdIsa isa);
 
 // Largest group of positions one dot_rows_q8 call takes.
 inline constexpr int kMaxDotRows = 8;
-
-// Fewest positions for which MatMatQ8 takes a table's matmat_rows_q8 slot
-// instead of dot_rows_q8 groups. Set from micro_bench's BM_MatMatQ8 (AVX2
-// row vs AMX tile at m = 1..8 and 16 on bench-medium's 512x512, 1408x512
-// and 512x1408 shapes, repetitions randomly interleaved): the tile costs
-// about the same at every m, so it ties the row at m = 1 (median time
-// ratio 0.98-1.13) and wins from m = 2 (0.77-0.87) on, 0.22-0.24 at
-// m = 16. Batch-1 decode stays on the row.
-inline constexpr uint64_t kTileMinPositions = 2;
 
 // One function pointer per hot inner loop. `nblocks` counts 34-byte Q8_0
 // blocks (tensor.h geometry); `row` points at a row of such blocks.

@@ -154,7 +154,7 @@ void MatMatQ8(const uint8_t* w, uint64_t rows, uint64_t cols, const Q8Acts& x,
   const uint64_t blocks_per_row = cols / kQ8BlockElems;
   const uint64_t m = x.m;
   const bool parallel = pool != nullptr && rows * cols * m >= kParallelMinWork;
-  if (k->matmat_rows_q8 != nullptr && m >= kTileMinPositions) {
+  if (k->matmat_rows_q8 != nullptr) {
     auto tile_rows = [&](uint64_t r0, uint64_t r1) {
       k->matmat_rows_q8(w, rows, blocks_per_row, x.q.data(), x.scale.data(),
                         m, r0, r1, y);

@@ -109,11 +109,12 @@ void MatVecQ8(const uint8_t* w, uint64_t rows, uint64_t cols, const float* x,
 // against the positions in groups of up to kMaxDotRows (simd/kernels.h)
 // through one dot_rows_q8 call per group, so batched decode and prefill
 // chunks pay one weight stream however many positions they carry. When
-// the table has a matrix engine (matmat_rows_q8, the AMX table) and m >=
-// kTileMinPositions, each row range goes through that slot instead. A
-// position's result does not depend on its group or on the path, so
-// batched prefill and incremental decode (m = 1) produce bit-identical
-// activations. It makes no heap allocation, with or without a pool.
+// the table has a matrix engine (matmat_rows_q8, the AMX table), each row
+// range goes through that slot instead, at every m including batch-1
+// decode. A position's result does not depend on its group or on the
+// path, so batched prefill and incremental decode (m = 1) produce
+// bit-identical activations. It makes no heap allocation, with or without
+// a pool.
 void MatMatQ8(const uint8_t* w, uint64_t rows, uint64_t cols, const Q8Acts& x,
               float* y, ThreadPool* pool = nullptr,
               const KernelDispatch* kernels = nullptr);

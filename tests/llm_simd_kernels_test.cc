@@ -391,14 +391,15 @@ TEST_F(SimdKernelTest, MatMatQ8BitIdenticalSimdVsScalar) {
     GTEST_SKIP() << "host has no SIMD backend; scalar-only";
   }
   // Every m from 1 to 33: each dot_rows_q8 group size 1..8 as a whole
-  // batch or as the tail after full groups; on a tile table both sides of
-  // kTileMinPositions, one and two full 16-position tiles and every tail.
-  // nblocks 1..8 is every short row and 44 bench-medium's d_ff = 1408; 40
-  // rows are two full 16-row tiles plus a tail of 8. A table with a tile
-  // slot also runs it directly at every m (micro_bench times it below the
-  // threshold too).
+  // batch or as the tail after full groups; on a tile table every padded
+  // position count (1, 2, 4, 8, 16), one and two full 16-position tiles
+  // and every tail. nblocks 1..8 is every short row, 44 bench-medium's
+  // d_ff = 1408, and 48, 49 and 97 rows at, just over and past twice the
+  // tile's 48-block pack buffer, which re-pack the positions per row group.
+  // 40 rows are two full 16-row tiles plus a tail of 8. A table with a
+  // tile slot also runs it directly at every m.
   constexpr uint64_t kRows = 40;
-  for (uint64_t nblocks : {1, 2, 3, 4, 5, 6, 7, 8, 44}) {
+  for (uint64_t nblocks : {1, 2, 3, 4, 5, 6, 7, 8, 44, 48, 49, 97}) {
     const uint64_t cols = nblocks * kQ8BlockElems;
     const auto w =
         RandomQ8Matrix(kRows, nblocks, 100 + static_cast<uint32_t>(nblocks));
@@ -625,8 +626,7 @@ TEST(TileKernelTest, RowRangesWriteExactlyTheirRows) {
     const uint64_t cols = nblocks * kQ8BlockElems;
     const auto w =
         RandomQ8Matrix(rows, nblocks, 300 + static_cast<uint32_t>(rows));
-    for (uint64_t m : {uint64_t{1}, kTileMinPositions, uint64_t{16},
-                       uint64_t{17}}) {
+    for (uint64_t m : {1, 2, 16, 17}) {
       Q8Acts x;
       x.QuantizeRows(
           RandomFloats(m * cols, 400 + static_cast<uint32_t>(rows + m)).data(),
